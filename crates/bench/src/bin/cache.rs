@@ -19,7 +19,7 @@
 //!   that is always stale — their latency should match cache-off.
 //!
 //! Hit rate, latency, and disk reads per query come straight from the
-//! server's v3 STATS counters and the load report; because cached
+//! server's STATS counters and the load report; because cached
 //! replies are byte-identical to cold execution (including the embedded
 //! `QueryStats`), the *per-reply* counters are invariant across cells —
 //! only the server-side disk column and the latency move.
@@ -33,7 +33,7 @@
 use lsdb_bench::json::write_file;
 use lsdb_core::pointgen::{EndpointGen, UniformGen, WindowGen};
 use lsdb_core::{IndexConfig, SpatialIndex};
-use lsdb_geom::{Point, Segment};
+use lsdb_geom::{Point, Segment, WORLD_SIZE};
 use lsdb_rng::StdRng;
 use lsdb_rtree::RTree;
 use lsdb_server::{run_closed_loop_routed, Catalog, Client, Request, Server, ServerConfig};
@@ -180,7 +180,7 @@ fn render(p: &Params, budget: u64, rows: &[Row]) -> String {
 }
 
 /// One cell of the sweep: fresh server, fresh cache, one closed-loop
-/// run, counters read back over v3 STATS.
+/// run, counters read back over STATS.
 fn run_cell(theta: f64, cache_bytes: u64, mutation_pct: u32, budget: u64, p: &Params) -> Row {
     let spec = continent(1, p.segments, CONTINENT_SEED).remove(0);
     let mut catalog = Catalog::new(budget, 1);
@@ -202,7 +202,6 @@ fn run_cell(theta: f64, cache_bytes: u64, mutation_pct: u32, budget: u64, p: &Pa
     let handle = std::thread::spawn(move || server.run().expect("serve"));
 
     let mut client = Client::connect(addr).expect("connect");
-    assert!(client.is_v3(), "catalog server must speak v3");
     let (map_id, _) = client.open_map(&spec.name).expect("open map");
 
     // Replay stream: Zipf-ranked picks from the distinct set, with a
@@ -217,8 +216,9 @@ fn run_cell(theta: f64, cache_bytes: u64, mutation_pct: u32, budget: u64, p: &Pa
     let requests: Vec<(u32, Request)> = (0..p.queries)
         .map(|i| {
             let req = if mutation_pct > 0 && (i as u32) % 100 < mutation_pct {
+                // Clamped into the world: the server refuses the rest.
                 let a = uniform.next_point();
-                let b = Point::new(a.x.saturating_add(3), a.y.saturating_add(2));
+                let b = Point::new((a.x + 3).min(WORLD_SIZE - 1), (a.y + 2).min(WORLD_SIZE - 1));
                 Request::Insert(Segment::new(a, b))
             } else {
                 let u = rng.next_f64();

@@ -3,7 +3,7 @@
 //!
 //! For each fleet size K in the sweep the binary builds a catalog of K
 //! synthetic TIGER counties (deterministic `lsdb-tiger` specs, STR
-//! bulk-packed R*-trees), binds an in-process v3 server, and drives an
+//! bulk-packed R*-trees), binds an in-process catalog server, and drives an
 //! open-loop routed workload whose per-request map choice follows a
 //! Zipf(θ) popularity law — the canonical skew of a multi-tenant tile
 //! service, where a few metro counties absorb most of the traffic.
@@ -179,7 +179,6 @@ fn run_fleet(k: usize, budget: u64, p: &Params) -> Row {
     // Open every map up front so build time stays out of the measured
     // window, then sample the routed request list from the Zipf law.
     let mut client = Client::connect(addr).expect("connect");
-    assert!(client.is_v3(), "catalog server must speak v3");
     let ids: Vec<u32> = specs
         .iter()
         .map(|spec| client.open_map(&spec.name).expect("open map").0)

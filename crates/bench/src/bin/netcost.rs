@@ -15,8 +15,8 @@ use lsdb_bench::report::render_table;
 use lsdb_bench::wire::requests_for;
 use lsdb_bench::workloads::{QueryWorkbench, Workload};
 use lsdb_bench::{build_index, IndexKind, WorkloadConfig};
-use lsdb_core::IndexConfig;
-use lsdb_server::{run_closed_loop, Client, Server, ServerConfig};
+use lsdb_core::{IndexConfig, LiveIndex};
+use lsdb_server::{run_closed_loop, Catalog, Client, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -48,9 +48,9 @@ fn main() {
         let served = build_index(kind, &map, cfg);
         let local = build_index(kind, &map, cfg);
 
-        let server = Server::bind(
+        let server = Server::bind_catalog(
             "127.0.0.1:0",
-            served,
+            Catalog::single(LiveIndex::volatile(served)),
             ServerConfig {
                 workers: wcfg.threads,
                 read_timeout: Duration::from_millis(100),

@@ -71,9 +71,9 @@ mod tests {
         let wb = QueryWorkbench::new(&map, 12, 7);
         let index = crate::build_index(crate::IndexKind::Pmr, &map, IndexConfig::default());
 
-        let server = lsdb_server::Server::bind(
+        let server = lsdb_server::Server::bind_catalog(
             "127.0.0.1:0",
-            index,
+            lsdb_server::Catalog::single(lsdb_core::LiveIndex::volatile(index)),
             lsdb_server::ServerConfig {
                 read_timeout: std::time::Duration::from_millis(100),
                 ..Default::default()

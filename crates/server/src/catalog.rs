@@ -6,9 +6,9 @@
 //! because there is no recipe to get it back) or *buildable* (added via
 //! [`Catalog::add_map`] with a deterministic builder closure; opened
 //! lazily on first use and closable at any time — its next query simply
-//! rebuilds it). The v3 wire envelope's `map` field indexes this roster;
-//! v1/v2 frames land on map `0`, so a catalog built with
-//! [`Catalog::single`] behaves exactly like the old one-map server.
+//! rebuilds it). The wire envelope's `map` field indexes this roster; a
+//! one-map server is a catalog built with [`Catalog::single`], whose map
+//! is id `0`.
 //!
 //! ## Budget and eviction
 //!
@@ -141,7 +141,7 @@ pub struct Catalog {
     /// Clock hand for the second-chance sweeps.
     hand: AtomicUsize,
     /// Process-wide aggregates (every map's queries folded together) —
-    /// exactly what the single-map server's `STATS` reported.
+    /// the aggregate block of `STATS`.
     aggregate: SharedStats,
     /// Byte accounting shared by every slot's reply cache; its cap is
     /// the `serve --cache-bytes` knob (0 = caching off, the default).
@@ -171,8 +171,8 @@ impl Catalog {
         }
     }
 
-    /// The one-map catalog the classic `bind`/`bind_live` servers use:
-    /// a single live slot named `default`, unlimited budget.
+    /// A one-map catalog: a single live slot named `default` (map id
+    /// `0`), unlimited budget — how a server hosts one map.
     pub fn single(live: LiveIndex) -> Catalog {
         let mut catalog = Catalog::new(0, 1);
         catalog.add_live("default", live);
@@ -257,7 +257,8 @@ impl Catalog {
         Ok(())
     }
 
-    /// The process-wide aggregate counters (what v1/v2 `STATS` reports).
+    /// The process-wide aggregate counters (the aggregate block of
+    /// `STATS`).
     pub fn aggregate(&self) -> &SharedStats {
         &self.aggregate
     }

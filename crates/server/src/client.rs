@@ -1,23 +1,18 @@
 //! Blocking client for the `lsdb` wire protocol.
 //!
-//! One [`Client`] wraps one TCP connection. [`Client::connect`]
-//! negotiates the protocol version with a `HELLO` exchange: against a v2
-//! server the client envelopes every request with a correlation id,
-//! which unlocks [`Client::pipeline`] (many requests in flight on one
-//! connection, replies matched by id) and [`Client::call_batch`] (one
-//! `BATCH` frame, Morton-sorted server-side execution). Against an older
-//! server — or via [`Client::connect_v1`] — it falls back to plain v1
-//! framing and every operation still works, just sequentially.
-//!
-//! Against a v3 server every frame also carries a map id: the client
-//! holds a *current map* ([`Client::set_map`], default `0`), routes each
-//! request to it, and exposes the catalog ops ([`Client::open_map`],
+//! One [`Client`] wraps one TCP connection. [`Client::connect`] checks
+//! with a `HELLO` exchange that the server speaks protocol v3; every
+//! request then travels with a correlation id and a map id.
+//! [`Client::call`] routes to map `0`, [`Client::call_on`] to any
+//! catalog map; ids come from the catalog ops ([`Client::open_map`],
 //! [`Client::list_maps`], [`Client::close_map`], [`Client::stats_v3`]).
+//! [`Client::pipeline`] keeps many requests in flight on one connection
+//! (replies matched by id) and [`Client::call_batch`] sends one `BATCH`
+//! frame for Morton-sorted server-side execution.
 //!
-//! Requests are built with the typed [`QueryRequest`] builder; the old
-//! per-query method zoo remains as thin deprecated wrappers. Server-side
-//! error frames surface as [`std::io::ErrorKind::Other`] errors carrying
-//! the structured code and message.
+//! Requests are built with the typed [`QueryRequest`] builder.
+//! Server-side error frames surface as [`std::io::ErrorKind::Other`]
+//! errors carrying the structured code and message.
 
 use crate::protocol::{
     decode_reply, read_frame, write_frame, BudgetWire, ErrorCode, FrameError, FrameEvent, MapInfo,
@@ -128,8 +123,8 @@ impl From<QueryRequest> for Request {
     }
 }
 
-/// The full catalog-aware `STATS` answer a v3 server returns: process
-/// aggregates, the buffer-budget gauge, and one entry per map.
+/// The `STATS` answer: process aggregates, the buffer-budget gauge, and
+/// one entry per map.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CatalogStats {
     pub queries: u64,
@@ -141,144 +136,39 @@ pub struct CatalogStats {
 /// One blocking protocol connection.
 pub struct Client {
     stream: TcpStream,
-    /// Negotiated envelope version (1, 2 or 3).
-    version: u8,
-    /// Current map id stamped on every v3 request envelope.
-    map: u32,
     next_corr: u32,
 }
 
 impl Client {
-    /// Connect with default timeouts (10 s read and write) and negotiate
-    /// the protocol version (v2 against this crate's server, v1 against
-    /// anything older).
+    /// Connect with default timeouts (10 s read and write) and check the
+    /// server speaks protocol v3.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         Client::connect_with_timeout(addr, Duration::from_secs(10))
     }
 
-    /// Connect with an explicit read/write timeout, negotiating as
-    /// [`Client::connect`] does.
+    /// Connect with an explicit read/write timeout, checking the version
+    /// as [`Client::connect`] does.
     pub fn connect_with_timeout(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Client> {
-        let mut client = Client::connect_v1_with_timeout(addr, timeout)?;
-        client.negotiate()?;
-        Ok(client)
-    }
-
-    /// Connect speaking plain v1 frames only, no negotiation — what a
-    /// pre-v2 client binary does, kept callable for compatibility
-    /// testing and for talking through v1-only middleboxes.
-    pub fn connect_v1(addr: impl ToSocketAddrs) -> io::Result<Client> {
-        Client::connect_v1_with_timeout(addr, Duration::from_secs(10))
-    }
-
-    /// [`Client::connect_v1`] with an explicit timeout.
-    pub fn connect_v1_with_timeout(
-        addr: impl ToSocketAddrs,
-        timeout: Duration,
-    ) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_read_timeout(Some(timeout))?;
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true).ok();
-        Ok(Client {
+        let mut client = Client {
             stream,
-            version: 1,
-            map: 0,
             next_corr: 0,
-        })
-    }
-
-    /// `HELLO` exchange: a v2 server answers with the version it will
-    /// speak; a v1 server answers the unknown opcode with a structured
-    /// `UnknownOp` error, which downgrades this client to v1 silently.
-    fn negotiate(&mut self) -> io::Result<()> {
-        write_frame(
-            &mut self.stream,
-            &Request::Hello {
+        };
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        match client.call(&hello)? {
+            Reply::Hello {
                 version: PROTOCOL_VERSION,
-            }
-            .encode(),
-        )?;
-        match self.read_reply()? {
-            (_, Reply::Hello { version }) => {
-                self.version = version.clamp(1, PROTOCOL_VERSION);
-                Ok(())
-            }
-            (
-                _,
-                Reply::Error {
-                    code: ErrorCode::UnknownOp,
-                    ..
-                },
-            ) => {
-                self.version = 1;
-                Ok(())
-            }
-            (_, Reply::Error { code, message }) => {
-                Err(io::Error::other(ServerError { code, message }))
-            }
-            (_, other) => Err(unexpected(&other)),
+            } => Ok(client),
+            other => Err(unexpected(&other)),
         }
     }
 
-    /// Whether this connection negotiated at least the v2 envelope
-    /// (pipelining and server-side batching).
-    pub fn is_v2(&self) -> bool {
-        self.version >= 2
-    }
-
-    /// Whether this connection negotiated the v3 envelope (map routing
-    /// and catalog ops).
-    pub fn is_v3(&self) -> bool {
-        self.version >= 3
-    }
-
-    /// The negotiated envelope version (1, 2 or 3).
-    pub fn version(&self) -> u8 {
-        self.version
-    }
-
-    /// Route every subsequent request to catalog map `map` (v3 only;
-    /// ids come from [`Client::open_map`] / [`Client::list_maps`]).
-    /// Errors on a pre-v3 connection unless `map` is `0`, the only map
-    /// a v1/v2 envelope can address.
-    pub fn set_map(&mut self, map: u32) -> io::Result<()> {
-        if map != 0 && self.version < 3 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!(
-                    "map routing needs protocol v3; this connection negotiated v{}",
-                    self.version
-                ),
-            ));
-        }
-        self.map = map;
-        Ok(())
-    }
-
-    /// The map id current requests are routed to.
-    pub fn current_map(&self) -> u32 {
-        self.map
-    }
-
-    /// Encode `req` in this connection's negotiated envelope, stamping
-    /// the current map on v3 frames.
-    fn encode_request(&mut self, req: &Request) -> (Option<u32>, Vec<u8>) {
-        if self.version >= 2 {
-            let corr = self.next_corr;
-            self.next_corr = self.next_corr.wrapping_add(1);
-            let bytes = if self.version >= 3 {
-                req.encode_v3(corr, self.map)
-            } else {
-                req.encode_v2(corr)
-            };
-            (Some(corr), bytes)
-        } else {
-            (None, req.encode())
-        }
-    }
-
-    fn read_reply(&mut self) -> io::Result<(Option<u32>, Reply)> {
+    fn read_reply(&mut self) -> io::Result<(u32, Reply)> {
         let payload = match read_frame(&mut self.stream, MAX_REPLY_FRAME) {
             Ok(FrameEvent::Frame(p)) => p,
             Ok(FrameEvent::Eof) => {
@@ -306,16 +196,22 @@ impl Client {
         })
     }
 
-    /// Issue one request and wait for its reply. Error frames are
-    /// returned as `Err`, so `Ok` replies are always answers.
+    /// Issue one request to map `0` and wait for its reply. Error frames
+    /// are returned as `Err`, so `Ok` replies are always answers.
     pub fn call(&mut self, req: &Request) -> io::Result<Reply> {
-        let (corr, bytes) = self.encode_request(req);
-        write_frame(&mut self.stream, &bytes)?;
+        self.call_on(0, req)
+    }
+
+    /// [`Client::call`] routed to catalog map `map`.
+    pub fn call_on(&mut self, map: u32, req: &Request) -> io::Result<Reply> {
+        let corr = self.next_corr;
+        self.next_corr = self.next_corr.wrapping_add(1);
+        write_frame(&mut self.stream, &req.encode_v3(corr, map))?;
         let (got, reply) = self.read_reply()?;
-        if corr.is_some() && got != corr {
+        if got != corr {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("correlation mismatch: sent {corr:?}, reply carries {got:?}"),
+                format!("correlation mismatch: sent {corr}, reply carries {got}"),
             ));
         }
         match reply {
@@ -324,75 +220,39 @@ impl Client {
         }
     }
 
-    /// [`Client::call`] routed to map `map` for this one request; the
-    /// current map is untouched. v3 only (unless `map` is `0`).
-    pub fn call_on(&mut self, map: u32, req: &Request) -> io::Result<Reply> {
-        let prev = self.map;
-        self.set_map(map)?;
-        let result = self.call(req);
-        self.map = prev;
-        result
-    }
-
-    /// Execute a homogeneous batch server-side (one `BATCH` frame,
-    /// Morton-sorted execution) and return the per-item replies in
-    /// submission order. Against a v1 server the batch is transparently
-    /// unrolled into sequential singleton calls — same replies, same
-    /// counters, no wire batching.
-    ///
-    /// Item-level failures (e.g. an out-of-range segment id under v1
-    /// unrolling) stay inline as [`Reply::Error`] entries; only
-    /// transport and whole-batch failures return `Err`.
+    /// Execute a homogeneous batch on map `0` server-side (one `BATCH`
+    /// frame, Morton-sorted execution) and return the per-item replies
+    /// in submission order.
     pub fn call_batch(&mut self, batch: &BatchRequest) -> io::Result<Vec<Reply>> {
-        if self.version >= 2 {
-            match self.call(&Request::Batch(batch.clone()))? {
-                Reply::Batch(items) => Ok(items),
-                other => Err(unexpected(&other)),
-            }
-        } else {
-            let singles = unroll(batch);
-            let mut out = Vec::with_capacity(singles.len());
-            for req in &singles {
-                out.push(self.call_keeping_errors(req)?);
-            }
-            Ok(out)
+        match self.call(&Request::Batch(batch.clone()))? {
+            Reply::Batch(items) => Ok(items),
+            other => Err(unexpected(&other)),
         }
     }
 
-    /// Send every request before reading any reply, then return the
-    /// replies in request order (matched by correlation id — the server
-    /// may complete them out of order). Falls back to sequential calls
-    /// on a v1 connection.
+    /// Send every request (to map `0`) before reading any reply, then
+    /// return the replies in request order (matched by correlation id —
+    /// the server may complete them out of order).
     ///
     /// Per-request error frames stay inline as [`Reply::Error`] entries,
     /// so one bad request does not mask the other replies.
     pub fn pipeline(&mut self, reqs: &[Request]) -> io::Result<Vec<Reply>> {
-        if self.version < 2 {
-            return reqs.iter().map(|r| self.call_keeping_errors(r)).collect();
-        }
         let base = self.next_corr;
         self.next_corr = self.next_corr.wrapping_add(reqs.len() as u32);
         for (i, req) in reqs.iter().enumerate() {
             let corr = base.wrapping_add(i as u32);
-            let bytes = if self.version >= 3 {
-                req.encode_v3(corr, self.map)
-            } else {
-                req.encode_v2(corr)
-            };
-            write_frame(&mut self.stream, &bytes)?;
+            write_frame(&mut self.stream, &req.encode_v3(corr, 0))?;
         }
         let mut out: Vec<Option<Reply>> = (0..reqs.len()).map(|_| None).collect();
         for _ in 0..reqs.len() {
             let (corr, reply) = self.read_reply()?;
-            let slot = corr
-                .and_then(|c| usize::try_from(c.wrapping_sub(base)).ok())
-                .filter(|&i| i < out.len() && out[i].is_none());
-            match slot {
-                Some(i) => out[i] = Some(reply),
-                None => {
+            let i = corr.wrapping_sub(base) as usize;
+            match out.get_mut(i) {
+                Some(slot @ None) => *slot = Some(reply),
+                _ => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!("reply carries unexpected correlation id {corr:?}"),
+                        format!("reply carries unexpected correlation id {corr}"),
                     ))
                 }
             }
@@ -403,95 +263,10 @@ impl Client {
             .collect())
     }
 
-    /// [`Client::call`] but keeping server error frames inline as
-    /// [`Reply::Error`] (batch/pipeline item semantics).
-    fn call_keeping_errors(&mut self, req: &Request) -> io::Result<Reply> {
-        match self.call(req) {
-            Ok(reply) => Ok(reply),
-            Err(e) => match e
-                .get_ref()
-                .and_then(|inner| inner.downcast_ref::<ServerError>())
-            {
-                Some(se) => Ok(Reply::Error {
-                    code: se.code,
-                    message: se.message.clone(),
-                }),
-                None => Err(e),
-            },
-        }
-    }
-
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<()> {
         match self.call(&Request::Ping)? {
             Reply::Pong => Ok(()),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Query 1.
-    #[deprecated(note = "use `call(&QueryRequest::incident(p).build())`")]
-    pub fn incident(&mut self, p: Point) -> io::Result<(Vec<SegId>, QueryStats)> {
-        match self.call(&QueryRequest::incident(p).build())? {
-            Reply::Segs { ids, stats } => Ok((ids, stats)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Query 2.
-    #[deprecated(note = "use `call(&QueryRequest::second_endpoint(id, at).build())`")]
-    pub fn second_endpoint(
-        &mut self,
-        id: SegId,
-        at: Point,
-    ) -> io::Result<(Vec<SegId>, QueryStats)> {
-        match self.call(&QueryRequest::second_endpoint(id, at).build())? {
-            Reply::Segs { ids, stats } => Ok((ids, stats)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Query 3.
-    #[deprecated(note = "use `call(&QueryRequest::nearest(p).build())`")]
-    pub fn nearest(&mut self, p: Point) -> io::Result<(Option<SegId>, QueryStats)> {
-        match self.call(&QueryRequest::nearest(p).build())? {
-            Reply::Nearest { id, stats } => Ok((id, stats)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Ranked query 3.
-    #[deprecated(note = "use `call(&QueryRequest::nearest_k(p, k).build())`")]
-    pub fn nearest_k(&mut self, p: Point, k: u32) -> io::Result<(Vec<SegId>, QueryStats)> {
-        match self.call(&QueryRequest::nearest_k(p, k).build())? {
-            Reply::Segs { ids, stats } => Ok((ids, stats)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Query 5.
-    #[deprecated(note = "use `call(&QueryRequest::window(w).build())`")]
-    pub fn window(&mut self, w: Rect) -> io::Result<(Vec<SegId>, QueryStats)> {
-        match self.call(&QueryRequest::window(w).build())? {
-            Reply::Segs { ids, stats } => Ok((ids, stats)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Query 4: boundary edges in traversal order plus the closed flag.
-    #[allow(clippy::type_complexity)]
-    #[deprecated(note = "use `call(&QueryRequest::enclosing_polygon(p).max_steps(n).build())`")]
-    pub fn enclosing_polygon(
-        &mut self,
-        p: Point,
-        max_steps: u32,
-    ) -> io::Result<(Option<(Vec<SegId>, bool)>, QueryStats)> {
-        match self.call(
-            &QueryRequest::enclosing_polygon(p)
-                .max_steps(max_steps)
-                .build(),
-        )? {
-            Reply::Polygon { walk, stats } => Ok((walk, stats)),
             other => Err(unexpected(&other)),
         }
     }
@@ -524,33 +299,9 @@ impl Client {
         }
     }
 
-    /// Server-wide `(queries served, summed counters)`.
-    ///
-    /// On a v3 connection the server answers `STATS` with the full
-    /// catalog shape; this helper folds it back to the aggregate pair.
-    /// Use [`Client::stats_v3`] for the per-map breakdown.
-    pub fn stats(&mut self) -> io::Result<(u64, QueryStats)> {
-        match self.call(&Request::Stats)? {
-            Reply::Stats { queries, totals } => Ok((queries, totals)),
-            Reply::StatsV3 {
-                queries, totals, ..
-            } => Ok((queries, totals)),
-            other => Err(unexpected(&other)),
-        }
-    }
-
-    /// Catalog-aware `STATS`: process aggregates, the buffer-budget
-    /// gauge, and per-map query/cache counters. Requires a v3 server.
+    /// `STATS`: process aggregates, the buffer-budget gauge, and per-map
+    /// query/cache counters.
     pub fn stats_v3(&mut self) -> io::Result<CatalogStats> {
-        if self.version < 3 {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!(
-                    "catalog stats need protocol v3; this connection negotiated v{}",
-                    self.version
-                ),
-            ));
-        }
         match self.call(&Request::Stats)? {
             Reply::StatsV3 {
                 queries,
@@ -568,8 +319,7 @@ impl Client {
     }
 
     /// Open (or look up) the catalog map named `name`. Returns its map
-    /// id — valid for [`Client::set_map`] / [`Client::call_on`] — and
-    /// its segment count.
+    /// id — valid for [`Client::call_on`] — and its segment count.
     pub fn open_map(&mut self, name: &str) -> io::Result<(u32, u64)> {
         match self.call(&Request::OpenMap { name: name.into() })? {
             Reply::MapOpened { id, len } => Ok((id, len)),
@@ -602,28 +352,6 @@ impl Client {
             Reply::Bye => Ok(()),
             other => Err(unexpected(&other)),
         }
-    }
-}
-
-/// The singleton requests a batch is defined to equal, in submission
-/// order (the v1 fallback executes exactly these).
-fn unroll(batch: &BatchRequest) -> Vec<Request> {
-    match batch {
-        BatchRequest::Incident(v) => v.iter().map(|&p| Request::Incident(p)).collect(),
-        BatchRequest::Second(v) => v
-            .iter()
-            .map(|&(id, at)| Request::Second { id, at })
-            .collect(),
-        BatchRequest::Nearest(v) => v.iter().map(|&p| Request::Nearest(p)).collect(),
-        BatchRequest::Knn(v) => v.iter().map(|&(at, k)| Request::Knn { at, k }).collect(),
-        BatchRequest::Window(v) => v.iter().map(|&w| Request::Window(w)).collect(),
-        BatchRequest::Polygon { points, max_steps } => points
-            .iter()
-            .map(|&at| Request::Polygon {
-                at,
-                max_steps: *max_steps,
-            })
-            .collect(),
     }
 }
 
@@ -682,27 +410,5 @@ mod tests {
         );
         let via_from: Request = QueryRequest::incident(Point::new(1, 1)).into();
         assert_eq!(via_from, Request::Incident(Point::new(1, 1)));
-    }
-
-    #[test]
-    fn unroll_matches_batch_semantics() {
-        let batch = BatchRequest::Polygon {
-            points: vec![Point::new(1, 1), Point::new(2, 2)],
-            max_steps: 42,
-        };
-        assert_eq!(
-            unroll(&batch),
-            vec![
-                Request::Polygon {
-                    at: Point::new(1, 1),
-                    max_steps: 42
-                },
-                Request::Polygon {
-                    at: Point::new(2, 2),
-                    max_steps: 42
-                },
-            ]
-        );
-        assert_eq!(unroll(&BatchRequest::Window(vec![])).len(), 0);
     }
 }

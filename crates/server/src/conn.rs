@@ -1,18 +1,14 @@
 //! Per-connection state for the event loop: an incremental frame parser
-//! plus buffered, ordered reply delivery.
+//! plus buffered reply delivery.
 //!
 //! A [`Conn`] owns both directions of one client socket. Inbound bytes
 //! accumulate in a [`FrameBuf`] until whole frames can be peeled off;
 //! outbound frames accumulate in a write buffer flushed whenever `poll`
-//! reports the socket writable. Replies to *v1* frames must leave in
-//! arrival order (a v1 client reads them positionally), so each v1 frame
-//! is assigned a per-connection sequence number on arrival and its reply
-//! parks in a reorder buffer until every earlier v1 reply has been
-//! queued. Replies to *v2* frames carry a correlation id and are queued
-//! the moment they complete — out-of-order completion is the point of
-//! pipelining.
+//! reports the socket writable. Replies carry their request's
+//! correlation id and are queued the moment they complete — out-of-order
+//! completion is the point of pipelining.
 
-use std::collections::BTreeMap;
+use crate::protocol::V3_MARKER;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -68,6 +64,19 @@ impl FrameBuf {
         self.start += total;
         Ok(Some(payload))
     }
+
+    /// The correlation id of the frame [`FrameBuf::next_frame`] refused,
+    /// if its declared length is nonzero and its envelope header is
+    /// already buffered — so the refusal can still be matched.
+    pub fn refused_corr(&self) -> Option<u32> {
+        let avail = &self.buf[self.start..];
+        match avail.get(..9)? {
+            [l0, l1, l2, l3, V3_MARKER, c0, c1, c2, c3] if [*l0, *l1, *l2, *l3] != [0; 4] => {
+                Some(u32::from_le_bytes([*c0, *c1, *c2, *c3]))
+            }
+            _ => None,
+        }
+    }
 }
 
 /// One client connection owned by the event loop.
@@ -80,12 +89,6 @@ pub(crate) struct Conn {
     wstart: usize,
     /// Requests handed to the executor and not yet completed.
     pub inflight: usize,
-    /// Next sequence number to assign to an arriving v1 frame.
-    next_v1_seq: u64,
-    /// Sequence number whose reply must be queued next.
-    next_v1_flush: u64,
-    /// Completed v1 replies waiting for their turn in arrival order.
-    v1_parked: BTreeMap<u64, Vec<u8>>,
     /// Peer sent EOF (or an unrecoverable frame): stop reading.
     pub read_closed: bool,
     /// Close the socket once the write buffer drains.
@@ -103,39 +106,14 @@ impl Conn {
             wbuf: Vec::new(),
             wstart: 0,
             inflight: 0,
-            next_v1_seq: 0,
-            next_v1_flush: 0,
-            v1_parked: BTreeMap::new(),
             read_closed: false,
             close_after_flush: false,
             last_write_progress: Instant::now(),
         }
     }
 
-    /// Assign the next v1 arrival sequence number (v1 frames only — v2
-    /// frames are ordered by correlation id, client-side).
-    pub fn assign_v1_seq(&mut self) -> u64 {
-        let seq = self.next_v1_seq;
-        self.next_v1_seq += 1;
-        seq
-    }
-
-    /// Queue the reply for v1 sequence `seq`, releasing it (and any
-    /// parked successors) to the write buffer only in arrival order.
-    pub fn queue_v1(&mut self, seq: u64, payload: Vec<u8>) {
-        self.v1_parked.insert(seq, payload);
-        while let Some(payload) = self.v1_parked.remove(&self.next_v1_flush) {
-            self.queue_frame(&payload);
-            self.next_v1_flush += 1;
-        }
-    }
-
-    /// Queue a v2-enveloped reply immediately (completion order).
-    pub fn queue_v2(&mut self, payload: Vec<u8>) {
-        self.queue_frame(&payload);
-    }
-
-    fn queue_frame(&mut self, payload: &[u8]) {
+    /// Queue an enveloped reply for the socket (completion order).
+    pub fn queue(&mut self, payload: &[u8]) {
         if self.wbuf.is_empty() {
             self.last_write_progress = Instant::now();
         }
@@ -148,15 +126,9 @@ impl Conn {
         self.wstart < self.wbuf.len()
     }
 
-    /// Nothing buffered in either direction and nothing executing.
+    /// Every owed reply is flushed and nothing is executing.
     pub fn is_idle(&self) -> bool {
-        self.inflight == 0 && !self.wants_write() && self.v1_parked.is_empty()
-    }
-
-    /// All owed replies are queued and flushed (parked v1 replies count
-    /// as owed; in-flight requests do too).
-    pub fn fully_flushed(&self) -> bool {
-        self.is_idle()
+        self.inflight == 0 && !self.wants_write()
     }
 
     /// Pull whatever the socket has into the parse buffer. Returns
@@ -245,6 +217,29 @@ mod tests {
     }
 
     #[test]
+    fn refused_frames_keep_a_buffered_correlation_id() {
+        let mut fb = FrameBuf::new();
+        fb.extend(&65u32.to_le_bytes());
+        fb.extend(&[V3_MARKER, 0x78, 0x56, 0x34]);
+        assert_eq!(fb.refused_corr(), None, "header not fully buffered");
+        fb.extend(&[0x12, 0, 0]);
+        assert_eq!(fb.next_frame(64), Err(65));
+        assert_eq!(fb.refused_corr(), Some(0x1234_5678));
+
+        // A zero-length frame has no header: what follows is the next
+        // frame's length prefix.
+        let mut fb = FrameBuf::new();
+        fb.extend(&0u32.to_le_bytes());
+        fb.extend(&[V3_MARKER, 1, 0, 0, 0]);
+        assert_eq!(fb.refused_corr(), None);
+        // An unknown marker is not an envelope.
+        let mut fb = FrameBuf::new();
+        fb.extend(&65u32.to_le_bytes());
+        fb.extend(&[0xB2, 1, 0, 0, 0]);
+        assert_eq!(fb.refused_corr(), None);
+    }
+
+    #[test]
     fn frame_buf_compacts_consumed_prefix() {
         let mut fb = FrameBuf::new();
         for _ in 0..2000 {
@@ -255,29 +250,5 @@ mod tests {
         }
         // Lazy compaction keeps the dead prefix bounded.
         assert!(fb.buf.len() < 8 * 1024, "buffer grew to {}", fb.buf.len());
-    }
-
-    #[test]
-    fn v1_replies_release_in_arrival_order() {
-        // A connected pair just to own a stream; nothing is written.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut conn = Conn::new(stream);
-
-        let s0 = conn.assign_v1_seq();
-        let s1 = conn.assign_v1_seq();
-        let s2 = conn.assign_v1_seq();
-        conn.queue_v1(s2, vec![2]);
-        conn.queue_v1(s0, vec![0]);
-        assert_eq!(conn.wbuf, [frame(&[0])].concat(), "seq 1 still gates 2");
-        conn.queue_v1(s1, vec![1]);
-        assert_eq!(conn.wbuf, [frame(&[0]), frame(&[1]), frame(&[2])].concat());
-        assert!(conn.v1_parked.is_empty());
-    }
-
-    fn frame(p: &[u8]) -> Vec<u8> {
-        let mut f = (p.len() as u32).to_le_bytes().to_vec();
-        f.extend_from_slice(p);
-        f
     }
 }

@@ -19,8 +19,10 @@
 //! terminates the executor workers.
 
 use crate::conn::Conn;
-use crate::executor::{Completion, Job, Token, Work};
-use crate::protocol::{decode_request, ErrorCode, Reply, Request, PROTOCOL_VERSION};
+use crate::executor::{Completion, Job, Work};
+use crate::protocol::{
+    decode_request, ErrorCode, Reply, Request, MAX_REQUEST_FRAME, PROTOCOL_VERSION,
+};
 use crate::server::Shared;
 use crate::sys::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
 use std::collections::HashMap;
@@ -203,7 +205,7 @@ impl Loop<'_> {
         let conn = &self.conns[&id];
         let done_writing = !conn.wants_write();
         let close = (conn.close_after_flush && done_writing && conn.inflight == 0)
-            || (conn.read_closed && conn.fully_flushed());
+            || (conn.read_closed && conn.is_idle());
         if close {
             self.conns.remove(&id);
         }
@@ -221,22 +223,21 @@ impl Loop<'_> {
                 // served; leftover buffered bytes are discarded.
                 return Ok(());
             }
-            match conn.rbuf.next_frame(self.shared.config.max_request_frame) {
+            match conn.rbuf.next_frame(MAX_REQUEST_FRAME) {
                 Ok(Some(payload)) => self.dispatch(id, &payload),
                 Ok(None) => return Ok(()),
                 Err(n) => {
                     // Unrecoverable framing: answer, stop reading, hang
                     // up once the error (and any owed replies already
                     // queued ahead of it) has flushed.
-                    let seq = conn.assign_v1_seq();
                     let reply = Reply::Error {
                         code: ErrorCode::Oversized,
                         message: format!(
-                            "frame of {n} bytes exceeds the {}-byte request limit",
-                            self.shared.config.max_request_frame
+                            "frame of {n} bytes exceeds the {MAX_REQUEST_FRAME}-byte request limit"
                         ),
                     };
-                    conn.queue_v1(seq, reply.encode());
+                    let corr = conn.rbuf.refused_corr().unwrap_or(0);
+                    queue_reply(conn, corr, reply);
                     conn.read_closed = true;
                     conn.close_after_flush = true;
                     // Best-effort discard of whatever the peer already
@@ -269,11 +270,8 @@ impl Loop<'_> {
                     code: fail.error.code(),
                     message: fail.error.to_string(),
                 };
-                // A recovered corr means an enveloped frame; v2 and v3
-                // reply envelopes decode interchangeably client-side, so
-                // the v2 envelope is the safe answer for both.
-                let version = if fail.corr.is_some() { 2 } else { 1 };
-                queue_reply(conn, fail.corr, version, reply);
+                // Without a readable header there is no id to echo.
+                queue_reply(conn, fail.corr.unwrap_or(0), reply);
                 return;
             }
         };
@@ -281,7 +279,6 @@ impl Loop<'_> {
             queue_reply(
                 conn,
                 frame.corr,
-                frame.version,
                 Reply::Error {
                     code: ErrorCode::ShuttingDown,
                     message: "server is draining".into(),
@@ -291,36 +288,29 @@ impl Loop<'_> {
             return;
         }
         match frame.request {
-            Request::Ping => queue_reply(conn, frame.corr, frame.version, Reply::Pong),
+            Request::Ping => queue_reply(conn, frame.corr, Reply::Pong),
             Request::Hello { version } => {
-                let version = version.clamp(1, PROTOCOL_VERSION);
-                queue_reply(conn, frame.corr, frame.version, Reply::Hello { version });
-            }
-            // v1/v2 STATS keep their aggregate shape and stay inline
-            // (two atomic loads); v3 STATS walks the whole catalog and
-            // runs on the executor like the other admin ops.
-            Request::Stats if frame.version < 3 => {
-                let aggregate = self.shared.catalog.aggregate();
-                let reply = Reply::Stats {
-                    queries: aggregate.queries(),
-                    totals: aggregate.snapshot(),
+                let reply = if version >= PROTOCOL_VERSION {
+                    Reply::Hello {
+                        version: PROTOCOL_VERSION,
+                    }
+                } else {
+                    Reply::Error {
+                        code: ErrorCode::UnsupportedVersion,
+                        message: format!(
+                            "client speaks up to v{version}; only v{PROTOCOL_VERSION} is served"
+                        ),
+                    }
                 };
-                queue_reply(conn, frame.corr, frame.version, reply);
+                queue_reply(conn, frame.corr, reply);
             }
             Request::Shutdown => {
                 self.shared.shutdown.store(true, Ordering::SeqCst);
-                queue_reply(conn, frame.corr, frame.version, Reply::Bye);
+                queue_reply(conn, frame.corr, Reply::Bye);
                 conn.close_after_flush = true;
                 // The next loop iteration observes the flag and drains.
             }
             req => {
-                let token = match (frame.version, frame.corr) {
-                    (3, Some(corr)) => Token::V3 { corr },
-                    (_, Some(corr)) => Token::V2 { corr },
-                    _ => Token::V1 {
-                        seq: conn.assign_v1_seq(),
-                    },
-                };
                 let work = match req {
                     Request::Batch(b) => Work::Batch(b),
                     Request::OpenMap { .. }
@@ -334,7 +324,7 @@ impl Loop<'_> {
                     .job_tx
                     .send(Job {
                         conn: id,
-                        token,
+                        corr: frame.corr,
                         map: frame.map,
                         work,
                     })
@@ -346,7 +336,7 @@ impl Loop<'_> {
                         code: ErrorCode::ShuttingDown,
                         message: "server is draining".into(),
                     };
-                    queue_reply(conn, frame.corr, frame.version, reply);
+                    queue_reply(conn, frame.corr, reply);
                 }
             }
         }
@@ -359,10 +349,7 @@ impl Loop<'_> {
             return;
         };
         conn.inflight -= 1;
-        match done.token {
-            Token::V1 { seq } => conn.queue_v1(seq, done.payload),
-            Token::V2 { .. } | Token::V3 { .. } => conn.queue_v2(done.payload),
-        }
+        conn.queue(&done.payload);
     }
 
     /// Drop connections whose peer has not accepted a byte of a pending
@@ -374,16 +361,8 @@ impl Loop<'_> {
     }
 }
 
-/// Queue `reply` on `conn` in the envelope matching the request that
-/// provoked it: enveloped frames echo their correlation id under their
-/// own version marker, v1 frames join the arrival-order release queue.
-fn queue_reply(conn: &mut Conn, corr: Option<u32>, version: u8, reply: Reply) {
-    match corr {
-        Some(corr) if version >= 3 => conn.queue_v2(reply.encode_v3(corr)),
-        Some(corr) => conn.queue_v2(reply.encode_v2(corr)),
-        None => {
-            let seq = conn.assign_v1_seq();
-            conn.queue_v1(seq, reply.encode());
-        }
-    }
+/// Queue `reply` on `conn`, echoing the correlation id of the request
+/// that provoked it.
+fn queue_reply(conn: &mut Conn, corr: u32, reply: Reply) {
+    conn.queue(&reply.encode_v3(corr));
 }

@@ -2,8 +2,8 @@
 //! here, one job per worker at a time, each worker owning a warm
 //! [`QueryCtx`].
 //!
-//! Every job carries the catalog id of the map it is routed to (v1/v2
-//! frames land on map `0`). The worker resolves the slot through
+//! Every job carries the catalog id of the map it is routed to. The
+//! worker resolves the slot through
 //! [`crate::catalog::Catalog::with_live`], which opens cold maps lazily
 //! and enforces the buffer budget after the query's read guard is gone.
 //! Singleton requests reset the context per query exactly as the PR-2
@@ -11,80 +11,60 @@
 //! [`lsdb_core::execute_batch`], which Morton-sorts the batch so the
 //! context's page pins and segment mini-cache stay warm across
 //! neighboring queries — while charging counters per item byte-identically
-//! to singleton execution. Catalog admin ops (`OPEN_MAP`, `CLOSE_MAP`,
-//! v3 `STATS`) also run here: opening a map may build it, which must
-//! never stall the I/O thread. Completed replies are already encoded for
-//! their connection's protocol version when they travel back to the
-//! event loop, which only moves bytes.
+//! to singleton execution. Catalog admin ops (`OPEN_MAP`, `LIST_MAPS`,
+//! `CLOSE_MAP`, `STATS`) also run here: opening a map may build it, which
+//! must never stall the I/O thread. Completed replies travel back to the
+//! event loop already enveloped, so it only moves bytes.
 
 use crate::catalog::Catalog;
 use crate::protocol::{ErrorCode, Reply, Request, MAX_BATCH_ITEMS};
 use crate::server::Shared;
 use crate::sys::WakePipe;
 use lsdb_core::{execute_batch, queries, BatchAnswer, BatchRequest, QueryCtx};
+use lsdb_geom::world_rect;
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// How a finished reply rejoins its connection's outbound stream: v1
-/// replies release in arrival order, v2/v3 replies release on completion
-/// under their correlation id (the variant picks the reply envelope's
-/// version marker).
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum Token {
-    V1 { seq: u64 },
-    V2 { corr: u32 },
-    V3 { corr: u32 },
-}
 
 /// The work itself (inline service ops never reach the executor).
 pub(crate) enum Work {
     Single(Request),
     Batch(BatchRequest),
-    /// A catalog admin op (`OPEN_MAP`/`LIST_MAPS`/`CLOSE_MAP`, v3
-    /// `STATS`) — routed here because opening a map can build it.
+    /// A catalog admin op (`OPEN_MAP`/`LIST_MAPS`/`CLOSE_MAP`/`STATS`) —
+    /// routed here because opening a map can build it.
     Admin(Request),
 }
 
 /// One decoded request handed from the event loop to the pool.
 pub(crate) struct Job {
     pub conn: u64,
-    pub token: Token,
-    /// Catalog id the request is routed to (0 for v1/v2 frames).
+    /// Correlation id the reply envelope echoes.
+    pub corr: u32,
+    /// Catalog id the request is routed to.
     pub map: u32,
     pub work: Work,
 }
 
-/// One encoded reply handed back from the pool to the event loop.
+/// One enveloped reply handed back from the pool to the event loop.
 pub(crate) struct Completion {
     pub conn: u64,
-    pub token: Token,
     pub payload: Vec<u8>,
 }
 
 /// What executing a job produced: a freshly computed [`Reply`], or the
-/// stored v1 body of a reply-cache hit. A cached body is already the
-/// exact bytes [`Reply::encode`] would produce, so serving it only
-/// needs the connection's envelope prepended — no re-execution, no
-/// re-encoding.
+/// stored body of a reply-cache hit. A cached body is already the exact
+/// bytes [`Reply::encode`] would produce, so serving it only needs the
+/// envelope prepended — no re-execution, no re-encoding.
 enum Outcome {
     Fresh(Reply),
     Cached(Arc<[u8]>),
 }
 
 impl Outcome {
-    fn into_payload(self, token: Token) -> Vec<u8> {
+    fn into_payload(self, corr: u32) -> Vec<u8> {
         match self {
-            Outcome::Fresh(reply) => match token {
-                Token::V1 { .. } => reply.encode(),
-                Token::V2 { corr } => reply.encode_v2(corr),
-                Token::V3 { corr } => reply.encode_v3(corr),
-            },
-            Outcome::Cached(body) => match token {
-                Token::V1 { .. } => body.to_vec(),
-                Token::V2 { corr } => Reply::envelope_v2(corr, &body),
-                Token::V3 { corr } => Reply::envelope_v3(corr, &body),
-            },
+            Outcome::Fresh(reply) => reply.encode_v3(corr),
+            Outcome::Cached(body) => Reply::envelope_v3(corr, &body),
         }
     }
 }
@@ -112,11 +92,10 @@ pub(crate) fn worker_loop(
                     Work::Batch(req) => Outcome::Fresh(run_batch(job.map, req, shared, &mut ctx)),
                     Work::Admin(req) => Outcome::Fresh(run_admin(req, shared.catalog)),
                 };
-                let payload = outcome.into_payload(job.token);
+                let payload = outcome.into_payload(job.corr);
                 if done
                     .send(Completion {
                         conn: job.conn,
-                        token: job.token,
                         payload,
                     })
                     .is_err()
@@ -149,10 +128,13 @@ fn wal_failed(what: &str, e: &std::io::Error) -> Reply {
 /// route through the [`lsdb_core::LiveIndex`] write path (durable
 /// commit, then apply), pin the slot open (auto-close would lose the
 /// mutation), and are *not* counted as spatial queries — the paper's
-/// aggregates stay comparable under mixed workloads.
+/// aggregates stay comparable under mixed workloads. An insert is
+/// refused before the commit unless both endpoints lie inside the 16K
+/// world: no structure can place anything else, and a committed op that
+/// cannot be applied would fail its replay too.
 ///
 /// Queries probe the slot's reply cache first: a hit returns the stored
-/// v1 body (bit-for-bit what execution would encode) and folds the
+/// body (bit-for-bit what execution would encode) and folds the
 /// stored counter snapshot exactly as a cold execution folds its
 /// context, so `STATS` aggregates cannot tell the difference. A miss
 /// executes under the read guard and offers the encoded reply for
@@ -163,13 +145,20 @@ fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> O
     let result = shared.catalog.with_live(map, |slot, live| {
         match *req {
             Request::Insert(seg) => {
+                let world = world_rect();
+                if !world.contains_point(seg.a) || !world.contains_point(seg.b) {
+                    return Outcome::Fresh(Reply::Error {
+                        code: ErrorCode::BadArgument,
+                        message: format!("segment {seg:?} leaves the world {world:?}"),
+                    });
+                }
                 return match live.insert(seg) {
                     Ok((id, lsn)) => {
                         slot.mark_mutated();
                         Outcome::Fresh(Reply::Inserted { id, lsn: lsn.0 })
                     }
                     Err(e) => Outcome::Fresh(wal_failed("insert", &e)),
-                }
+                };
             }
             Request::Delete { id } => {
                 return match live.remove(id) {
@@ -191,8 +180,8 @@ fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> O
             }
             _ => {}
         }
-        // The cache key is the canonical v1 request encoding — identical
-        // queries arriving over v1, v2, or v3 envelopes share one entry.
+        // The cache key is the request body alone — identical queries
+        // share one entry whatever their correlation ids.
         let cache = slot.reply_cache();
         let key = cache.on().then(|| req.encode());
         if let Some(key_bytes) = key.as_deref() {
@@ -365,8 +354,7 @@ fn run_batch(map: u32, req: &BatchRequest, shared: &Shared, ctx: &mut QueryCtx) 
 }
 
 /// The singleton [`Request`] equivalent of batch item `i` — the reply
-/// cache's key, shared with the singleton execution path (mirrors the
-/// client's batch unrolling fallback).
+/// cache's key, shared with the singleton execution path.
 fn item_request(req: &BatchRequest, i: usize) -> Request {
     match req {
         BatchRequest::Incident(v) => Request::Incident(v[i]),

@@ -12,33 +12,32 @@
 //! byte-identical to in-process execution; the wire only adds latency,
 //! which the bundled load generators (closed- and open-loop) measure.
 //!
-//! The wire API is versioned: v1 frames (one request, one positional
-//! reply) keep working unchanged, v2 frames add correlation ids — so one
-//! connection can pipeline many requests and receive replies out of
-//! order — and a `BATCH` op carrying a homogeneous query vector that the
-//! server executes Morton-sorted to keep per-context caches warm. v3
-//! frames add a `map_id` to the request envelope: one process hosts a
-//! [`catalog`] of maps behind a routing layer, with `OPEN_MAP` /
-//! `LIST_MAPS` / `CLOSE_MAP` admin ops, lazy open and clock eviction of
-//! cold stores, and a process-global [`lsdb_pager::BufferBudget`] shared
-//! across every map. v1/v2 clients keep working against the catalog's
-//! default map (id 0).
+//! The wire API has one envelope: every request frame carries a
+//! correlation id — so one connection can pipeline many requests and
+//! receive replies out of order — and the id of the map it is routed
+//! to. One process hosts a [`catalog`] of maps behind a routing layer,
+//! with `OPEN_MAP` / `LIST_MAPS` / `CLOSE_MAP` admin ops, lazy open and
+//! clock eviction of cold stores, and a process-global
+//! [`lsdb_pager::BufferBudget`] shared across every map; a single map is
+//! a one-slot catalog ([`Catalog::single`]). A `BATCH` op carries a
+//! homogeneous query vector that the server executes Morton-sorted to
+//! keep per-context caches warm.
 //!
 //! The index is live, not frozen: `INSERT`, `DELETE`, and `FLUSH` route
 //! through a [`lsdb_core::LiveIndex`] — each mutation is committed to a
 //! write-ahead log *before* it is applied or acknowledged, concurrent
 //! readers proceed under a shared lock, and `FLUSH` checkpoints the log.
-//! Servers bound over a durable store ([`Server::bind_live`]) replay the
-//! op log on restart, so acknowledged mutations survive a crash.
+//! A catalog slot over a durable store replays the op log on restart, so
+//! acknowledged mutations survive a crash.
 //!
-//! * [`protocol`] — frame format, v1/v2/v3 request/reply codec (never
-//!   panics on malformed bytes),
+//! * [`protocol`] — frame format, envelope and request/reply codec
+//!   (never panics on malformed bytes),
 //! * [`catalog`] — the map catalog: named slots, lazy builders, clock
 //!   eviction, cross-map budget enforcement, per-map counters,
 //! * [`server`] — event loop + executor pool, graceful drain on
-//!   `SHUTDOWN`,
-//! * [`client`] — blocking one-connection client with version
-//!   negotiation, map routing, batching, and pipelining,
+//!   `SHUTDOWN`; [`Server::bind_catalog`] is the one entry point,
+//! * [`client`] — blocking one-connection client with map routing,
+//!   batching, and pipelining,
 //! * [`loadgen`] — closed- and open-loop throughput/latency drivers.
 
 pub mod catalog;
@@ -60,12 +59,10 @@ pub use loadgen::{
 pub use protocol::{
     decode_reply, decode_request, BudgetWire, CacheWire, DecodeFailure, ErrorCode, FrameError,
     FrameEvent, MapInfo, MapStatsWire, ProtoError, Reply, ReplyCacheWire, Request, RequestFrame,
-    MAX_BATCH_ITEMS, MAX_REPLY_FRAME, MAX_REQUEST_FRAME, MAX_REQUEST_FRAME_V2, PROTOCOL_VERSION,
+    MAX_BATCH_ITEMS, MAX_REPLY_FRAME, MAX_REQUEST_FRAME, PROTOCOL_VERSION,
 };
 pub use reply_cache::{ReplyCache, ReplyCachePool};
-pub use server::{
-    ConfigError, Server, ServerConfig, ServerConfigBuilder, ServerReport, ShutdownHandle,
-};
+pub use server::{ConfigError, Server, ServerConfig, ServerReport, ShutdownHandle};
 
 // The batch request/answer model is part of the wire surface; re-export
 // so client code does not need a direct lsdb-core dependency for it.

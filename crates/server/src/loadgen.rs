@@ -71,12 +71,41 @@ impl LoadReport {
     }
 }
 
-/// Drive `requests` against the server at `addr` over `connections`
-/// parallel closed-loop connections. Service ops are legal in the stream
-/// but contribute no counters.
+/// Drive `requests` against map `0` of the server at `addr` over
+/// `connections` parallel closed-loop connections. Service ops are legal
+/// in the stream but contribute no counters.
 pub fn run_closed_loop(
     addr: SocketAddr,
     requests: &[Request],
+    connections: usize,
+) -> io::Result<LoadReport> {
+    closed_loop(addr, &on_map_zero(requests), connections)
+}
+
+/// [`run_closed_loop`], but every request is routed to its own catalog
+/// map. The closed-loop counterpart of [`run_open_loop_routed`]: no
+/// arrival schedule, each connection issues its chunk back-to-back — the
+/// mode hit-rate curves want, where the interesting variable is the
+/// cache, not a QPS target.
+pub fn run_closed_loop_routed(
+    addr: SocketAddr,
+    requests: &[(u32, Request)],
+    connections: usize,
+) -> io::Result<LoadReport> {
+    closed_loop(addr, &routed(requests), connections)
+}
+
+fn on_map_zero(requests: &[Request]) -> Vec<(u32, &Request)> {
+    requests.iter().map(|r| (0, r)).collect()
+}
+
+fn routed(requests: &[(u32, Request)]) -> Vec<(u32, &Request)> {
+    requests.iter().map(|(m, r)| (*m, r)).collect()
+}
+
+fn closed_loop(
+    addr: SocketAddr,
+    requests: &[(u32, &Request)],
     connections: usize,
 ) -> io::Result<LoadReport> {
     let connections = connections.max(1).min(requests.len().max(1));
@@ -92,64 +121,7 @@ pub fn run_closed_loop(
             .map(|h| h.join().expect("load generator thread"))
             .collect()
     });
-    let wall = start.elapsed();
-
-    let mut report = LoadReport {
-        connections,
-        wall,
-        ..LoadReport::default()
-    };
-    for partial in partials {
-        let p = partial?;
-        report.queries += p.latencies.len();
-        report.latencies.extend(p.latencies);
-        report.totals.add(p.totals);
-        report.result_items += p.result_items;
-    }
-    report.latencies.sort();
-    Ok(report)
-}
-
-/// [`run_closed_loop`], but every request is routed to its own catalog
-/// map over the v3 envelope. The closed-loop counterpart of
-/// [`run_open_loop_routed`]: no arrival schedule, each connection
-/// issues its chunk back-to-back — the mode hit-rate curves want, where
-/// the interesting variable is the cache, not a QPS target. Requires a
-/// v3 server.
-pub fn run_closed_loop_routed(
-    addr: SocketAddr,
-    requests: &[(u32, Request)],
-    connections: usize,
-) -> io::Result<LoadReport> {
-    let connections = connections.max(1).min(requests.len().max(1));
-    let chunk_len = requests.len().div_ceil(connections);
-    let start = Instant::now();
-    let partials: Vec<io::Result<ChunkResult>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = requests
-            .chunks(chunk_len.max(1))
-            .map(|chunk| scope.spawn(move || run_routed_chunk(addr, chunk)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load generator thread"))
-            .collect()
-    });
-    let wall = start.elapsed();
-
-    let mut report = LoadReport {
-        connections,
-        wall,
-        ..LoadReport::default()
-    };
-    for partial in partials {
-        let p = partial?;
-        report.queries += p.latencies.len();
-        report.latencies.extend(p.latencies);
-        report.totals.add(p.totals);
-        report.result_items += p.result_items;
-    }
-    report.latencies.sort();
-    Ok(report)
+    merge(partials, connections, start.elapsed())
 }
 
 struct ChunkResult {
@@ -158,16 +130,38 @@ struct ChunkResult {
     result_items: u64,
 }
 
-fn run_routed_chunk(addr: SocketAddr, chunk: &[(u32, Request)]) -> io::Result<ChunkResult> {
+/// Fold per-connection results into one report.
+fn merge(
+    partials: Vec<io::Result<ChunkResult>>,
+    connections: usize,
+    wall: Duration,
+) -> io::Result<LoadReport> {
+    let mut report = LoadReport {
+        connections,
+        wall,
+        ..LoadReport::default()
+    };
+    for partial in partials {
+        let p = partial?;
+        report.queries += p.latencies.len();
+        report.latencies.extend(p.latencies);
+        report.totals.add(p.totals);
+        report.result_items += p.result_items;
+    }
+    report.latencies.sort();
+    Ok(report)
+}
+
+fn run_chunk(addr: SocketAddr, chunk: &[(u32, &Request)]) -> io::Result<ChunkResult> {
     let mut client = Client::connect(addr)?;
     let mut out = ChunkResult {
         latencies: Vec::with_capacity(chunk.len()),
         totals: QueryStats::default(),
         result_items: 0,
     };
-    for (map, req) in chunk {
+    for &(map, req) in chunk {
         let t0 = Instant::now();
-        let reply = client.call_on(*map, req)?;
+        let reply = client.call_on(map, req)?;
         out.latencies.push(t0.elapsed());
         if let Some(stats) = reply.stats() {
             out.totals.add(stats);
@@ -180,87 +174,45 @@ fn run_routed_chunk(addr: SocketAddr, chunk: &[(u32, Request)]) -> io::Result<Ch
     Ok(out)
 }
 
-fn run_chunk(addr: SocketAddr, chunk: &[Request]) -> io::Result<ChunkResult> {
-    let mut client = Client::connect(addr)?;
-    let mut out = ChunkResult {
-        latencies: Vec::with_capacity(chunk.len()),
-        totals: QueryStats::default(),
-        result_items: 0,
-    };
-    for req in chunk {
-        let t0 = Instant::now();
-        let reply = client.call(req)?;
-        out.latencies.push(t0.elapsed());
-        if let Some(stats) = reply.stats() {
-            out.totals.add(stats);
-        }
-        out.result_items += reply.result_size() as u64;
-        if matches!(reply, Reply::Bye) {
-            break;
-        }
-    }
-    Ok(out)
-}
-
-/// Drive `requests` at a *fixed arrival rate* of `target_qps`, spread
-/// round-robin over `connections` pipelined v2 connections. Each
-/// connection runs a sender thread (writes frames on the global
-/// schedule, never waiting for replies) and a reader thread (matches
-/// replies by correlation id), so a slow query delays nothing behind it.
+/// Drive `requests` against map `0` at a *fixed arrival rate* of
+/// `target_qps`, spread round-robin over `connections` pipelined
+/// connections. Each connection runs a sender thread (writes frames on
+/// the global schedule, never waiting for replies) and a reader thread
+/// (matches replies by correlation id), so a slow query delays nothing
+/// behind it.
 ///
 /// Latency is measured from each request's *scheduled* send time — if
 /// the sender falls behind, the queueing delay is charged to the
 /// request rather than silently dropped (no coordinated omission). The
 /// tail percentiles ([`LoadReport::p99`], [`LoadReport::p999`]) are the
-/// point of this mode; requires a v2 server (replies are matched by
-/// correlation id).
+/// point of this mode.
 pub fn run_open_loop(
     addr: SocketAddr,
     requests: &[Request],
     connections: usize,
     target_qps: f64,
 ) -> io::Result<LoadReport> {
-    open_loop_impl(
-        addr,
-        &requests.iter().map(|r| (0u32, r)).collect::<Vec<_>>(),
-        connections,
-        target_qps,
-        Wire::V2,
-    )
+    open_loop(addr, &on_map_zero(requests), connections, target_qps)
 }
 
 /// [`run_open_loop`], but every request is routed to its own catalog map
-/// over the v3 envelope — the multi-map serving benchmark: one arrival
-/// schedule, one connection pool, requests fanned across maps exactly as
-/// a mixed tenant population would issue them. Requires a v3 server.
+/// — the multi-map serving benchmark: one arrival schedule, one
+/// connection pool, requests fanned across maps exactly as a mixed
+/// tenant population would issue them.
 pub fn run_open_loop_routed(
     addr: SocketAddr,
     requests: &[(u32, Request)],
     connections: usize,
     target_qps: f64,
 ) -> io::Result<LoadReport> {
-    open_loop_impl(
-        addr,
-        &requests.iter().map(|(m, r)| (*m, r)).collect::<Vec<_>>(),
-        connections,
-        target_qps,
-        Wire::V3,
-    )
+    open_loop(addr, &routed(requests), connections, target_qps)
 }
 
-/// Which envelope the open-loop lanes speak.
-#[derive(Clone, Copy)]
-enum Wire {
-    V2,
-    V3,
-}
-
-fn open_loop_impl(
+fn open_loop(
     addr: SocketAddr,
     requests: &[(u32, &Request)],
     connections: usize,
     target_qps: f64,
-    wire: Wire,
 ) -> io::Result<LoadReport> {
     if !target_qps.is_finite() || target_qps <= 0.0 {
         return Err(io::Error::new(
@@ -289,29 +241,14 @@ fn open_loop_impl(
     let partials: Vec<io::Result<ChunkResult>> = std::thread::scope(|scope| {
         let handles: Vec<_> = lanes
             .iter()
-            .map(|lane| scope.spawn(move || run_lane(addr, lane, start, wire)))
+            .map(|lane| scope.spawn(move || run_lane(addr, lane, start)))
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("load generator thread"))
             .collect()
     });
-    let wall = start.elapsed();
-
-    let mut report = LoadReport {
-        connections,
-        wall,
-        ..LoadReport::default()
-    };
-    for partial in partials {
-        let p = partial?;
-        report.queries += p.latencies.len();
-        report.latencies.extend(p.latencies);
-        report.totals.add(p.totals);
-        report.result_items += p.result_items;
-    }
-    report.latencies.sort();
-    Ok(report)
+    merge(partials, connections, start.elapsed())
 }
 
 /// One open-loop connection: a sender honoring the schedule and a reader
@@ -320,7 +257,6 @@ fn run_lane(
     addr: SocketAddr,
     lane: &[(Duration, u32, &Request)],
     start: Instant,
-    wire: Wire,
 ) -> io::Result<ChunkResult> {
     use crate::protocol::{decode_reply, read_frame, write_frame, FrameError, FrameEvent};
 
@@ -347,11 +283,7 @@ fn run_lane(
                 if let Some(wait) = due.checked_duration_since(Instant::now()) {
                     std::thread::sleep(wait);
                 }
-                let bytes = match wire {
-                    Wire::V2 => req.encode_v2(corr as u32),
-                    Wire::V3 => req.encode_v3(corr as u32, *map),
-                };
-                write_frame(&mut write_half, &bytes)?;
+                write_frame(&mut write_half, &req.encode_v3(corr as u32, *map))?;
             }
             Ok(())
         });
@@ -361,7 +293,7 @@ fn run_lane(
             totals: QueryStats::default(),
             result_items: 0,
         };
-        let mut read_one = || -> io::Result<(Option<u32>, Reply)> {
+        let mut read_one = || -> io::Result<(u32, Reply)> {
             loop {
                 match read_frame(&mut read_half, crate::protocol::MAX_REPLY_FRAME) {
                     Ok(FrameEvent::Frame(p)) => {
@@ -388,12 +320,13 @@ fn run_lane(
         let reader_result = (|| -> io::Result<()> {
             for _ in 0..lane.len() {
                 let (corr, reply) = read_one()?;
-                let Some(slot) = corr.map(|c| c as usize).filter(|&i| i < lane.len()) else {
+                let slot = corr as usize;
+                if slot >= lane.len() {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "reply without a known correlation id",
                     ));
-                };
+                }
                 // Open-loop latency: now minus *scheduled* send time.
                 out.latencies[slot] = (start + lane[slot].0).elapsed();
                 if let Some(stats) = reply.stats() {

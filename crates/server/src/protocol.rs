@@ -9,74 +9,64 @@
 //! ```
 //!
 //! `len` counts only the payload and must be in `1..=max`, where the
-//! maximum is direction-specific ([`MAX_REQUEST_FRAME_V2`] for requests,
+//! maximum is direction-specific ([`MAX_REQUEST_FRAME`] for requests,
 //! [`MAX_REPLY_FRAME`] for replies). All integers are little-endian,
 //! coordinates are `i32` (the geometry's native type), counters are `u64`.
 //!
-//! ## Payload layouts: v1, v2 and v3
+//! ## The envelope
 //!
-//! Three payload layouts coexist, distinguished by the first payload byte:
+//! Every payload opens with the envelope marker [`V3_MARKER`] (`0xB3`)
+//! and a correlation id; requests also name the catalog map they are
+//! routed to:
 //!
 //! ```text
-//! | version | first byte | request payload layout                                |
-//! |---------|------------|-------------------------------------------------------|
-//! | v1      | opcode     | opcode: u8 | body                                     |
-//! | v2      | 0xB2       | 0xB2 | corr: u32 LE | opcode: u8 | body               |
-//! | v3      | 0xB3       | 0xB3 | corr: u32 LE | map: u32 LE | opcode: u8 | body |
+//! request: 0xB3 | corr: u32 LE | map: u32 LE | opcode: u8 | body
+//! reply:   0xB3 | corr: u32 LE |              opcode: u8 | body
 //! ```
 //!
-//! Any first byte in `0xB0..=0xBF` is a *version marker* (low nibble =
-//! protocol version); no v1 opcode falls in that range, so the
-//! layouts never collide. A marker with an unsupported version draws a
-//! structured [`ErrorCode::UnsupportedVersion`] error frame, not a
-//! hangup. The v2/v3 correlation id is echoed verbatim in the reply
-//! envelope, which is what allows **pipelining**: a client may send many
-//! enveloped frames before reading replies, and replies may complete out
-//! of order. Replies to v1 frames carry no envelope and are delivered in
-//! request order. Clients negotiate with [`Request::Hello`] (legal in
-//! any layout): the server answers [`Reply::Hello`] with the version
-//! it will speak, and a pre-v2 server answers `UnknownOp` — the cue to
-//! stay on v1.
+//! The correlation id is echoed verbatim in the reply, which is what
+//! allows **pipelining**: a client may send many frames before reading
+//! replies, and replies may complete out of order. A payload that opens
+//! with any other byte — an older envelope, or an opcode-first frame —
+//! draws a structured [`ErrorCode::UnsupportedVersion`] error frame, not
+//! a hangup. [`Request::Hello`] survives only to name the version: a
+//! client offering version 3 or higher is answered [`Reply::Hello`] with
+//! version 3, a lower offer draws `UnsupportedVersion`.
 //!
-//! The opcode + body layer is identical in every version. v2 adds two
-//! ops: `HELLO` and `BATCH` ([`Request::Batch`] carries a homogeneous
-//! query vector, answered by [`Reply::Batch`] with one nested reply per
-//! item in submission order); both also decode in v1 framing for
-//! compatibility tooling.
+//! ## Maps
 //!
-//! ## v3: multi-map addressing
+//! One process serves a whole *catalog* of maps; the envelope's `map`
+//! is the catalog id the request runs against, and an id the catalog
+//! does not have draws [`ErrorCode::UnknownMap`]. Three catalog ops
+//! resolve ids: `OPEN_MAP` maps a *name* to its id (building or
+//! reopening its store if cold; answered by [`Reply::MapOpened`]),
+//! `LIST_MAPS` enumerates the catalog ([`Reply::MapList`]), and
+//! `CLOSE_MAP` drops a map's in-memory store ([`Reply::MapClosed`]; the
+//! map stays in the catalog and reopens lazily on its next query).
+//! `STATS` is answered by [`Reply::StatsV3`]: the paper's counters
+//! aggregated process-wide and per map, plus the buffer-budget
+//! accounting.
 //!
-//! v3 serves a whole *catalog* of maps from one process. Every v3
-//! request envelope carries a `map: u32` — the catalog id the request is
-//! routed to. v1 and v2 frames carry no map field and are routed to map
-//! `0`, the catalog's default map, so old clients keep working
-//! unchanged. A request naming an id the catalog does not have draws
-//! [`ErrorCode::UnknownMap`]. Reply envelopes are unchanged from v2
-//! (marker + correlation id): the correlation id already identifies the
-//! request, so replies need no map field.
-//!
-//! Three catalog ops ride along: `OPEN_MAP` resolves a map *name* to its
-//! id (building or reopening its store if cold; answered by
-//! [`Reply::MapOpened`]), `LIST_MAPS` enumerates the catalog
-//! ([`Reply::MapList`]), and `CLOSE_MAP` drops a map's in-memory store
-//! ([`Reply::MapClosed`]; the map stays in the catalog and reopens
-//! lazily on its next query). On a v3 connection `STATS` is answered by
-//! [`Reply::StatsV3`]: per-map counters plus the aggregate and the
-//! process-wide buffer-budget accounting.
+//! ## Ops
 //!
 //! Requests cover the paper's query set — incident (query 1), second
 //! endpoint (query 2), nearest (query 3), k-nearest (its ranked extension),
-//! enclosing polygon (query 4), window (query 5) — plus three service ops:
-//! `PING`, `STATS` (the paper's three counters aggregated server-wide) and
-//! `SHUTDOWN`. Every query reply carries a per-query [`QueryStats`] block,
-//! so a remote caller sees exactly the metrics an in-process
-//! [`lsdb_core::QueryCtx`] would have reported.
+//! enclosing polygon (query 4), window (query 5) — plus `PING`, `STATS`
+//! and `SHUTDOWN`. Every query reply carries a per-query [`QueryStats`]
+//! block, so a remote caller sees exactly the metrics an in-process
+//! [`lsdb_core::QueryCtx`] would have reported. `BATCH`
+//! ([`Request::Batch`]) carries a homogeneous query vector, answered by
+//! [`Reply::Batch`] with one nested reply per item in submission order.
 //!
 //! Three mutation ops round out the protocol: `INSERT` (a segment,
 //! answered with its assigned id and WAL commit LSN), `DELETE` (an id,
 //! answered with whether it was indexed) and `FLUSH` (checkpoint the op
 //! log). Mutations are acknowledged only after the op is durable; see
 //! [`lsdb_core::LiveIndex`].
+//!
+//! The opcode + body bytes ([`Request::encode`], [`Reply::encode`]) are
+//! the envelope-free core of every frame: the reply cache keys on the
+//! request body and stores the reply body.
 //!
 //! Decoding never panics: malformed bytes produce a [`ProtoError`], which
 //! the server answers with a structured [`Reply::Error`] frame instead of
@@ -86,36 +76,20 @@ use lsdb_core::{BatchRequest, DiskStats, QueryStats, SegId};
 use lsdb_geom::{Point, Rect, Segment};
 use std::io::{self, Read, Write};
 
-/// Largest *singleton* request payload (v1 or v2 envelope included).
-/// Singleton requests are tiny (the biggest is a v2 `WINDOW`: marker +
-/// correlation id + opcode + four `i32`s); anything bigger is garbage.
-pub const MAX_REQUEST_FRAME: u32 = 64;
-
-/// Largest request payload a v2 server will read — sized for `BATCH`
-/// frames carrying tens of thousands of queries. (The server reads all
-/// requests under this cap; [`MAX_REQUEST_FRAME`] documents the singleton
-/// bound and caps what v1-only tooling need buffer.)
-pub const MAX_REQUEST_FRAME_V2: u32 = 4 * 1024 * 1024;
+/// Largest request payload the server reads — sized for `BATCH` frames
+/// carrying tens of thousands of queries.
+pub const MAX_REQUEST_FRAME: u32 = 4 * 1024 * 1024;
 
 /// Most queries one `BATCH` request may carry; bigger batches draw
 /// [`ErrorCode::BadArgument`]. Keeps the worst-case reply under
 /// [`MAX_REPLY_FRAME`].
 pub const MAX_BATCH_ITEMS: usize = 65_536;
 
-/// The protocol version this build speaks natively.
+/// The protocol version this build speaks — the only one.
 pub const PROTOCOL_VERSION: u8 = 3;
 
-/// The v2 version marker: first payload byte of every v2 frame.
-pub const V2_MARKER: u8 = 0xB2;
-
-/// The v3 version marker: first payload byte of every v3 frame.
+/// The envelope marker: first payload byte of every frame.
 pub const V3_MARKER: u8 = 0xB0 | PROTOCOL_VERSION;
-
-/// Whether a first payload byte is a version marker (`0xB0..=0xBF`, low
-/// nibble = version). No v1 opcode falls in this range.
-pub const fn is_version_marker(b: u8) -> bool {
-    b & 0xF0 == 0xB0
-}
 
 /// Largest reply payload a client will read. Bounds a window query over an
 /// entire county (hundreds of thousands of `u32` segment ids) with room to
@@ -159,7 +133,6 @@ mod rop {
     pub const SEGS: u8 = 0x81;
     pub const NEAREST: u8 = 0x82;
     pub const POLYGON: u8 = 0x83;
-    pub const STATS: u8 = 0x84;
     pub const BYE: u8 = 0x85;
     pub const HELLO: u8 = 0x86;
     pub const BATCH: u8 = 0x87;
@@ -176,8 +149,9 @@ mod rop {
 /// One client request.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Request {
-    /// Version negotiation: the highest protocol version the client
-    /// speaks. Answered with [`Reply::Hello`].
+    /// Version check: the highest protocol version the client speaks.
+    /// Answered with [`Reply::Hello`] if that is 3 or higher, with
+    /// [`ErrorCode::UnsupportedVersion`] otherwise.
     Hello { version: u8 },
     /// A homogeneous vector of spatial queries, executed Morton-sorted
     /// against the structure and answered by [`Reply::Batch`] in
@@ -199,7 +173,8 @@ pub enum Request {
     /// Query 4: the minimal enclosing polygon, traversed for at most
     /// `max_steps` boundary edges (the cap the in-process drivers use).
     Polygon { at: Point, max_steps: u32 },
-    /// Server-wide totals of the paper's counters.
+    /// The paper's counters aggregated process-wide and per map;
+    /// answered with [`Reply::StatsV3`].
     Stats,
     /// Graceful shutdown: drain in-flight requests, refuse new
     /// connections, exit.
@@ -230,8 +205,8 @@ pub enum Request {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Reply {
     Pong,
-    /// Version negotiation answer: the protocol version the server will
-    /// speak on this connection.
+    /// Version check answer: the protocol version the server speaks
+    /// (always 3).
     Hello {
         version: u8,
     },
@@ -257,11 +232,6 @@ pub enum Reply {
         walk: Option<(Vec<SegId>, bool)>,
         stats: QueryStats,
     },
-    /// Server-wide aggregates: queries served and summed counters.
-    Stats {
-        queries: u64,
-        totals: QueryStats,
-    },
     /// Shutdown acknowledged.
     Bye,
     /// Insert applied: the id the segment received and the WAL commit
@@ -281,8 +251,8 @@ pub enum Reply {
     Flushed {
         lsn: u64,
     },
-    /// A map name resolved: its catalog id (usable as the v3 envelope's
-    /// map field) and its segment count.
+    /// A map name resolved: its catalog id (usable as the envelope's map
+    /// field) and its segment count.
     MapOpened {
         id: u32,
         len: u64,
@@ -294,8 +264,8 @@ pub enum Reply {
     MapClosed {
         was_open: bool,
     },
-    /// Multi-map statistics: the aggregate the v2 `STATS` reported, plus
-    /// per-map counters and the process-wide buffer-budget accounting.
+    /// `STATS` answer: queries served and summed counters process-wide,
+    /// per-map counters, and the process-wide buffer-budget accounting.
     StatsV3 {
         queries: u64,
         totals: QueryStats,
@@ -312,7 +282,7 @@ pub enum Reply {
 /// One catalog entry in a [`Reply::MapList`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MapInfo {
-    /// Catalog id — what a v3 request envelope's map field names.
+    /// Catalog id — what a request envelope's map field names.
     pub id: u32,
     /// Whether the map's store is currently open (resident).
     pub open: bool,
@@ -389,14 +359,14 @@ pub enum ErrorCode {
     BadArgument = 4,
     /// Server is draining; no further requests are served.
     ShuttingDown = 5,
-    /// The frame's version marker names a protocol version this server
-    /// does not speak.
+    /// The frame does not open with the v3 envelope marker, or a `HELLO`
+    /// offered a version below 3.
     UnsupportedVersion = 6,
     /// A server-side failure executing a valid request (e.g. the
     /// write-ahead log refused a mutation). The request had no effect.
     Internal = 7,
-    /// The v3 envelope's map id (or an `OPEN_MAP`/`CLOSE_MAP` name)
-    /// names no map in the catalog.
+    /// The envelope's map id (or an `OPEN_MAP`/`CLOSE_MAP` name) names
+    /// no map in the catalog.
     UnknownMap = 8,
 }
 
@@ -429,7 +399,7 @@ pub enum ProtoError {
     Empty,
     /// A field holds an impossible value (reply decoding).
     BadField(&'static str),
-    /// A version marker named a protocol version this build cannot speak.
+    /// The payload opens with this byte instead of [`V3_MARKER`].
     UnsupportedVersion(u8),
 }
 
@@ -456,12 +426,11 @@ impl std::fmt::Display for ProtoError {
             ProtoError::UnknownOp(b) => write!(f, "unknown opcode {b:#04x}"),
             ProtoError::Empty => write!(f, "empty payload"),
             ProtoError::BadField(what) => write!(f, "bad field: {what}"),
-            ProtoError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported protocol version {v} (this server speaks v1 through v{PROTOCOL_VERSION})"
-                )
-            }
+            ProtoError::UnsupportedVersion(b) => write!(
+                f,
+                "payload opens with {b:#04x}, not the envelope marker {V3_MARKER:#04x} \
+                 (only protocol v{PROTOCOL_VERSION} is spoken)"
+            ),
         }
     }
 }
@@ -769,26 +738,17 @@ impl Request {
         }
     }
 
-    /// Serialize to a v1 frame payload (no length prefix, no envelope).
+    /// The opcode + body bytes alone (no length prefix, no envelope) —
+    /// the canonical form the reply cache keys on.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(24);
         self.encode_body(&mut buf);
         buf
     }
 
-    /// Serialize to a v2 frame payload: version marker, correlation id,
-    /// then the same opcode + body as [`Request::encode`].
-    pub fn encode_v2(&self, corr: u32) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(32);
-        buf.push(V2_MARKER);
-        buf.extend_from_slice(&corr.to_le_bytes());
-        self.encode_body(&mut buf);
-        buf
-    }
-
-    /// Serialize to a v3 frame payload: version marker, correlation id,
+    /// Serialize to a frame payload: envelope marker, correlation id,
     /// the catalog id of the map this request is routed to, then the
-    /// same opcode + body as [`Request::encode`].
+    /// opcode + body of [`Request::encode`].
     pub fn encode_v3(&self, corr: u32, map: u32) -> Vec<u8> {
         let mut buf = Vec::with_capacity(36);
         buf.push(V3_MARKER);
@@ -798,9 +758,9 @@ impl Request {
         buf
     }
 
-    /// Deserialize a *v1* frame payload (opcode-first). Total: never
-    /// panics on any byte sequence. For version-aware decoding (v1 or
-    /// v2), use [`decode_request`].
+    /// Deserialize opcode + body bytes (the inverse of
+    /// [`Request::encode`]). Total: never panics on any byte sequence.
+    /// Whole frame payloads go through [`decode_request`].
     pub fn decode(payload: &[u8]) -> Result<Request, ProtoError> {
         let mut c = Cursor::new(payload);
         let opcode = c.u8().map_err(|_| ProtoError::Empty)?;
@@ -850,101 +810,51 @@ impl Request {
     }
 }
 
-/// A decoded request plus its envelope: which layout the frame used
-/// (`corr` is `Some` for v2/v3), which map it is routed to, and the
-/// envelope version — everything a server needs to route the request
-/// and its reply.
+/// A decoded request plus its envelope: the correlation id its reply
+/// echoes and the catalog map it is routed to.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RequestFrame {
-    /// The v2/v3 correlation id, echoed in the reply envelope; `None`
-    /// for a v1 frame.
-    pub corr: Option<u32>,
-    /// The catalog id this request is routed to. v1/v2 frames carry no
-    /// map field and land on map `0`, the catalog's default.
+    pub corr: u32,
     pub map: u32,
-    /// The envelope version the frame used (1, 2 or 3) — what decides
-    /// the reply envelope and the `STATS` reply shape.
-    pub version: u8,
     pub request: Request,
 }
 
 /// A request decode failure plus whatever envelope could still be
-/// recovered — a v2 frame with a bad body keeps its correlation id, so
-/// the error reply can be matched by a pipelining client.
+/// recovered — a frame with a bad body keeps its correlation id, so the
+/// error reply can be matched by a pipelining client.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DecodeFailure {
     pub corr: Option<u32>,
     pub error: ProtoError,
 }
 
-/// Version-aware request decoding: dispatches on the first payload byte
-/// (version marker → v2/v3 envelope, anything else → v1 compatibility
-/// path). Total: never panics on any byte sequence.
-pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, DecodeFailure> {
+/// Check the envelope marker; anything but [`V3_MARKER`] is
+/// [`ProtoError::UnsupportedVersion`].
+fn open_envelope(payload: &[u8]) -> Result<Cursor<'_>, ProtoError> {
     match payload.first() {
-        Some(&b) if is_version_marker(b) => {
-            let version = b & 0x0F;
-            if version != 2 && version != PROTOCOL_VERSION {
-                return Err(DecodeFailure {
-                    corr: None,
-                    error: ProtoError::UnsupportedVersion(version),
-                });
-            }
-            let mut c = Cursor::new(&payload[1..]);
-            let corr = c
-                .u32()
-                .map_err(|error| DecodeFailure { corr: None, error })?;
-            let map = if version == 3 {
-                c.u32().map_err(|error| DecodeFailure {
-                    corr: Some(corr),
-                    error,
-                })?
-            } else {
-                0
-            };
-            let body = &payload[1 + c.pos..];
-            match Request::decode(body) {
-                Ok(request) => Ok(RequestFrame {
-                    corr: Some(corr),
-                    map,
-                    version,
-                    request,
-                }),
-                Err(error) => Err(DecodeFailure {
-                    corr: Some(corr),
-                    error,
-                }),
-            }
-        }
-        _ => match Request::decode(payload) {
-            Ok(request) => Ok(RequestFrame {
-                corr: None,
-                map: 0,
-                version: 1,
-                request,
-            }),
-            Err(error) => Err(DecodeFailure { corr: None, error }),
-        },
+        None => Err(ProtoError::Empty),
+        Some(&V3_MARKER) => Ok(Cursor::new(&payload[1..])),
+        Some(&b) => Err(ProtoError::UnsupportedVersion(b)),
     }
 }
 
-/// Version-aware reply decoding (the client side of [`decode_request`]):
-/// returns the correlation id for enveloped replies. v2 and v3 reply
-/// envelopes are identical (marker + correlation id — replies carry no
-/// map field).
-pub fn decode_reply(payload: &[u8]) -> Result<(Option<u32>, Reply), ProtoError> {
-    match payload.first() {
-        Some(&b) if is_version_marker(b) => {
-            let version = b & 0x0F;
-            if version != 2 && version != PROTOCOL_VERSION {
-                return Err(ProtoError::UnsupportedVersion(version));
-            }
-            let mut c = Cursor::new(&payload[1..]);
-            let corr = c.u32()?;
-            Ok((Some(corr), Reply::decode(&payload[5..])?))
-        }
-        _ => Ok((None, Reply::decode(payload)?)),
-    }
+/// Decode a request frame payload. Total: never panics on any byte
+/// sequence.
+pub fn decode_request(payload: &[u8]) -> Result<RequestFrame, DecodeFailure> {
+    let fail = |corr, error| DecodeFailure { corr, error };
+    let mut c = open_envelope(payload).map_err(|e| fail(None, e))?;
+    let corr = c.u32().map_err(|e| fail(None, e))?;
+    let map = c.u32().map_err(|e| fail(Some(corr), e))?;
+    let request = Request::decode(&c.buf[c.pos..]).map_err(|e| fail(Some(corr), e))?;
+    Ok(RequestFrame { corr, map, request })
+}
+
+/// Decode a reply frame payload (the client side of [`decode_request`]):
+/// the correlation id of the request it answers, and the reply.
+pub fn decode_reply(payload: &[u8]) -> Result<(u32, Reply), ProtoError> {
+    let mut c = open_envelope(payload)?;
+    let corr = c.u32()?;
+    Ok((corr, Reply::decode(&c.buf[c.pos..])?))
 }
 
 impl Reply {
@@ -991,11 +901,6 @@ impl Reply {
                     }
                     None => buf.push(0),
                 }
-            }
-            Reply::Stats { queries, totals } => {
-                buf.push(rop::STATS);
-                buf.extend_from_slice(&queries.to_le_bytes());
-                put_stats(buf, *totals);
             }
             Reply::Bye => buf.push(rop::BYE),
             Reply::Inserted { id, lsn } => {
@@ -1085,25 +990,17 @@ impl Reply {
         }
     }
 
-    /// Serialize to a v1 frame payload (no length prefix, no envelope).
+    /// The opcode + body bytes alone (no length prefix, no envelope) —
+    /// what the reply cache stores.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
         self.encode_body(&mut buf);
         buf
     }
 
-    /// Serialize to a v2 frame payload: version marker, the correlation
-    /// id of the request being answered, then the v1 body.
-    pub fn encode_v2(&self, corr: u32) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(72);
-        buf.push(V2_MARKER);
-        buf.extend_from_slice(&corr.to_le_bytes());
-        self.encode_body(&mut buf);
-        buf
-    }
-
-    /// Serialize to a v3 frame payload. The v3 reply envelope matches
-    /// v2's (marker + correlation id; replies carry no map field).
+    /// Serialize to a frame payload: envelope marker, the correlation id
+    /// of the request being answered, then the body of [`Reply::encode`]
+    /// (replies carry no map field).
     pub fn encode_v3(&self, corr: u32) -> Vec<u8> {
         let mut buf = Vec::with_capacity(72);
         buf.push(V3_MARKER);
@@ -1112,20 +1009,10 @@ impl Reply {
         buf
     }
 
-    /// Wrap an already-encoded v1 reply body in a v2 envelope: exactly
-    /// the bytes [`Reply::encode_v2`] would produce for the decoded
-    /// body. The reply cache serves stored bodies through this without
+    /// Wrap an already-encoded reply body in the envelope: exactly the
+    /// bytes [`Reply::encode_v3`] would produce for the decoded body. The
+    /// reply cache serves stored bodies through this without
     /// re-encoding.
-    pub fn envelope_v2(corr: u32, body: &[u8]) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(5 + body.len());
-        buf.push(V2_MARKER);
-        buf.extend_from_slice(&corr.to_le_bytes());
-        buf.extend_from_slice(body);
-        buf
-    }
-
-    /// Wrap an already-encoded v1 reply body in a v3 envelope (see
-    /// [`Reply::envelope_v2`]).
     pub fn envelope_v3(corr: u32, body: &[u8]) -> Vec<u8> {
         let mut buf = Vec::with_capacity(5 + body.len());
         buf.push(V3_MARKER);
@@ -1134,8 +1021,9 @@ impl Reply {
         buf
     }
 
-    /// Deserialize a *v1* frame payload. Never panics on any byte
-    /// sequence. For version-aware decoding use [`decode_reply`].
+    /// Deserialize opcode + body bytes (the inverse of [`Reply::encode`]).
+    /// Never panics on any byte sequence. Whole frame payloads go through
+    /// [`decode_reply`].
     pub fn decode(payload: &[u8]) -> Result<Reply, ProtoError> {
         let mut c = Cursor::new(payload);
         let opcode = c.u8().map_err(|_| ProtoError::Empty)?;
@@ -1170,10 +1058,6 @@ impl Reply {
                 };
                 Reply::Polygon { walk, stats }
             }
-            rop::STATS => Reply::Stats {
-                queries: c.u64()?,
-                totals: get_stats(&mut c)?,
-            },
             rop::BYE => Reply::Bye,
             rop::INSERTED => Reply::Inserted {
                 id: SegId(c.u32()?),
@@ -1461,9 +1345,7 @@ mod tests {
             Request::Flush,
         ];
         for r in reqs {
-            let bytes = r.encode();
-            assert!(bytes.len() <= MAX_REQUEST_FRAME as usize);
-            assert_eq!(Request::decode(&bytes).unwrap(), r, "{r:?}");
+            assert_eq!(Request::decode(&r.encode()).unwrap(), r, "{r:?}");
         }
     }
 
@@ -1502,10 +1384,6 @@ mod tests {
                 stats,
             },
             Reply::Polygon { walk: None, stats },
-            Reply::Stats {
-                queries: 12345,
-                totals: stats,
-            },
             Reply::Bye,
             Reply::Inserted {
                 id: SegId(512),
@@ -1575,6 +1453,8 @@ mod tests {
                 let bytes: Vec<u8> = (0..len).map(|_| next()).collect();
                 let _ = Request::decode(&bytes); // must not panic
                 let _ = Reply::decode(&bytes); // must not panic
+                let _ = decode_request(&bytes); // must not panic
+                let _ = decode_reply(&bytes); // must not panic
             }
         }
     }
@@ -1654,31 +1534,22 @@ mod tests {
             }),
             Request::Delete { id: SegId(0) },
             Request::Flush,
+            Request::OpenMap {
+                name: "c12-7".into(),
+            },
+            Request::ListMaps,
+            Request::CloseMap {
+                name: "Baltimore".into(),
+            },
         ]
     }
 
     #[test]
-    fn v2_request_roundtrip_preserves_correlation_id() {
-        for (i, r) in sample_requests().into_iter().enumerate() {
-            let corr = (i as u32).wrapping_mul(0x9E3779B9);
-            let bytes = r.encode_v2(corr);
-            assert!(is_version_marker(bytes[0]));
-            let frame = decode_request(&bytes).unwrap();
-            assert_eq!(frame.corr, Some(corr), "{r:?}");
-            assert_eq!(frame.request, r);
-            // The v1 compatibility path still decodes the plain body.
-            let v1 = decode_request(&r.encode()).unwrap();
-            assert_eq!(v1.corr, None);
-            assert_eq!(v1.request, r);
-        }
-    }
-
-    #[test]
-    fn v2_reply_roundtrip_preserves_correlation_id() {
+    fn reply_envelope_roundtrip_preserves_correlation_id() {
         let stats = QueryStats::default();
         let replies = [
             Reply::Pong,
-            Reply::Hello { version: 2 },
+            Reply::Hello { version: 3 },
             Reply::Batch(vec![
                 Reply::Segs {
                     ids: vec![SegId(4)],
@@ -1698,73 +1569,53 @@ mod tests {
         ];
         for (i, r) in replies.into_iter().enumerate() {
             let corr = 1000 + i as u32;
-            let (got_corr, got) = decode_reply(&r.encode_v2(corr)).unwrap();
-            assert_eq!(got_corr, Some(corr), "{r:?}");
-            assert_eq!(got, r);
-            let (none, got) = decode_reply(&r.encode()).unwrap();
-            assert_eq!(none, None);
+            let bytes = r.encode_v3(corr);
+            assert_eq!(bytes[0], V3_MARKER);
+            // A stored body wrapped later is the same frame.
+            assert_eq!(Reply::envelope_v3(corr, &r.encode()), bytes, "{r:?}");
+            let (got_corr, got) = decode_reply(&bytes).unwrap();
+            assert_eq!(got_corr, corr, "{r:?}");
             assert_eq!(got, r);
         }
     }
 
     #[test]
-    fn unsupported_version_marker_is_structured_not_a_panic() {
-        for v in 0..=0x0F {
-            if v == 2 || v == PROTOCOL_VERSION {
-                continue;
-            }
-            let mut bytes = Request::Ping.encode_v2(7);
-            bytes[0] = 0xB0 | v;
+    fn every_other_first_byte_is_unsupported_not_a_panic() {
+        // Opcode-first (v1) frames, the other version markers 0xB0..=0xBF
+        // (the v2 envelope included), 0x00, and everything else: a
+        // structured UnsupportedVersion, never a panic or a decode.
+        let frame = Request::Ping.encode_v3(7, 0);
+        for b in (0..=u8::MAX).filter(|&b| b != V3_MARKER) {
+            let mut bytes = frame.clone();
+            bytes[0] = b;
             let fail = decode_request(&bytes).unwrap_err();
-            assert_eq!(fail.error, ProtoError::UnsupportedVersion(v));
+            assert_eq!(fail.error, ProtoError::UnsupportedVersion(b));
             assert_eq!(fail.error.code(), ErrorCode::UnsupportedVersion);
-            assert!(matches!(
-                decode_reply(&bytes),
-                Err(ProtoError::UnsupportedVersion(got)) if got == v
-            ));
+            assert_eq!(fail.corr, None);
+            assert_eq!(decode_reply(&bytes), Err(ProtoError::UnsupportedVersion(b)));
         }
+        for body in sample_requests().iter().map(Request::encode) {
+            assert_eq!(
+                decode_request(&body).unwrap_err().error,
+                ProtoError::UnsupportedVersion(body[0]),
+                "opcode-first frames are refused"
+            );
+        }
+        assert_eq!(decode_request(&[]).unwrap_err().error, ProtoError::Empty);
     }
 
     #[test]
     fn v3_request_roundtrip_preserves_correlation_and_map_ids() {
-        let mut reqs = sample_requests();
-        reqs.push(Request::OpenMap {
-            name: "c12-7".into(),
-        });
-        reqs.push(Request::ListMaps);
-        reqs.push(Request::CloseMap {
-            name: "Baltimore".into(),
-        });
-        for (i, r) in reqs.into_iter().enumerate() {
+        for (i, r) in sample_requests().into_iter().enumerate() {
             let corr = (i as u32).wrapping_mul(0x9E3779B9);
             let map = (i as u32).wrapping_mul(7) % 20;
             let bytes = r.encode_v3(corr, map);
             assert_eq!(bytes[0], V3_MARKER);
             let frame = decode_request(&bytes).unwrap();
-            assert_eq!(frame.corr, Some(corr), "{r:?}");
+            assert_eq!(frame.corr, corr, "{r:?}");
             assert_eq!(frame.map, map);
-            assert_eq!(frame.version, 3);
-            assert_eq!(frame.request, r);
-            // The same body in a v1 frame still decodes (map defaults
-            // to 0), so compatibility tooling can speak the new ops too.
-            let v1 = decode_request(&r.encode()).unwrap();
-            assert_eq!((v1.corr, v1.map, v1.version), (None, 0, 1));
-            assert_eq!(v1.request, r);
-        }
-    }
-
-    #[test]
-    fn v2_frames_still_decode_and_route_to_the_default_map() {
-        for r in sample_requests() {
-            let frame = decode_request(&r.encode_v2(99)).unwrap();
-            assert_eq!(frame.corr, Some(99));
-            assert_eq!(frame.map, 0, "v2 frames land on the default map");
-            assert_eq!(frame.version, 2);
             assert_eq!(frame.request, r);
         }
-        // A v2 reply envelope is accepted by the v3 client decoder.
-        let (corr, got) = decode_reply(&Reply::Pong.encode_v2(5)).unwrap();
-        assert_eq!((corr, got), (Some(5), Reply::Pong));
     }
 
     #[test]
@@ -1862,21 +1713,16 @@ mod tests {
         for r in replies {
             assert_eq!(Reply::decode(&r.encode()).unwrap(), r, "{r:?}");
             let (corr, got) = decode_reply(&r.encode_v3(0xC0FFEE)).unwrap();
-            assert_eq!(corr, Some(0xC0FFEE));
+            assert_eq!(corr, 0xC0FFEE);
             assert_eq!(got, r);
         }
     }
 
     #[test]
     fn truncated_v3_frames_error_not_panic() {
-        let reqs = [
-            Request::OpenMap {
-                name: "c3-3".into(),
-            },
-            Request::Window(Rect::new(-10, -10, 10, 10)),
-            Request::ListMaps,
-        ];
-        for r in reqs {
+        // Every proper prefix of every encoding must fail cleanly —
+        // including cuts inside the marker/correlation/map header.
+        for r in sample_requests() {
             let bytes = r.encode_v3(0xDEAD_BEEF, 12);
             for cut in 0..bytes.len() {
                 assert!(
@@ -1885,11 +1731,41 @@ mod tests {
                 );
             }
         }
-        // A wounded v3 body still recovers the correlation id.
-        let mut bytes = Request::Incident(Point::new(3, 4)).encode_v3(0x5151_5151, 9);
-        bytes.truncate(bytes.len() - 2);
+        // Marker-led garbage: random bytes after a valid marker.
+        let mut state = 0xA076_1D64_78BD_642Fu64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        };
+        for len in 0..48usize {
+            for _ in 0..64 {
+                let mut bytes = vec![V3_MARKER];
+                bytes.extend((0..len).map(|_| next()));
+                let _ = decode_request(&bytes); // must not panic
+                let _ = decode_reply(&bytes); // must not panic
+            }
+        }
+    }
+
+    #[test]
+    fn bad_body_still_recovers_correlation_id() {
+        let mut bytes = Request::Incident(Point::new(3, 4)).encode_v3(0x1234_5678, 9);
+        bytes.truncate(bytes.len() - 2); // wound the body, keep the header
         let fail = decode_request(&bytes).unwrap_err();
-        assert_eq!(fail.corr, Some(0x5151_5151));
+        assert_eq!(
+            fail.corr,
+            Some(0x1234_5678),
+            "error reply must be matchable"
+        );
+        assert!(matches!(fail.error, ProtoError::Truncated { .. }));
+        // A header cut inside the map field still knows its corr.
+        let bytes = Request::Ping.encode_v3(0x5151_5151, 9);
+        assert_eq!(
+            decode_request(&bytes[..7]).unwrap_err().corr,
+            Some(0x5151_5151)
+        );
     }
 
     #[test]
@@ -1959,50 +1835,6 @@ mod tests {
             }
             let _ = Reply::decode(&fuzzed); // must not panic
         }
-    }
-
-    #[test]
-    fn truncated_v2_frames_error_not_panic() {
-        // Every proper prefix of every v2 encoding must fail cleanly —
-        // including cuts inside the marker/correlation header.
-        for r in sample_requests() {
-            let bytes = r.encode_v2(0xDEAD_BEEF);
-            for cut in 0..bytes.len() {
-                assert!(
-                    decode_request(&bytes[..cut]).is_err(),
-                    "{r:?} cut at {cut} must fail"
-                );
-            }
-        }
-        // Marker-led garbage: random bytes after a valid v2 marker.
-        let mut state = 0xA076_1D64_78BD_642Fu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state as u8
-        };
-        for len in 0..48usize {
-            for _ in 0..64 {
-                let mut bytes = vec![V2_MARKER];
-                bytes.extend((0..len).map(|_| next()));
-                let _ = decode_request(&bytes); // must not panic
-                let _ = decode_reply(&bytes); // must not panic
-            }
-        }
-    }
-
-    #[test]
-    fn bad_v2_body_still_recovers_correlation_id() {
-        let mut bytes = Request::Incident(Point::new(3, 4)).encode_v2(0x1234_5678);
-        bytes.truncate(bytes.len() - 2); // wound the body, keep the header
-        let fail = decode_request(&bytes).unwrap_err();
-        assert_eq!(
-            fail.corr,
-            Some(0x1234_5678),
-            "error reply must be matchable"
-        );
-        assert!(matches!(fail.error, ProtoError::Truncated { .. }));
     }
 
     #[test]

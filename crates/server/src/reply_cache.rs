@@ -9,7 +9,7 @@
 //! the cache is invisible to every client and to `STATS` by
 //! construction. The stored [`QueryStats`] are folded into the map's
 //! [`lsdb_core::SharedStats`] on a hit exactly as a cold execution
-//! folds its context snapshot, which keeps v1/v2/v3 `STATS` aggregates
+//! folds its context snapshot, which keeps the `STATS` aggregates
 //! byte-identical with the cache on or off.
 //!
 //! ## Invalidation
@@ -95,7 +95,7 @@ impl ReplyCachePool {
     }
 }
 
-/// One cached reply: the v1-encoded body (stats + payload, no
+/// One cached reply: the encoded body (opcode, stats and payload, no
 /// envelope) plus the counter snapshot to fold on a hit.
 struct Entry {
     body: Arc<[u8]>,

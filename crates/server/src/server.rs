@@ -17,36 +17,28 @@
 use crate::catalog::Catalog;
 use crate::event_loop;
 use crate::executor::{self, Completion, Job};
-use crate::protocol::MAX_REQUEST_FRAME_V2;
 use crate::sys::WakePipe;
-use lsdb_core::{LiveIndex, QueryStats, SpatialIndex};
+use lsdb_core::QueryStats;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Tuning knobs for [`Server`]. Construct via [`ServerConfig::builder`]
-/// (validated), [`ServerConfig::from_env`] (documented `LSDB_*`
-/// variables), or struct-literal update syntax over
-/// [`ServerConfig::default`].
+/// Tuning knobs for [`Server`]: a struct literal over
+/// [`ServerConfig::default`], checked by [`Server::bind_catalog`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Executor worker threads (the I/O thread is extra and fixed at
     /// one). Each worker runs one query or batch at a time.
     pub workers: usize,
     /// Poll cadence for noticing an out-of-band shutdown on an otherwise
-    /// idle server; also the idle-read cadence a v1 client observes.
-    /// Keep it small when fast drain matters.
+    /// idle server. Keep it small when fast drain matters.
     pub read_timeout: Duration,
     /// How long a peer may refuse to accept a byte of a pending reply
     /// before its connection is dropped (a stalled reader cannot wedge
     /// the server).
     pub write_timeout: Duration,
-    /// Largest request frame accepted, in bytes. Batches need room
-    /// (default [`MAX_REQUEST_FRAME_V2`]); singleton-only deployments
-    /// can pin this down to harden against garbage.
-    pub max_request_frame: u32,
     /// Emit a periodic one-line serving summary on stderr (budget
     /// residency, page evictions, reply-cache hits/misses). Off by
     /// default; `serve --verbose` turns it on.
@@ -59,75 +51,16 @@ impl Default for ServerConfig {
             workers: 4,
             read_timeout: Duration::from_millis(500),
             write_timeout: Duration::from_secs(10),
-            max_request_frame: MAX_REQUEST_FRAME_V2,
             verbose: false,
         }
     }
 }
 
 impl ServerConfig {
-    /// A validated builder over the defaults.
-    pub fn builder() -> ServerConfigBuilder {
-        ServerConfigBuilder {
-            config: ServerConfig::default(),
-        }
-    }
-
-    /// Defaults overridden by whichever environment variables parse
-    /// cleanly — the one documented place server knobs read the
-    /// environment:
-    ///
-    /// | variable | field | unit |
-    /// |---|---|---|
-    /// | `LSDB_SERVER_WORKERS` | `workers` | threads |
-    /// | `LSDB_THREADS` | `workers` (fallback) | threads |
-    /// | `LSDB_SERVER_READ_TIMEOUT_MS` | `read_timeout` | milliseconds |
-    /// | `LSDB_SERVER_WRITE_TIMEOUT_MS` | `write_timeout` | milliseconds |
-    /// | `LSDB_SERVER_MAX_FRAME` | `max_request_frame` | bytes |
-    /// | `LSDB_SERVER_VERBOSE` | `verbose` | `1`/`true` = on |
-    ///
-    /// `LSDB_THREADS` is shared with the bench crate's `WorkloadConfig`
-    /// so one variable sizes both in-process and served parallelism.
-    /// Invalid values (unparsable, zero) fall back to the default.
-    pub fn from_env() -> ServerConfig {
-        fn parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-            std::env::var(var).ok().and_then(|s| s.parse().ok())
-        }
-        let mut cfg = ServerConfig::default();
-        if let Some(w) = parse::<usize>("LSDB_SERVER_WORKERS").or_else(|| parse("LSDB_THREADS")) {
-            if w > 0 {
-                cfg.workers = w;
-            }
-        }
-        if let Some(ms) = parse::<u64>("LSDB_SERVER_READ_TIMEOUT_MS") {
-            if ms > 0 {
-                cfg.read_timeout = Duration::from_millis(ms);
-            }
-        }
-        if let Some(ms) = parse::<u64>("LSDB_SERVER_WRITE_TIMEOUT_MS") {
-            if ms > 0 {
-                cfg.write_timeout = Duration::from_millis(ms);
-            }
-        }
-        if let Some(n) = parse::<u32>("LSDB_SERVER_MAX_FRAME") {
-            if n > 0 {
-                cfg.max_request_frame = n;
-            }
-        }
-        if let Ok(v) = std::env::var("LSDB_SERVER_VERBOSE") {
-            cfg.verbose = v == "1" || v.eq_ignore_ascii_case("true");
-        }
-        cfg
-    }
-
-    /// The invariants [`ServerConfigBuilder::build`] and
-    /// [`Server::bind`] enforce.
+    /// The invariants [`Server::bind_catalog`] enforces.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.workers == 0 {
             return Err(ConfigError("workers must be at least 1"));
-        }
-        if self.max_request_frame == 0 {
-            return Err(ConfigError("max_request_frame must be at least 1 byte"));
         }
         if self.read_timeout.is_zero() {
             return Err(ConfigError("read_timeout must be nonzero"));
@@ -154,45 +87,6 @@ impl std::error::Error for ConfigError {}
 impl From<ConfigError> for io::Error {
     fn from(e: ConfigError) -> io::Error {
         io::Error::new(io::ErrorKind::InvalidInput, e)
-    }
-}
-
-/// Builder for [`ServerConfig`]; [`ServerConfigBuilder::build`] rejects
-/// nonsense (zero workers, zero frame cap, zero timeouts).
-#[derive(Clone, Debug)]
-pub struct ServerConfigBuilder {
-    config: ServerConfig,
-}
-
-impl ServerConfigBuilder {
-    pub fn workers(mut self, n: usize) -> Self {
-        self.config.workers = n;
-        self
-    }
-
-    pub fn read_timeout(mut self, t: Duration) -> Self {
-        self.config.read_timeout = t;
-        self
-    }
-
-    pub fn write_timeout(mut self, t: Duration) -> Self {
-        self.config.write_timeout = t;
-        self
-    }
-
-    pub fn max_request_frame(mut self, bytes: u32) -> Self {
-        self.config.max_request_frame = bytes;
-        self
-    }
-
-    pub fn verbose(mut self, on: bool) -> Self {
-        self.config.verbose = on;
-        self
-    }
-
-    pub fn build(self) -> Result<ServerConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
     }
 }
 
@@ -234,33 +128,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind to `addr` (use port 0 for an ephemeral port), serving an
-    /// already-built index with a *volatile* op log: `INSERT`/`DELETE`
-    /// work but persist nothing. Rejects an invalid `config` with
-    /// `InvalidInput`. For a durable store use [`Server::bind_live`].
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        index: Box<dyn SpatialIndex>,
-        config: ServerConfig,
-    ) -> io::Result<Server> {
-        Server::bind_live(addr, LiveIndex::volatile(index), config)
-    }
-
-    /// Bind to `addr` serving a [`LiveIndex`] — typically one recovered
-    /// from a durable op log, so acknowledged mutations survive a crash.
-    /// The index becomes map `0` ("default") of a one-map catalog, so
-    /// every protocol version behaves exactly as the single-map server
-    /// did.
-    pub fn bind_live(
-        addr: impl ToSocketAddrs,
-        index: LiveIndex,
-        config: ServerConfig,
-    ) -> io::Result<Server> {
-        Server::bind_catalog(addr, Catalog::single(index), config)
-    }
-
-    /// Bind to `addr` serving a whole [`Catalog`] of maps: v3 requests
-    /// route by map id, v1/v2 requests land on map `0`.
+    /// Bind to `addr` (use port 0 for an ephemeral port) serving a whole
+    /// [`Catalog`] of maps; requests route by the envelope's map id. A
+    /// single map is [`Catalog::single`]. Rejects an invalid `config`
+    /// with `InvalidInput`.
     pub fn bind_catalog(
         addr: impl ToSocketAddrs,
         catalog: Catalog,
@@ -344,29 +215,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_validates() {
-        let cfg = ServerConfig::builder()
-            .workers(2)
-            .read_timeout(Duration::from_millis(50))
-            .max_request_frame(1024)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.workers, 2);
-        assert_eq!(cfg.max_request_frame, 1024);
-
-        assert!(ServerConfig::builder().workers(0).build().is_err());
-        assert!(ServerConfig::builder()
-            .max_request_frame(0)
-            .build()
-            .is_err());
-        assert!(ServerConfig::builder()
-            .read_timeout(Duration::ZERO)
-            .build()
-            .is_err());
-        assert!(ServerConfig::builder()
-            .write_timeout(Duration::ZERO)
-            .build()
-            .is_err());
+    fn validate_rejects_zero_workers_and_timeouts() {
+        let base = ServerConfig {
+            workers: 2,
+            read_timeout: Duration::from_millis(50),
+            ..Default::default()
+        };
+        base.validate().unwrap();
+        for bad in [
+            ServerConfig {
+                workers: 0,
+                ..base.clone()
+            },
+            ServerConfig {
+                read_timeout: Duration::ZERO,
+                ..base.clone()
+            },
+            ServerConfig {
+                write_timeout: Duration::ZERO,
+                ..base.clone()
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+            let bound = Server::bind_catalog("127.0.0.1:0", Catalog::new(0, 1), bad);
+            assert_eq!(
+                bound.err().map(|e| e.kind()),
+                Some(io::ErrorKind::InvalidInput)
+            );
+        }
     }
 
     #[test]
@@ -378,6 +254,5 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         ServerConfig::default().validate().unwrap();
-        ServerConfig::from_env().validate().unwrap();
     }
 }

@@ -1,10 +1,9 @@
 //! Reply-cache differential suite: a server with the epoch-tagged reply
 //! cache enabled must be *observationally invisible* — every reply
-//! frame it sends, over every protocol version, must be byte-for-byte
-//! what the same server with caching off sends for the same request
-//! sequence, and the `STATS` aggregates must agree exactly (cache hits
-//! fold the stored counters precisely as cold execution folds its
-//! context).
+//! frame it sends must be byte-for-byte what the same server with
+//! caching off sends for the same request sequence, and the `STATS`
+//! aggregates must agree exactly (cache hits fold the stored counters
+//! precisely as cold execution folds its context).
 //!
 //! The suite drives a cached and an uncached server in lockstep over
 //! interleaved query/mutation traces — across all four index structures
@@ -21,7 +20,7 @@ use lsdb_pmr::{PmrConfig, PmrQuadtree};
 use lsdb_rplus::RPlusTree;
 use lsdb_rtree::RTree;
 use lsdb_server::protocol::{read_frame, write_frame, FrameEvent, MAX_REPLY_FRAME};
-use lsdb_server::{Catalog, Client, Reply, Request, Server, ServerConfig};
+use lsdb_server::{Catalog, CatalogStats, Client, Reply, Request, Server, ServerConfig};
 use lsdb_tiger::{continent, CountySpec};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -153,13 +152,22 @@ fn raw_connect(addr: SocketAddr) -> TcpStream {
     s
 }
 
+/// The paper's counters from `STATS`, aggregate and per map: what must
+/// not move with the cache on. (The cache's own counters, and the page
+/// pool's hit/miss counts its hits skip, legitimately differ.)
+fn paper_counters(stats: &CatalogStats) -> Vec<(u64, lsdb_core::QueryStats)> {
+    let mut out = vec![(stats.queries, stats.totals)];
+    out.extend(stats.maps.iter().map(|m| (m.queries, m.totals)));
+    out
+}
+
 /// The tentpole invariant: over an interleaved query/mutation trace,
-/// every v1 reply frame from the cached server equals the uncached
+/// every reply frame from the cached server equals the uncached
 /// server's byte-for-byte — results *and* the embedded `QueryStats` —
-/// and the final v1 `STATS` frames (the aggregate the paper reads)
-/// agree too. Run across all four structures; the trace revisits every
-/// query after mutations, so hits, misses, and epoch-orphaned entries
-/// are all on the path.
+/// and the final `STATS` counters (the aggregate the paper reads) agree
+/// too. Run across all four structures; the trace revisits every query
+/// after mutations, so hits, misses, and epoch-orphaned entries are all
+/// on the path.
 #[test]
 fn interleaved_trace_frames_byte_identical_across_structures() {
     let spec = county_spec(900);
@@ -171,26 +179,26 @@ fn interleaved_trace_frames_byte_identical_across_structures() {
         let mut cached = raw_connect(cached_addr);
         let mut plain = raw_connect(plain_addr);
         for (i, req) in trace.iter().enumerate() {
-            let frame = req.encode();
+            let frame = req.encode_v3(i as u32, 0);
             let got = raw_call(&mut cached, &frame);
             let want = raw_call(&mut plain, &frame);
             assert_eq!(
                 got, want,
-                "{name}: v1 frame {i} ({req:?}) diverged with the cache on"
+                "{name}: frame {i} ({req:?}) diverged with the cache on"
             );
         }
         // The aggregate counters must be indistinguishable: cache hits
         // fold their stored stats exactly as cold execution does.
-        let stats_frame = Request::Stats.encode();
+        let mut client = Client::connect(cached_addr).unwrap();
+        let mut plain_client = Client::connect(plain_addr).unwrap();
+        let stats = client.stats_v3().unwrap();
         assert_eq!(
-            raw_call(&mut cached, &stats_frame),
-            raw_call(&mut plain, &stats_frame),
-            "{name}: v1 STATS diverged with the cache on"
+            paper_counters(&stats),
+            paper_counters(&plain_client.stats_v3().unwrap()),
+            "{name}: STATS counters diverged with the cache on"
         );
         // Sanity: the cached server actually served hits — a parity
         // test against a cache that never fires proves nothing.
-        let mut client = Client::connect(cached_addr).unwrap();
-        let stats = client.stats_v3().unwrap();
         let rc = &stats.maps[0].reply_cache;
         assert!(rc.enabled, "{name}: cache should be on");
         assert!(rc.hits > 0, "{name}: trace produced no cache hits");
@@ -199,64 +207,53 @@ fn interleaved_trace_frames_byte_identical_across_structures() {
             "{name}: implausible counter mix: {rc:?}"
         );
         client.shutdown().unwrap();
-        let mut plain_client = Client::connect(plain_addr).unwrap();
         plain_client.shutdown().unwrap();
         cached_handle.join().unwrap();
         plain_handle.join().unwrap();
     }
 }
 
-/// Same invariant over the enveloped protocols: identical queries sent
-/// as v1, v2, and v3 frames share one cache entry (the key is the
-/// canonical v1 encoding), and each envelope's reply bytes — marker,
-/// correlation id, body — match the uncached server's exactly.
+/// Same invariant across envelopes: identical queries sent under
+/// different correlation ids and on different connections share one
+/// cache entry (the key is the request body alone), and each reply's
+/// bytes — marker, correlation id, body — match the uncached server's
+/// exactly.
 #[test]
-fn envelope_versions_share_entries_and_stay_byte_identical() {
+fn correlation_ids_share_entries_and_stay_byte_identical() {
     let spec = county_spec(700);
     let map = lsdb_tiger::generate(&spec);
     let pool = query_pool(&map, 3, 0xE27);
     let (name, build) = ("rstar", structures()[0].1);
     let (cached_addr, cached_handle) = start_server(&map, build, CACHE_BYTES);
     let (plain_addr, plain_handle) = start_server(&map, build, 0);
+    // Pass 1 primes; pass 2 replays the same queries under new
+    // correlation ids, pass 3 on fresh connections — all hits on the
+    // cached server, yet every frame must still match the uncached run
+    // byte-for-byte.
     let mut cached = raw_connect(cached_addr);
     let mut plain = raw_connect(plain_addr);
-    // Pass 1 primes over v1; passes 2 and 3 replay the same queries as
-    // v2 then v3 frames — all hits on the cached server, yet every
-    // envelope must still match the uncached run byte-for-byte.
-    for (i, req) in pool.iter().enumerate() {
-        let frame = req.encode();
-        assert_eq!(
-            raw_call(&mut cached, &frame),
-            raw_call(&mut plain, &frame),
-            "{name}: v1 prime frame {i} diverged"
-        );
+    for base in [0u32, 0x1000, 0x2000] {
+        if base == 0x2000 {
+            cached = raw_connect(cached_addr);
+            plain = raw_connect(plain_addr);
+        }
+        for (i, req) in pool.iter().enumerate() {
+            let frame = req.encode_v3(base + i as u32, 0);
+            assert_eq!(
+                raw_call(&mut cached, &frame),
+                raw_call(&mut plain, &frame),
+                "{name}: frame {i} under correlation base {base:#x} diverged"
+            );
+        }
     }
-    for (i, req) in pool.iter().enumerate() {
-        let corr = 0x1000 + i as u32;
-        let frame = req.encode_v2(corr);
-        assert_eq!(
-            raw_call(&mut cached, &frame),
-            raw_call(&mut plain, &frame),
-            "{name}: v2 frame {i} diverged"
-        );
-    }
-    for (i, req) in pool.iter().enumerate() {
-        let corr = 0x2000 + i as u32;
-        let frame = req.encode_v3(corr, 0);
-        assert_eq!(
-            raw_call(&mut cached, &frame),
-            raw_call(&mut plain, &frame),
-            "{name}: v3 frame {i} diverged"
-        );
-    }
-    // The v2/v3 replays were pure hits: one miss per distinct query.
+    // The replays were pure hits: one miss per distinct query.
     let mut client = Client::connect(cached_addr).unwrap();
     let stats = client.stats_v3().unwrap();
     let rc = &stats.maps[0].reply_cache;
     assert_eq!(
         rc.misses,
         pool.len() as u64,
-        "cross-envelope replays must share the v1-keyed entries"
+        "replays must share the body-keyed entries"
     );
     assert_eq!(rc.hits, 2 * pool.len() as u64);
     client.shutdown().unwrap();
@@ -282,8 +279,8 @@ fn batch_with_mixed_hits_and_misses_is_byte_identical() {
     // singleton key space, so those become in-batch hits.
     let mut cached = raw_connect(cached_addr);
     let mut plain = raw_connect(plain_addr);
-    for p in points.iter().step_by(2) {
-        let frame = Request::Nearest(*p).encode();
+    for (i, p) in points.iter().step_by(2).enumerate() {
+        let frame = Request::Nearest(*p).encode_v3(i as u32, 0);
         assert_eq!(
             raw_call(&mut cached, &frame),
             raw_call(&mut plain, &frame),
@@ -291,12 +288,12 @@ fn batch_with_mixed_hits_and_misses_is_byte_identical() {
         );
     }
     let batch = Request::Batch(BatchRequest::Nearest(points.clone()));
-    let frame = batch.encode_v2(0xBEEF);
+    let frame = batch.encode_v3(0xBEEF, 0);
     let got = raw_call(&mut cached, &frame);
     let want = raw_call(&mut plain, &frame);
     assert_eq!(got, want, "mixed hit/miss batch reply diverged");
     // And the batch repeated is all hits — still identical.
-    let frame = batch.encode_v2(0xBEF0);
+    let frame = batch.encode_v3(0xBEF0, 0);
     assert_eq!(
         raw_call(&mut cached, &frame),
         raw_call(&mut plain, &frame),
@@ -376,7 +373,7 @@ fn concurrent_mutations_quiesce_to_byte_identical_replies() {
     let mut cached = raw_connect(cached_addr);
     let mut plain = raw_connect(plain_addr);
     for (i, req) in pool.iter().enumerate() {
-        let frame = req.encode();
+        let frame = req.encode_v3(i as u32, 0);
         assert_eq!(
             raw_call(&mut cached, &frame),
             raw_call(&mut plain, &frame),
@@ -385,7 +382,7 @@ fn concurrent_mutations_quiesce_to_byte_identical_replies() {
     }
     // Replay again: now pure hits, still identical.
     for (i, req) in pool.iter().enumerate() {
-        let frame = req.encode();
+        let frame = req.encode_v3(i as u32, 0);
         assert_eq!(
             raw_call(&mut cached, &frame),
             raw_call(&mut plain, &frame),

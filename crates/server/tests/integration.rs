@@ -1,13 +1,18 @@
 //! End-to-end tests of the TCP query service: concurrent clients must see
 //! results and counters byte-identical to in-process execution, malformed
-//! requests must come back as structured error frames (not dropped
-//! connections), and `SHUTDOWN` must drain gracefully.
+//! requests (older envelopes included) must come back as structured error
+//! frames (not dropped connections), and `SHUTDOWN` must drain gracefully.
 
 use lsdb_core::pointgen::{EndpointGen, UniformGen, WindowGen};
-use lsdb_core::{queries, IndexConfig, PolygonalMap, QueryCtx, QueryStats, SpatialIndex};
-use lsdb_server::protocol::{decode_reply, read_frame, write_frame, FrameEvent, MAX_REPLY_FRAME};
+use lsdb_core::{
+    queries, IndexConfig, LiveIndex, PolygonalMap, QueryCtx, QueryStats, SpatialIndex,
+};
+use lsdb_server::protocol::{
+    decode_reply, read_frame, write_frame, FrameEvent, MAX_REPLY_FRAME, MAX_REQUEST_FRAME,
+    V3_MARKER,
+};
 use lsdb_server::{
-    BatchRequest, Client, ErrorCode, QueryRequest, Reply, Request, Server, ServerConfig,
+    BatchRequest, Catalog, Client, ErrorCode, QueryRequest, Reply, Request, Server, ServerConfig,
     ServerError,
 };
 use std::net::{SocketAddr, TcpStream};
@@ -102,15 +107,50 @@ fn start_server(
     SocketAddr,
     std::thread::JoinHandle<lsdb_server::ServerReport>,
 ) {
+    start_live(LiveIndex::volatile(index), 4)
+}
+
+fn start_live(
+    live: LiveIndex,
+    workers: usize,
+) -> (
+    SocketAddr,
+    std::thread::JoinHandle<lsdb_server::ServerReport>,
+) {
     let config = ServerConfig {
-        workers: 4,
+        workers,
         read_timeout: Duration::from_millis(100),
         ..Default::default()
     };
-    let server = Server::bind("127.0.0.1:0", index, config).unwrap();
+    let server = Server::bind_catalog("127.0.0.1:0", Catalog::single(live), config).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run().unwrap());
     (addr, handle)
+}
+
+/// Read one reply frame off a raw socket and decode its envelope.
+fn raw_reply(stream: &mut TcpStream) -> (u32, Reply) {
+    match read_frame(stream, MAX_REPLY_FRAME).unwrap() {
+        FrameEvent::Frame(p) => decode_reply(&p).unwrap(),
+        other => panic!("expected a frame, got {other:?}"),
+    }
+}
+
+fn error_code(reply: &Reply) -> ErrorCode {
+    match reply {
+        Reply::Error { code, .. } => *code,
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+}
+
+/// An envelope header (marker, correlation id, map 0) followed by
+/// arbitrary body bytes.
+fn enveloped(corr: u32, body: &[u8]) -> Vec<u8> {
+    let mut frame = vec![V3_MARKER];
+    frame.extend_from_slice(&corr.to_le_bytes());
+    frame.extend_from_slice(&0u32.to_le_bytes());
+    frame.extend_from_slice(body);
+    frame
 }
 
 #[test]
@@ -151,13 +191,13 @@ fn concurrent_clients_match_in_process_execution_and_drain_cleanly() {
     // Counters aggregate across all clients exactly: four identical
     // passes, each a plain sum of per-query values.
     let mut client = Client::connect(addr).unwrap();
-    let (served, totals) = client.stats().unwrap();
-    assert_eq!(served, (CLIENTS * stream.len()) as u64);
+    let stats = client.stats_v3().unwrap();
+    assert_eq!(stats.queries, (CLIENTS * stream.len()) as u64);
     let mut four = QueryStats::default();
     for _ in 0..CLIENTS {
         four.add(expected_totals);
     }
-    assert_eq!(totals, four);
+    assert_eq!(stats.totals, four);
 
     client.shutdown().unwrap();
     let report = handle.join().unwrap();
@@ -179,53 +219,53 @@ fn malformed_requests_get_error_frames_not_hangups() {
     let mut raw = TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
 
-    let reply_of = |stream: &mut TcpStream| -> Reply {
-        match read_frame(stream, MAX_REPLY_FRAME).unwrap() {
-            FrameEvent::Frame(p) => Reply::decode(&p).unwrap(),
-            other => panic!("expected a frame, got {other:?}"),
-        }
-    };
-
-    // Garbage opcode -> UnknownOp error frame, connection stays up.
-    write_frame(&mut raw, &[0x77, 1, 2, 3]).unwrap();
-    match reply_of(&mut raw) {
-        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::UnknownOp),
-        other => panic!("expected error frame, got {other:?}"),
-    }
+    // Garbage opcode -> UnknownOp error frame echoing the correlation
+    // id, connection stays up.
+    write_frame(&mut raw, &enveloped(1, &[0x77, 1, 2, 3])).unwrap();
+    let (corr, reply) = raw_reply(&mut raw);
+    assert_eq!((corr, error_code(&reply)), (1, ErrorCode::UnknownOp));
 
     // Truncated incident request -> Malformed, still connected.
-    write_frame(&mut raw, &[0x02, 9, 9]).unwrap();
-    match reply_of(&mut raw) {
-        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
-        other => panic!("expected error frame, got {other:?}"),
-    }
+    write_frame(&mut raw, &enveloped(2, &[0x02, 9, 9])).unwrap();
+    let (corr, reply) = raw_reply(&mut raw);
+    assert_eq!((corr, error_code(&reply)), (2, ErrorCode::Malformed));
 
     // Trailing bytes after a valid ping -> Malformed, still connected.
-    write_frame(&mut raw, &[0x01, 0xAA]).unwrap();
-    match reply_of(&mut raw) {
-        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Malformed),
-        other => panic!("expected error frame, got {other:?}"),
-    }
+    let mut ping = Request::Ping.encode_v3(3, 0);
+    ping.push(0xAA);
+    write_frame(&mut raw, &ping).unwrap();
+    let (corr, reply) = raw_reply(&mut raw);
+    assert_eq!((corr, error_code(&reply)), (3, ErrorCode::Malformed));
+
+    // A header cut short (no room for the map id) -> Malformed.
+    write_frame(&mut raw, &[V3_MARKER, 4, 0, 0, 0, 0]).unwrap();
+    let (corr, reply) = raw_reply(&mut raw);
+    assert_eq!((corr, error_code(&reply)), (4, ErrorCode::Malformed));
 
     // The same connection still answers real queries.
-    write_frame(&mut raw, &Request::Ping.encode()).unwrap();
-    assert_eq!(reply_of(&mut raw), Reply::Pong);
+    write_frame(&mut raw, &Request::Ping.encode_v3(5, 0)).unwrap();
+    assert_eq!(raw_reply(&mut raw), (5, Reply::Pong));
 
-    // An oversized frame declaration gets an error frame, then the
-    // connection closes (the stream cannot be resynchronized). The
-    // payload is never sent — the declared length alone is the offense.
-    let huge = lsdb_server::MAX_REQUEST_FRAME_V2 + 1;
-    let mut poison = huge.to_le_bytes().to_vec();
-    poison.extend_from_slice(&[0u8; 16]);
+    // An oversized frame declaration gets an error frame echoing the
+    // buffered envelope's correlation id, then the connection closes
+    // (the stream cannot be resynchronized). The payload is never sent —
+    // the declared length alone is the offense.
+    let mut poison = (MAX_REQUEST_FRAME + 1).to_le_bytes().to_vec();
+    poison.extend_from_slice(&enveloped(6, &[0u8; 16]));
     std::io::Write::write_all(&mut raw, &poison).unwrap();
-    match reply_of(&mut raw) {
-        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::Oversized),
-        other => panic!("expected error frame, got {other:?}"),
-    }
+    let (corr, reply) = raw_reply(&mut raw);
+    assert_eq!((corr, error_code(&reply)), (6, ErrorCode::Oversized));
     match read_frame(&mut raw, MAX_REPLY_FRAME).unwrap() {
         FrameEvent::Eof => {}
         other => panic!("connection should be closed, got {other:?}"),
     }
+
+    // A zero-length frame has no envelope to echo: correlation id 0.
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    std::io::Write::write_all(&mut raw, &0u32.to_le_bytes()).unwrap();
+    let (corr, reply) = raw_reply(&mut raw);
+    assert_eq!((corr, error_code(&reply)), (0, ErrorCode::Oversized));
 
     // A bad argument (segment id beyond the map) is a structured error.
     let mut client = Client::connect(addr).unwrap();
@@ -298,7 +338,6 @@ fn pipelined_requests_complete_out_of_order_and_match_sequential() {
     // any reply is read; replies matched by correlation id must be
     // byte-identical to sequential execution.
     let mut client = Client::connect(addr).unwrap();
-    assert!(client.is_v2(), "negotiation must land on v2");
     let replies = client.pipeline(&stream).unwrap();
     assert_eq!(replies.len(), expected.len());
     for (i, (got, want)) in replies.iter().zip(&expected).enumerate() {
@@ -316,24 +355,18 @@ fn pipelined_requests_complete_out_of_order_and_match_sequential() {
     };
     let mut both = Vec::new();
     for (corr, req) in [(7u32, &slow), (8u32, &Request::Ping)] {
-        let payload = req.encode_v2(corr);
+        let payload = req.encode_v3(corr, 0);
         both.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         both.extend_from_slice(&payload);
     }
     // One write: both frames arrive in one readiness event, so the ping
     // is answered inline before the polygon's completion can be routed.
     std::io::Write::write_all(&mut raw, &both).unwrap();
-    let read_reply = |stream: &mut TcpStream| -> (Option<u32>, Reply) {
-        match read_frame(stream, MAX_REPLY_FRAME).unwrap() {
-            FrameEvent::Frame(p) => decode_reply(&p).unwrap(),
-            other => panic!("expected a frame, got {other:?}"),
-        }
-    };
-    let (first_corr, first) = read_reply(&mut raw);
-    let (second_corr, second) = read_reply(&mut raw);
-    assert_eq!(first_corr, Some(8), "ping overtakes the slow polygon");
+    let (first_corr, first) = raw_reply(&mut raw);
+    let (second_corr, second) = raw_reply(&mut raw);
+    assert_eq!(first_corr, 8, "ping overtakes the slow polygon");
     assert_eq!(first, Reply::Pong);
-    assert_eq!(second_corr, Some(7));
+    assert_eq!(second_corr, 7);
     assert!(matches!(second, Reply::Polygon { .. }));
     drop(raw);
 
@@ -342,24 +375,61 @@ fn pipelined_requests_complete_out_of_order_and_match_sequential() {
 }
 
 #[test]
-fn v1_client_round_trips_every_op_against_the_v2_server() {
+fn older_envelopes_are_refused_and_the_connection_keeps_serving() {
     let map = test_map();
     let index = build(&map);
-    let stream = mixed_stream(&map, 6, 0xA11CE);
+    let stream = mixed_stream(&map, 4, 0xA11CE);
     let expected: Vec<Reply> = stream
         .iter()
         .map(|r| run_in_process(index.as_ref(), r))
         .collect();
-
     let (addr, handle) = start_server(index);
-    let mut client = Client::connect_v1(addr).unwrap();
-    assert!(!client.is_v2());
-    client.ping().unwrap();
-    for (req, want) in stream.iter().zip(&expected) {
-        assert_eq!(&client.call(req).unwrap(), want, "{req:?}");
+
+    let mut raw = TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut corr = 100u32;
+    for req in stream.iter().chain([&Request::Ping, &Request::Stats]) {
+        // A v1 frame (opcode first) and a v2 frame (0xB2 marker +
+        // correlation id, no map) each draw UnsupportedVersion in the v3
+        // envelope; neither header is readable, so the id echoed is 0.
+        let mut v2 = vec![0xB2];
+        v2.extend_from_slice(&7u32.to_le_bytes());
+        v2.extend_from_slice(&req.encode());
+        for old in [req.encode(), v2] {
+            write_frame(&mut raw, &old).unwrap();
+            let (got, reply) = raw_reply(&mut raw);
+            assert_eq!(
+                (got, error_code(&reply)),
+                (0, ErrorCode::UnsupportedVersion),
+                "{req:?}"
+            );
+        }
     }
-    let (served, _) = client.stats().unwrap();
-    assert_eq!(served, stream.len() as u64);
+    // HELLO in the v3 envelope: an offer below 3 is refused, 3 and
+    // above are answered with 3.
+    for (offer, want) in [(1, None), (2, None), (3, Some(3)), (4, Some(3))] {
+        corr += 1;
+        write_frame(
+            &mut raw,
+            &Request::Hello { version: offer }.encode_v3(corr, 0),
+        )
+        .unwrap();
+        let (got, reply) = raw_reply(&mut raw);
+        assert_eq!(got, corr);
+        match want {
+            Some(version) => assert_eq!(reply, Reply::Hello { version }),
+            None => assert_eq!(error_code(&reply), ErrorCode::UnsupportedVersion),
+        }
+    }
+    // The refusals changed nothing: the same connection serves v3 and
+    // every reply matches in-process execution.
+    for (req, want) in stream.iter().zip(&expected) {
+        corr += 1;
+        write_frame(&mut raw, &req.encode_v3(corr, 0)).unwrap();
+        assert_eq!(raw_reply(&mut raw), (corr, want.clone()), "{req:?}");
+    }
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.stats_v3().unwrap().queries, stream.len() as u64);
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
@@ -388,18 +458,13 @@ fn batched_execution_matches_singleton_counters_over_the_wire() {
 
     // STATS counts each batch item as one query, with the same totals a
     // singleton stream would produce.
-    let (served, totals) = client.stats().unwrap();
-    assert_eq!(served, rects.len() as u64);
+    let stats = client.stats_v3().unwrap();
+    assert_eq!(stats.queries, rects.len() as u64);
     let mut expected_totals = QueryStats::default();
     for r in &expected {
         expected_totals.add(r.stats().unwrap());
     }
-    assert_eq!(totals, expected_totals);
-
-    // A v1 client gets the same answers via transparent unrolling.
-    let mut v1 = Client::connect_v1(addr).unwrap();
-    let unrolled = v1.call_batch(&batch).unwrap();
-    assert_eq!(unrolled, expected);
+    assert_eq!(stats.totals, expected_totals);
 
     client.shutdown().unwrap();
     handle.join().unwrap();
@@ -516,6 +581,46 @@ fn live_mutations_apply_over_the_wire_while_readers_run() {
 }
 
 #[test]
+fn out_of_world_inserts_are_refused_before_the_wal() {
+    // The PMR quadtree cannot place a point outside its 16K world; such
+    // an insert must be refused up front, not committed and then
+    // applied (which panics the worker in debug builds, and the replay
+    // after it). One worker: a dead worker would stall every later
+    // request.
+    let map = test_map();
+    let base = map.segments.len() as u64;
+    let (addr, handle) = start_live(LiveIndex::volatile(build(&map)), 1);
+    let mut client = Client::connect(addr).unwrap();
+    let edge = lsdb_geom::WORLD_SIZE;
+    for (a, b) in [
+        ((edge, 100), (edge - 10, 100)),
+        ((100, 100), (100, -1)),
+        ((-5, -5), (-1, -1)),
+        ((i32::MAX, i32::MIN), (0, 0)),
+    ] {
+        let seg = lsdb_geom::Segment {
+            a: lsdb_geom::Point::new(a.0, a.1),
+            b: lsdb_geom::Point::new(b.0, b.1),
+        };
+        let err = client.insert(seg).unwrap_err();
+        let code = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<ServerError>())
+            .map(|se| se.code);
+        assert_eq!(code, Some(ErrorCode::BadArgument), "{seg:?}");
+    }
+    // The same connection keeps answering queries, and nothing landed.
+    let probe = Request::Window(lsdb_geom::Rect::new(0, 0, edge - 1, edge - 1));
+    match client.call(&probe).unwrap() {
+        Reply::Segs { ids, .. } => assert_eq!(ids.len() as u64, base),
+        other => panic!("unexpected reply {other:?}"),
+    }
+    assert_eq!(client.open_map("default").unwrap(), (0, base));
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn acknowledged_wire_mutations_survive_a_server_restart() {
     // Round one: an empty durable store served over TCP; every mutation
     // acknowledged over the wire. Round two: reopen the same files,
@@ -537,15 +642,7 @@ fn acknowledged_wire_mutations_survive_a_server_restart() {
         let base = lsdb_core::FileStorage::create(&pages, 1024).unwrap();
         let log = lsdb_core::FileLog::create(&wal).unwrap();
         let (dmap, _) = lsdb_core::DurableMap::open(Box::new(base), Box::new(log)).unwrap();
-        let live = lsdb_core::LiveIndex::new(build(&empty), dmap);
-        let config = ServerConfig {
-            workers: 2,
-            read_timeout: Duration::from_millis(100),
-            ..Default::default()
-        };
-        let server = Server::bind_live("127.0.0.1:0", live, config).unwrap();
-        let addr = server.local_addr().unwrap();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let (addr, handle) = start_live(LiveIndex::new(build(&empty), dmap), 2);
 
         let mut client = Client::connect(addr).unwrap();
         for (i, seg) in segs.iter().enumerate() {

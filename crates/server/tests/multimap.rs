@@ -156,7 +156,6 @@ fn sixteen_maps_under_budget_answer_byte_identically_to_single_map_runs() {
 
     let (addr, handle) = start_catalog_server(catalog_for(&specs, budget, K));
     let mut client = Client::connect(addr).unwrap();
-    assert!(client.is_v3(), "negotiated v{}", client.version());
     let ids: Vec<u32> = specs
         .iter()
         .map(|spec| client.open_map(&spec.name).unwrap().0)
@@ -243,10 +242,10 @@ fn lru_close_reopen_churn_preserves_answers_and_counters() {
 }
 
 /// The catalog admin surface over the wire: open/list/close round-trips,
-/// unknown maps come back as structured `UnknownMap` errors, and pre-v3
-/// envelopes keep working against map 0.
+/// unknown maps come back as structured `UnknownMap` errors, and raw
+/// frames addressed to map 0 answer as the client's routing does.
 #[test]
-fn admin_ops_and_version_compat_route_as_specified() {
+fn admin_ops_and_raw_frames_route_as_specified() {
     let specs = continent(3, 400, 0xBEE);
     let (addr, handle) = start_catalog_server(catalog_for(&specs, 0, 3));
     let mut client = Client::connect(addr).unwrap();
@@ -282,20 +281,20 @@ fn admin_ops_and_version_compat_route_as_specified() {
         .map(|se| se.code);
     assert_eq!(code, Some(ErrorCode::UnknownMap));
 
-    // A v2 frame (no map field) lands on map 0 — same answer as routing
-    // to map 0 explicitly over v3.
+    // A hand-built frame to map 0 on a fresh connection gets the same
+    // answer as the client's routing, under its own correlation id.
     let probe = Request::Nearest(lsdb_geom::Point::new(500, 500));
-    let via_v3 = client.call_on(0, &probe).unwrap();
+    let via_client = client.call_on(0, &probe).unwrap();
     let mut raw = std::net::TcpStream::connect(addr).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    write_frame(&mut raw, &probe.encode_v2(7)).unwrap();
+    write_frame(&mut raw, &probe.encode_v3(7, 0)).unwrap();
     let payload = match read_frame(&mut raw, MAX_REPLY_FRAME).unwrap() {
         FrameEvent::Frame(p) => p,
         other => panic!("expected a reply frame, got {other:?}"),
     };
-    let (corr, via_v2) = decode_reply(&payload).unwrap();
-    assert_eq!(corr, Some(7));
-    assert_eq!(via_v2, via_v3);
+    let (corr, via_raw) = decode_reply(&payload).unwrap();
+    assert_eq!(corr, 7);
+    assert_eq!(via_raw, via_client);
 
     client.shutdown().unwrap();
     handle.join().unwrap();

@@ -11,8 +11,7 @@
 //! lsdb query MAP --structure pmr window X0 Y0 X1 Y1
 //! lsdb query MAP --structure pmr polygon X Y
 //! lsdb query MAP --structure pmr --stdin        # one query per line
-//! lsdb serve MAP --structure pmr --port 4750 --workers 4 [--max-frame B] \
-//!      [--store DIR] [--bulk]
+//! lsdb serve MAP --structure pmr --port 4750 --workers 4 [--store DIR] [--bulk]
 //! lsdb serve --continent 16 --county-segments 50000 --budget 8388608 \
 //!      --max-open 8 --bulk --structure rstar
 //! lsdb bench-client MAP --addr 127.0.0.1:4750 --workload range \
@@ -24,17 +23,15 @@
 //! ```
 //!
 //! Every query prints its answer and the paper's three metrics for it.
-//! `serve` exposes the built structure over the lsdb wire protocol (v3,
-//! with v1/v2 compatibility); with `--store DIR` the server also accepts
+//! `serve` exposes the built structure over the lsdb wire protocol as
+//! map 0 of a one-map catalog; with `--store DIR` the server also accepts
 //! `INSERT`/`DELETE`/`FLUSH`, journaling every acknowledged mutation to
 //! `DIR/ops.wal` (checkpointed into `DIR/ops.pages`) and replaying the
 //! log over the freshly built index on restart, so acknowledged writes
 //! survive a crash. With `--continent N` it instead hosts a catalog of N
 //! deterministic county maps behind one port — maps open lazily, close
 //! under `--max-open` pressure, and share one `--budget` of page-pool
-//! bytes. Its config is seeded from the environment
-//! ([`lsdb::server::ServerConfig::from_env`]) with flags taking
-//! precedence. `bench-client` is the matching load generator: closed
+//! bytes. `bench-client` is the matching load generator: closed
 //! loop by default, open loop at a fixed arrival rate with `--open-loop
 //! QPS` (tail percentiles up to p999), a single locality-sorted `BATCH`
 //! frame with `--batch`, or the multi-map mode with `--multimap K`
@@ -82,8 +79,8 @@ fn print_usage() {
          lsdb query FILE --structure S polygon X Y\n  \
          lsdb query FILE --structure S --stdin\n  \
          lsdb serve FILE [--structure S] [--addr HOST] [--port P] [--workers W] \\\n      \
-              [--max-frame B] [--page-size B] [--pool P] [--store DIR] [--bulk] \\\n      \
-              [--cache-bytes B] [--verbose]\n  \
+              [--page-size B] [--pool P] [--store DIR] [--bulk] [--cache-bytes B] \\\n      \
+              [--verbose]\n  \
          lsdb serve --continent N [--county-segments S] [--continent-seed S] \\\n      \
               [--budget BYTES] [--max-open M] [--bulk] [--structure S] \\\n      \
               [--cache-bytes B] [--verbose] [...]\n  \
@@ -92,10 +89,7 @@ fn print_usage() {
               [--cache] [--shutdown]\n  \
          lsdb bench-client --addr HOST:PORT --multimap K [--open-loop QPS] \\\n      \
               [--zipf THETA] [--county-segments S] [--continent-seed S] [...]\n\n\
-         bench-client workloads: point1 point2 nearest1 nearest2 polygon1 polygon2 range\n\
-         serve env fallbacks: LSDB_SERVER_WORKERS (or LSDB_THREADS), \
-         LSDB_SERVER_READ_TIMEOUT_MS,\n\
-         LSDB_SERVER_WRITE_TIMEOUT_MS, LSDB_SERVER_MAX_FRAME, LSDB_SERVER_VERBOSE"
+         bench-client workloads: point1 point2 nearest1 nearest2 polygon1 polygon2 range"
     );
 }
 
@@ -517,15 +511,10 @@ fn cmd_serve(rest: &[String]) -> i32 {
     let port: u16 = take_flag(&mut args, "--port")
         .map(|v| parse_or_die(&v, "--port"))
         .unwrap_or(4750);
-    // Environment variables seed the config (LSDB_SERVER_WORKERS /
-    // LSDB_THREADS / LSDB_SERVER_*); explicit flags override them.
-    let env_cfg = ServerConfig::from_env();
+    let defaults = ServerConfig::default();
     let workers: usize = take_flag(&mut args, "--workers")
         .map(|v| parse_or_die(&v, "--workers"))
-        .unwrap_or(env_cfg.workers);
-    let max_frame: u32 = take_flag(&mut args, "--max-frame")
-        .map(|v| parse_or_die(&v, "--max-frame"))
-        .unwrap_or(env_cfg.max_request_frame);
+        .unwrap_or(defaults.workers);
     let page = take_flag(&mut args, "--page-size")
         .map(|v| parse_or_die(&v, "--page-size"))
         .unwrap_or(1024usize);
@@ -558,13 +547,12 @@ fn cmd_serve(rest: &[String]) -> i32 {
         args.remove(i);
         true
     } else {
-        env_cfg.verbose
+        false
     };
     let config = ServerConfig {
         workers,
-        max_request_frame: max_frame,
         verbose,
-        ..env_cfg
+        ..defaults
     };
     if let Err(e) = config.validate() {
         eprintln!("{e}");
@@ -696,8 +684,6 @@ fn cmd_serve(rest: &[String]) -> i32 {
         }
         None => LiveIndex::volatile(idx),
     };
-    // A one-map catalog (exactly what bind_live builds) so the reply
-    // cache knob applies to the single-map server too.
     let catalog = Catalog::single(live);
     catalog.set_reply_cache_bytes(cache_bytes);
     if cache_bytes > 0 {
@@ -973,8 +959,8 @@ fn cmd_bench_client(rest: &[String]) -> i32 {
 /// The multi-map run: open `k` continental county maps on the server,
 /// generate each county's query stream locally (byte-identical to what
 /// a single-map run would issue), draw the per-request map from a
-/// Zipf(θ) popularity distribution, and fire the routed stream over v3
-/// connections — open loop at `target_qps` when given, closed loop
+/// Zipf(θ) popularity distribution, and fire the routed stream over
+/// `connections` connections — open loop at `target_qps` when given, closed loop
 /// otherwise (the mode cache hit-rate curves want: no arrival schedule
 /// to pick, the cache is the only variable).
 #[allow(clippy::too_many_arguments)]
@@ -1004,14 +990,6 @@ fn bench_multimap(
             return 1;
         }
     };
-    if !client.is_v3() {
-        eprintln!(
-            "--multimap needs a v3 (catalog) server; this one negotiated v{}",
-            client.version()
-        );
-        return 1;
-    }
-
     // Open every targeted county and build its local stream. Stream
     // length is the per-map worst case (a map could absorb the whole
     // run), cycled by cursor if the Zipf draw exceeds it.
@@ -1139,17 +1117,18 @@ fn bench_multimap(
 fn finish(addr: std::net::SocketAddr, report_cache: bool, send_shutdown: bool) -> i32 {
     match lsdb::server::Client::connect(addr) {
         Ok(mut client) => {
-            if let Ok((served, totals)) = client.stats() {
-                println!(
-                    "server     : {served} queries served since start, {} disk accesses total",
-                    totals.disk.total()
-                );
-            }
-            if report_cache {
-                match client.stats_v3() {
-                    Ok(stats) => print_reply_cache_summary(&stats.maps),
-                    Err(e) => eprintln!("reply-cache stats unavailable (needs a v3 server): {e}"),
+            match client.stats_v3() {
+                Ok(stats) => {
+                    println!(
+                        "server     : {} queries served since start, {} disk accesses total",
+                        stats.queries,
+                        stats.totals.disk.total()
+                    );
+                    if report_cache {
+                        print_reply_cache_summary(&stats.maps);
+                    }
                 }
+                Err(e) => eprintln!("server stats unavailable: {e}"),
             }
             if send_shutdown {
                 match client.shutdown() {
@@ -1166,7 +1145,7 @@ fn finish(addr: std::net::SocketAddr, report_cache: bool, send_shutdown: bool) -
     0
 }
 
-/// Sum the per-map reply-cache counters from a v3 STATS reply and print
+/// Sum the per-map reply-cache counters from a STATS reply and print
 /// one summary line (hit rate across all maps, resident bytes, churn).
 fn print_reply_cache_summary(maps: &[lsdb::server::MapStatsWire]) {
     let mut c = lsdb::server::ReplyCacheWire {
