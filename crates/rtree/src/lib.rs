@@ -295,22 +295,36 @@ impl RTree {
             // then minimum area. "This is superior to choosing the node
             // whose bounding rectangle would have to be enlarged the
             // least" (paper §3).
+            //
+            // The overlap sum is pruned exactly: `grown ⊇ e.rect`, so
+            // every term is ≥ 0 and the partial sum only rises. A child
+            // that does not grow adds nothing; a sibling that `grown`
+            // does not touch overlaps neither rectangle; and once the
+            // partial key reaches the best key the child can no longer
+            // win. The chosen child is the one the full sum picks.
             let mut best = 0;
             let mut best_key = (i64::MAX, i64::MAX, i64::MAX);
-            for (i, e) in entries.iter().enumerate() {
+            'children: for (i, e) in entries.iter().enumerate() {
                 let grown = e.rect.union(&rect);
-                let mut overlap_growth = 0;
-                for (j, o) in entries.iter().enumerate() {
-                    if i != j {
-                        overlap_growth +=
-                            grown.overlap_area(&o.rect) - e.rect.overlap_area(&o.rect);
+                let area = e.rect.area();
+                let enlargement = grown.area() - area;
+                let mut key = (0, enlargement, area);
+                if key >= best_key {
+                    continue;
+                }
+                if grown != e.rect {
+                    for (j, o) in entries.iter().enumerate() {
+                        if i == j || !grown.intersects(&o.rect) {
+                            continue;
+                        }
+                        key.0 += grown.overlap_area(&o.rect) - e.rect.overlap_area(&o.rect);
+                        if key >= best_key {
+                            continue 'children;
+                        }
                     }
                 }
-                let key = (overlap_growth, e.rect.enlargement(&rect), e.rect.area());
-                if key < best_key {
-                    best_key = key;
-                    best = i;
-                }
+                best_key = key;
+                best = i;
             }
             best
         } else {

@@ -14,8 +14,8 @@
 //!
 //! Every open map's buffer pools are attached to one shared
 //! [`BufferBudget`], so the process meters *total* page bytes across
-//! maps rather than per-map pool caps. After each query the executing
-//! worker calls [`Catalog::enforce`]:
+//! maps rather than per-map pool caps. After each query the event loop
+//! that ran it calls [`Catalog::enforce`]:
 //!
 //! * **Budget pressure** — while the budget is overshot, a second-chance
 //!   clock sweeps the open maps: a map whose reference bit is set (it
@@ -81,7 +81,7 @@ impl MapSlot {
         &self.stats
     }
 
-    /// This map's reply cache (the executor probes and fills it).
+    /// This map's reply cache (queries probe and fill it).
     pub fn reply_cache(&self) -> &ReplyCache {
         &self.reply_cache
     }

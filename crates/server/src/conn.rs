@@ -87,7 +87,7 @@ pub(crate) struct Conn {
     /// prefix (compacted lazily, like `FrameBuf`).
     wbuf: Vec<u8>,
     wstart: usize,
-    /// Requests handed to the executor and not yet completed.
+    /// Requests queued as jobs this round and not yet answered.
     pub inflight: usize,
     /// Peer sent EOF (or an unrecoverable frame): stop reading.
     pub read_closed: bool,

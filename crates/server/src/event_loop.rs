@@ -1,79 +1,95 @@
-//! The readiness-driven I/O loop: one thread multiplexes the listener,
-//! the worker wake pipe, and every client connection through `poll(2)`.
+//! The server's event loops. Every server thread runs one `poll(2)` loop
+//! over its own connections and carries each request it reads through
+//! decode, execution on its own warm [`QueryCtx`], and the reply write.
 //!
-//! The loop never executes a spatial query itself. It accepts, reads,
-//! peels frames, answers service ops inline, and forwards spatial work
-//! to the executor pool over a channel; completed replies come back over
-//! a second channel (the workers nudge the self-pipe so a blocked `poll`
-//! returns immediately). Because frame decode and byte shuffling are
-//! cheap next to query execution, one I/O thread keeps thousands of
-//! pipelined connections busy against a handful of executor workers.
+//! Loop 0 alone owns the listener. It deals accepted connection k to
+//! loop k mod `workers` through that loop's [`Inbox`] — the one
+//! cross-thread hand-off, made once per connection. One poll round:
 //!
-//! # Drain protocol
+//! 1. read every ready connection and peel its complete frames;
+//! 2. answer `PING`, `HELLO`, `SHUTDOWN` and decode errors inline, and
+//!    flush those replies;
+//! 3. run the round's spatial and admin jobs FIFO, flushing each reply as
+//!    soon as its job finishes.
 //!
-//! `SHUTDOWN` (wire) or [`crate::ShutdownHandle`] flips the shared flag.
-//! The loop then drops the listener (new connects are refused by the
-//! OS), closes idle connections outright, answers any *further* frames
-//! with `ShuttingDown`, and exits once every connection has flushed its
-//! owed replies and closed. Dropping the job sender on exit is what
-//! terminates the executor workers.
+//! So a `PING` pipelined behind a slow `POLYGON` is answered first. The
+//! trade-off: a slow query or a lazy map build delays the other
+//! connections of its own loop, and connections never move between loops.
+//!
+//! Drain: once the shutdown flag is up, a loop takes no new connections,
+//! closes idle ones, answers further frames with `ShuttingDown`, and
+//! exits when its connections have flushed what they are owed.
 
 use crate::conn::Conn;
-use crate::executor::{Completion, Job, Work};
+use crate::executor::{self, Job, Work};
 use crate::protocol::{
     decode_request, ErrorCode, Reply, Request, MAX_REQUEST_FRAME, PROTOCOL_VERSION,
 };
 use crate::server::Shared;
 use crate::sys::{poll_fds, PollFd, WakePipe, POLLIN, POLLOUT};
+use lsdb_core::QueryCtx;
 use std::collections::HashMap;
 use std::io;
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Cadence of the `--verbose` one-line serving summary.
 const VERBOSE_PERIOD: Duration = Duration::from_secs(2);
 
-pub(crate) fn run(
-    listener: TcpListener,
-    shared: &Shared,
-    job_tx: Sender<Job>,
-    done_rx: Receiver<Completion>,
-    wake: &WakePipe,
-    connections: &AtomicU64,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
+/// One loop's mailbox: the connections loop 0 dealt it, and the pipe that
+/// wakes its `poll`.
+pub(crate) struct Inbox {
+    /// Only ever pushed to or emptied whole, so a poisoned lock still
+    /// guards a valid list and is recovered rather than propagated.
+    dealt: Mutex<Vec<TcpStream>>,
+    pub wake: WakePipe,
+    /// How many connections the loop holds (for the `--verbose` line).
+    open: AtomicUsize,
+}
+
+impl Inbox {
+    pub fn new() -> io::Result<Inbox> {
+        Ok(Inbox {
+            dealt: Mutex::new(Vec::new()),
+            wake: WakePipe::new()?,
+            open: AtomicUsize::new(0),
+        })
+    }
+}
+
+/// Run loop `index` until it has drained; loop 0 gets the (nonblocking)
+/// listener. A failed `poll` drains every other loop too.
+pub(crate) fn run(index: usize, listener: Option<TcpListener>, shared: &Shared) -> io::Result<()> {
+    let inbox = &shared.inboxes[index];
     let mut lp = Loop {
-        listener: Some(listener),
+        listener,
         conns: HashMap::new(),
         next_id: 0,
         shared,
-        job_tx,
         draining: false,
+        ctx: QueryCtx::new(),
+        jobs: Vec::new(),
     };
     // Bound the poll so the loop notices an out-of-band ShutdownHandle
-    // flip even with no I/O traffic; read_timeout doubles as that
-    // cadence exactly as it did for the blocking server's workers.
+    // flip even with no I/O traffic.
     let poll_ms = shared.config.read_timeout.as_millis().clamp(10, 1_000) as i32;
     let mut last_summary = Instant::now();
+    let (mut fds, mut ids) = (Vec::new(), Vec::new());
 
     loop {
         // Periodic serving telemetry, off unless `--verbose`: one stderr
         // line with budget residency, evictions, and cache activity.
-        if shared.config.verbose && last_summary.elapsed() >= VERBOSE_PERIOD {
+        if index == 0 && shared.config.verbose && last_summary.elapsed() >= VERBOSE_PERIOD {
             last_summary = Instant::now();
-            eprintln!(
-                "[serve] conns {} · {}",
-                lp.conns.len(),
-                shared.catalog.activity_line()
-            );
-        }
-        // Route completed work before sleeping: replies queued here also
-        // register write interest for this round's poll.
-        for done in done_rx.try_iter() {
-            lp.complete(done);
+            let conns: usize = shared
+                .inboxes
+                .iter()
+                .map(|i| i.open.load(Ordering::Relaxed))
+                .sum();
+            eprintln!("[serve] conns {conns} · {}", shared.catalog.activity_line());
         }
         if shared.shutdown.load(Ordering::SeqCst) && !lp.draining {
             lp.begin_drain();
@@ -82,15 +98,16 @@ pub(crate) fn run(
             return Ok(());
         }
 
-        // fds[0] = wake pipe, fds[1] = listener (while accepting), then
-        // one slot per connection (ids carried alongside).
-        let mut fds = Vec::with_capacity(2 + lp.conns.len());
-        fds.push(PollFd::new(wake.poll_fd(), POLLIN));
+        // fds[0] = wake pipe, fds[1] = listener (loop 0, while
+        // accepting), then one slot per connection (ids carried
+        // alongside).
+        fds.clear();
+        ids.clear();
+        fds.push(PollFd::new(inbox.wake.poll_fd(), POLLIN));
         if let Some(l) = &lp.listener {
             fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
         }
         let conn_base = fds.len();
-        let mut ids = Vec::with_capacity(lp.conns.len());
         for (&id, conn) in &lp.conns {
             let mut events = 0i16;
             if !conn.read_closed {
@@ -100,25 +117,29 @@ pub(crate) fn run(
                 events |= POLLOUT;
             }
             ids.push(id);
-            fds.push(PollFd::new(conn.raw_fd(), events));
+            fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
         }
 
-        poll_fds(&mut fds, poll_ms)?;
-
+        if let Err(e) = poll_fds(&mut fds, poll_ms) {
+            shared.drain_all();
+            return Err(e);
+        }
         if fds[0].readable() {
-            wake.drain();
+            inbox.wake.drain();
+            lp.adopt(inbox);
         }
-        if lp.listener.is_some() && fds[conn_base - 1].readable() {
-            lp.accept_ready(connections);
+        if lp.listener.is_some() && fds[1].readable() {
+            lp.accept_ready();
         }
         for (slot, &id) in ids.iter().enumerate() {
             let pfd = fds[conn_base + slot];
-            if pfd.revents == 0 {
-                continue;
+            if pfd.revents != 0 {
+                lp.service(id, pfd.readable());
             }
-            lp.service(id, pfd.readable(), pfd.writable());
         }
+        lp.run_jobs();
         lp.reap_stalled();
+        inbox.open.store(lp.conns.len(), Ordering::Relaxed);
     }
 }
 
@@ -127,14 +148,11 @@ struct Loop<'a> {
     conns: HashMap<u64, Conn>,
     next_id: u64,
     shared: &'a Shared<'a>,
-    job_tx: Sender<Job>,
     draining: bool,
-}
-
-impl Conn {
-    fn raw_fd(&self) -> i32 {
-        self.stream.as_raw_fd()
-    }
+    /// The warm context every job of this loop runs on.
+    ctx: QueryCtx,
+    /// This round's spatial and admin work, in arrival order.
+    jobs: Vec<Job>,
 }
 
 impl Loop<'_> {
@@ -144,88 +162,104 @@ impl Loop<'_> {
         self.conns.retain(|_, c| !c.is_idle());
     }
 
-    fn accept_ready(&mut self, connections: &AtomicU64) {
-        let Some(listener) = &self.listener else {
-            return;
-        };
-        loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    connections.fetch_add(1, Ordering::Relaxed);
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    stream.set_nodelay(true).ok();
-                    let id = self.next_id;
-                    self.next_id += 1;
-                    self.conns.insert(id, Conn::new(stream));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Listener broke: stop accepting, keep serving.
-                    self.listener = None;
-                    return;
-                }
+    /// Take over the connections dealt to this loop (a draining loop
+    /// closes them instead).
+    fn adopt(&mut self, inbox: &Inbox) {
+        let dealt =
+            std::mem::take(&mut *inbox.dealt.lock().unwrap_or_else(PoisonError::into_inner));
+        if !self.draining {
+            for stream in dealt {
+                self.conns.insert(self.next_id, Conn::new(stream));
+                self.next_id += 1;
             }
         }
     }
 
-    /// Handle one connection's readiness. Any transport error drops the
-    /// connection (and orphans its in-flight completions, which
-    /// [`Loop::complete`] discards).
-    fn service(&mut self, id: u64, readable: bool, writable: bool) {
+    /// Accept every pending connection and deal the k-th one accepted to
+    /// loop k mod `workers` (loop 0 included, through its own inbox).
+    fn accept_ready(&mut self) {
+        while let Some(listener) = &self.listener {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    let k = self.shared.connections.fetch_add(1, Ordering::Relaxed);
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    stream.set_nodelay(true).ok();
+                    let inboxes = self.shared.inboxes;
+                    let inbox = &inboxes[(k % inboxes.len() as u64) as usize];
+                    let mut dealt = inbox.dealt.lock().unwrap_or_else(PoisonError::into_inner);
+                    dealt.push(stream);
+                    inbox.wake.wake();
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // Listener broke: stop accepting, keep serving.
+                Err(_) => self.listener = None,
+            }
+        }
+    }
+
+    /// Read one ready connection (answering its inline frames and queueing
+    /// its jobs), then flush. Any transport error drops the connection,
+    /// and with it the jobs it queued this round.
+    fn service(&mut self, id: u64, readable: bool) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         if readable && !conn.read_closed {
             match conn.fill() {
-                Ok(eof) => {
-                    if eof {
-                        conn.read_closed = true;
-                    }
-                }
+                Ok(eof) => conn.read_closed |= eof,
                 Err(_) => {
                     self.conns.remove(&id);
                     return;
                 }
             }
-            if self.parse_frames(id).is_err() {
-                self.conns.remove(&id);
-                return;
-            }
+            self.parse_frames(id);
         }
+        self.settle(id);
+    }
+
+    /// Run the round's jobs in arrival order, each reply flushed as soon
+    /// as it is ready. Jobs of a connection that died this round are
+    /// dropped unrun: nobody is left to answer.
+    fn run_jobs(&mut self) {
+        let mut jobs = std::mem::take(&mut self.jobs);
+        for job in jobs.drain(..) {
+            let Some(conn) = self.conns.get_mut(&job.conn) else {
+                continue;
+            };
+            let payload = executor::execute(&job, self.shared, &mut self.ctx);
+            conn.inflight -= 1;
+            conn.queue(&payload);
+            self.settle(job.conn);
+        }
+        self.jobs = jobs; // keep the capacity for the next round
+    }
+
+    /// Flush what `id` owes, then close it if it is done: a transport
+    /// error, or nothing owed once it asked to close or reached EOF.
+    fn settle(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if (writable || conn.wants_write()) && conn.flush().is_err() {
-            self.conns.remove(&id);
-            return;
-        }
-        let conn = &self.conns[&id];
-        let done_writing = !conn.wants_write();
-        let close = (conn.close_after_flush && done_writing && conn.inflight == 0)
-            || (conn.read_closed && conn.is_idle());
-        if close {
+        if conn.flush().is_err() || (conn.is_idle() && (conn.close_after_flush || conn.read_closed))
+        {
             self.conns.remove(&id);
         }
     }
 
-    /// Peel and dispatch every complete frame. `Err(())` means the
-    /// connection is already gone.
-    fn parse_frames(&mut self, id: u64) -> Result<(), ()> {
-        loop {
-            let Some(conn) = self.conns.get_mut(&id) else {
-                return Err(());
-            };
+    /// Peel and dispatch every complete frame.
+    fn parse_frames(&mut self, id: u64) {
+        while let Some(conn) = self.conns.get_mut(&id) {
             if conn.close_after_flush {
                 // Nothing past a fatal frame (or an acknowledged BYE) is
                 // served; leftover buffered bytes are discarded.
-                return Ok(());
+                return;
             }
             match conn.rbuf.next_frame(MAX_REQUEST_FRAME) {
                 Ok(Some(payload)) => self.dispatch(id, &payload),
-                Ok(None) => return Ok(()),
+                Ok(None) => return,
                 Err(n) => {
                     // Unrecoverable framing: answer, stop reading, hang
                     // up once the error (and any owed replies already
@@ -251,14 +285,14 @@ impl Loop<'_> {
                             _ => break,
                         }
                     }
-                    return Ok(());
+                    return;
                 }
             }
         }
     }
 
     /// Decode one frame and either answer it inline (service ops,
-    /// errors, drain refusals) or enqueue it for the executor.
+    /// errors, drain refusals) or queue it as one of this round's jobs.
     fn dispatch(&mut self, id: u64, payload: &[u8]) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
@@ -305,10 +339,9 @@ impl Loop<'_> {
                 queue_reply(conn, frame.corr, reply);
             }
             Request::Shutdown => {
-                self.shared.shutdown.store(true, Ordering::SeqCst);
+                self.shared.drain_all();
                 queue_reply(conn, frame.corr, Reply::Bye);
                 conn.close_after_flush = true;
-                // The next loop iteration observes the flag and drains.
             }
             req => {
                 let work = match req {
@@ -320,36 +353,14 @@ impl Loop<'_> {
                     other => Work::Single(other),
                 };
                 conn.inflight += 1;
-                if self
-                    .job_tx
-                    .send(Job {
-                        conn: id,
-                        corr: frame.corr,
-                        map: frame.map,
-                        work,
-                    })
-                    .is_err()
-                {
-                    // Executor gone (only during teardown): refuse.
-                    conn.inflight -= 1;
-                    let reply = Reply::Error {
-                        code: ErrorCode::ShuttingDown,
-                        message: "server is draining".into(),
-                    };
-                    queue_reply(conn, frame.corr, reply);
-                }
+                self.jobs.push(Job {
+                    conn: id,
+                    corr: frame.corr,
+                    map: frame.map,
+                    work,
+                });
             }
         }
-    }
-
-    /// Route one executor completion back onto its connection (dropped
-    /// silently if the connection died while the query ran).
-    fn complete(&mut self, done: Completion) {
-        let Some(conn) = self.conns.get_mut(&done.conn) else {
-            return;
-        };
-        conn.inflight -= 1;
-        conn.queue(&done.payload);
     }
 
     /// Drop connections whose peer has not accepted a byte of a pending

@@ -1,54 +1,39 @@
-//! The fixed executor pool: spatial work decoded by the event loop runs
-//! here, one job per worker at a time, each worker owning a warm
-//! [`QueryCtx`].
+//! Job execution: the spatial and admin work an event loop runs on its
+//! own warm [`QueryCtx`], one job at a time.
 //!
-//! Every job carries the catalog id of the map it is routed to. The
-//! worker resolves the slot through
-//! [`crate::catalog::Catalog::with_live`], which opens cold maps lazily
-//! and enforces the buffer budget after the query's read guard is gone.
-//! Singleton requests reset the context per query exactly as the PR-2
-//! worker pool did. Batch requests run through
-//! [`lsdb_core::execute_batch`], which Morton-sorts the batch so the
-//! context's page pins and segment mini-cache stay warm across
-//! neighboring queries — while charging counters per item byte-identically
-//! to singleton execution. Catalog admin ops (`OPEN_MAP`, `LIST_MAPS`,
-//! `CLOSE_MAP`, `STATS`) also run here: opening a map may build it, which
-//! must never stall the I/O thread. Completed replies travel back to the
-//! event loop already enveloped, so it only moves bytes.
+//! A job names the catalog map it is routed to; the loop resolves it
+//! through [`crate::catalog::Catalog::with_live`], which opens cold maps
+//! lazily and enforces the buffer budget after the query's read guard is
+//! gone. Catalog admin ops (`OPEN_MAP`, `LIST_MAPS`, `CLOSE_MAP`,
+//! `STATS`) are jobs too, because opening a map may build it. A job's
+//! reply leaves already enveloped, so the loop only moves bytes.
 
 use crate::catalog::Catalog;
 use crate::protocol::{ErrorCode, Reply, Request, MAX_BATCH_ITEMS};
 use crate::server::Shared;
-use crate::sys::WakePipe;
 use lsdb_core::{execute_batch, queries, BatchAnswer, BatchRequest, QueryCtx};
 use lsdb_geom::world_rect;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
-/// The work itself (inline service ops never reach the executor).
+/// The work itself (inline service ops never become jobs).
 pub(crate) enum Work {
     Single(Request),
     Batch(BatchRequest),
     /// A catalog admin op (`OPEN_MAP`/`LIST_MAPS`/`CLOSE_MAP`/`STATS`) —
-    /// routed here because opening a map can build it.
+    /// queued because opening a map can build it.
     Admin(Request),
 }
 
-/// One decoded request handed from the event loop to the pool.
+/// One decoded request waiting for its loop to run it.
 pub(crate) struct Job {
+    /// The loop's id of the connection that sent it.
     pub conn: u64,
     /// Correlation id the reply envelope echoes.
     pub corr: u32,
     /// Catalog id the request is routed to.
     pub map: u32,
     pub work: Work,
-}
-
-/// One enveloped reply handed back from the pool to the event loop.
-pub(crate) struct Completion {
-    pub conn: u64,
-    pub payload: Vec<u8>,
 }
 
 /// What executing a job produced: a freshly computed [`Reply`], or the
@@ -69,46 +54,30 @@ impl Outcome {
     }
 }
 
-/// Worker body: dequeue, execute, encode, post the completion, wake the
-/// poller. Exits when the job channel disconnects (the event loop drops
-/// its sender on drain).
-pub(crate) fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    shared: &Shared,
-    done: &Sender<Completion>,
-    wake: &WakePipe,
-) {
-    let mut ctx = QueryCtx::new();
-    loop {
-        // Hold the lock only for the dequeue, never while executing.
-        let job = {
-            let rx = rx.lock().unwrap();
-            rx.recv_timeout(Duration::from_millis(50))
-        };
-        match job {
-            Ok(job) => {
-                let outcome = match &job.work {
-                    Work::Single(req) => run_single(job.map, req, shared, &mut ctx),
-                    Work::Batch(req) => Outcome::Fresh(run_batch(job.map, req, shared, &mut ctx)),
-                    Work::Admin(req) => Outcome::Fresh(run_admin(req, shared.catalog)),
-                };
-                let payload = outcome.into_payload(job.corr);
-                if done
-                    .send(Completion {
-                        conn: job.conn,
-                        payload,
-                    })
-                    .is_err()
-                {
-                    return; // event loop is gone
-                }
-                wake.wake();
+/// Run `job` on `ctx` and envelope its reply. A panic stays inside its
+/// own request: it is answered `Internal` with the panic message, and
+/// `ctx` is replaced by a fresh context (the old one may hold half-done
+/// pins).
+pub(crate) fn execute(job: &Job, shared: &Shared, ctx: &mut QueryCtx) -> Vec<u8> {
+    let run = AssertUnwindSafe(|| match &job.work {
+        Work::Single(req) => run_single(job.map, req, shared, ctx),
+        Work::Batch(req) => Outcome::Fresh(run_batch(job.map, req, shared, ctx)),
+        Work::Admin(req) => Outcome::Fresh(run_admin(req, shared.catalog)),
+    });
+    match catch_unwind(run) {
+        Ok(outcome) => outcome.into_payload(job.corr),
+        Err(panic) => {
+            *ctx = QueryCtx::new();
+            let what = panic
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Reply::Error {
+                code: ErrorCode::Internal,
+                message: format!("request panicked: {what}"),
             }
-            // Timeouts just re-poll: the event loop owns the only sender
-            // and drops it when it exits, which lands here as
-            // `Disconnected` — the one (and race-free) exit signal.
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
+            .encode_v3(job.corr)
         }
     }
 }
@@ -130,7 +99,8 @@ fn wal_failed(what: &str, e: &std::io::Error) -> Reply {
 /// mutation), and are *not* counted as spatial queries — the paper's
 /// aggregates stay comparable under mixed workloads. An insert is
 /// refused before the commit unless both endpoints lie inside the 16K
-/// world: no structure can place anything else, and a committed op that
+/// world and differ: no structure can place anything else, the queries'
+/// angle geometry needs a nonzero direction, and a committed op that
 /// cannot be applied would fail its replay too.
 ///
 /// Queries probe the slot's reply cache first: a hit returns the stored
@@ -150,6 +120,12 @@ fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> O
                     return Outcome::Fresh(Reply::Error {
                         code: ErrorCode::BadArgument,
                         message: format!("segment {seg:?} leaves the world {world:?}"),
+                    });
+                }
+                if seg.is_degenerate() {
+                    return Outcome::Fresh(Reply::Error {
+                        code: ErrorCode::BadArgument,
+                        message: format!("segment {seg:?} has zero length"),
                     });
                 }
                 return match live.insert(seg) {
@@ -234,12 +210,12 @@ fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> O
                         stats: ctx.stats(),
                     }
                 }
-                // Service and admin ops are answered elsewhere and never
-                // enqueued as Single; mutations returned above.
+                // Service and admin ops never become Single jobs;
+                // mutations returned above.
                 _ => {
                     return Outcome::Fresh(Reply::Error {
                         code: ErrorCode::Malformed,
-                        message: "service op routed to executor".into(),
+                        message: "service op queued as a spatial job".into(),
                     })
                 }
             };

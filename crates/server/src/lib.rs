@@ -4,11 +4,11 @@
 //! The paper's evaluation is batch-shaped: build an index, run the query
 //! workloads, read the counters. This crate adds the build-once/serve-many
 //! layer a production deployment needs: the index is built once, stays
-//! resident, and a readiness-driven event loop multiplexes every client
-//! connection over one I/O thread while a fixed executor pool answers
-//! queries — every request running through the `&self` query path with
-//! its own [`lsdb_core::QueryCtx`], exactly as the in-process parallel
-//! driver does. Remote answers and per-query counters are therefore
+//! resident, and a fixed set of run-to-completion event loops serves it —
+//! each loop thread reads, executes and replies for its own connections,
+//! every request running through the `&self` query path on the loop's
+//! [`lsdb_core::QueryCtx`], exactly as the in-process parallel driver
+//! does. Remote answers and per-query counters are therefore
 //! byte-identical to in-process execution; the wire only adds latency,
 //! which the bundled load generators (closed- and open-loop) measure.
 //!
@@ -34,7 +34,7 @@
 //!   (never panics on malformed bytes),
 //! * [`catalog`] — the map catalog: named slots, lazy builders, clock
 //!   eviction, cross-map budget enforcement, per-map counters,
-//! * [`server`] — event loop + executor pool, graceful drain on
+//! * [`server`] — run-to-completion event loops, graceful drain on
 //!   `SHUTDOWN`; [`Server::bind_catalog`] is the one entry point,
 //! * [`client`] — blocking one-connection client with map routing,
 //!   batching, and pipelining,

@@ -1,36 +1,33 @@
-//! The serving backbone: one readiness-driven I/O thread multiplexing
-//! every connection, plus a fixed executor pool running the queries.
-//!
-//! [`Server::run`] spawns `workers` executor threads (each owning a warm
-//! [`lsdb_core::QueryCtx`]) and then runs the event loop on
-//! the calling thread. The loop accepts, frames, and decodes; spatial
-//! work crosses to the executors over a channel and encoded replies come
-//! back over another, so a single I/O thread supports thousands of
-//! pipelined connections. Per-query counters fold into both the queried
-//! map's [`lsdb_core::SharedStats`] and the catalog-wide aggregate (what
-//! the `STATS` op reports), exactly as the in-process parallel driver
-//! folds them — totals are independent of connection count, pipelining
-//! depth, or batch shape. Shutdown is
-//! graceful: a `SHUTDOWN` request (or [`ShutdownHandle::shutdown`]) stops
-//! the acceptor, owed replies flush, and every thread exits.
+//! The serving backbone: `workers` run-to-completion event loops, one
+//! thread each, the calling thread being loop 0. Loop 0 accepts and deals
+//! connections round-robin; each loop reads, executes and replies for
+//! its own connections on its own warm [`lsdb_core::QueryCtx`], so a
+//! request never leaves the thread that read it (and a slow query delays
+//! only the other connections of its loop). Per-query counters fold into
+//! both the queried map's [`lsdb_core::SharedStats`] and the catalog-wide
+//! aggregate (what the `STATS` op reports), exactly as the in-process
+//! parallel driver folds them — totals are independent of connection
+//! count, pipelining depth, or batch shape. Shutdown is graceful: a
+//! `SHUTDOWN` request (or [`ShutdownHandle::shutdown`]) stops the
+//! acceptor, owed replies flush, and every loop exits.
 
 use crate::catalog::Catalog;
-use crate::event_loop;
-use crate::executor::{self, Completion, Job};
-use crate::sys::WakePipe;
+use crate::event_loop::{self, Inbox};
 use lsdb_core::QueryStats;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning knobs for [`Server`]: a struct literal over
 /// [`ServerConfig::default`], checked by [`Server::bind_catalog`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Executor worker threads (the I/O thread is extra and fixed at
-    /// one). Each worker runs one query or batch at a time.
+    /// Event loops, one thread each (the thread calling [`Server::run`]
+    /// is the first). Each loop serves the connections dealt to it and
+    /// runs one query or batch at a time.
     pub workers: usize,
     /// Poll cadence for noticing an out-of-band shutdown on an otherwise
     /// idle server. Keep it small when fast drain matters.
@@ -139,6 +136,7 @@ impl Server {
     ) -> io::Result<Server> {
         config.validate()?;
         let listener = TcpListener::bind(addr)?;
+        listener.set_nonblocking(true)?;
         Ok(Server {
             listener,
             catalog,
@@ -158,8 +156,9 @@ impl Server {
     }
 
     /// Serve until shutdown, then return the lifetime aggregates. Blocks
-    /// the calling thread (which becomes the I/O thread); spawn it on a
-    /// thread if the caller must keep running.
+    /// the calling thread (which becomes event loop 0); spawn it on a
+    /// thread if the caller must keep running. If a loop fails, every
+    /// loop drains and the first failure (in loop order) is returned.
     pub fn run(self) -> io::Result<ServerReport> {
         let Server {
             listener,
@@ -168,31 +167,28 @@ impl Server {
             shutdown,
         } = self;
         let connections = AtomicU64::new(0);
-        let wake = WakePipe::new()?;
-        let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-        let (done_tx, done_rx) = std::sync::mpsc::channel::<Completion>();
-        let job_rx = Mutex::new(job_rx);
-
+        let inboxes = (0..config.workers)
+            .map(|_| Inbox::new())
+            .collect::<io::Result<Vec<_>>>()?;
         let shared = Shared {
             catalog: &catalog,
             shutdown: &shutdown,
             config: &config,
+            inboxes: &inboxes,
+            connections: &connections,
         };
 
-        let result = std::thread::scope(|scope| {
-            for _ in 0..config.workers {
-                let job_rx = &job_rx;
-                let shared = &shared;
-                let done_tx = done_tx.clone();
-                let wake = &wake;
-                scope.spawn(move || executor::worker_loop(job_rx, shared, &done_tx, wake));
-            }
-            drop(done_tx); // workers hold the only senders now
-                           // The event loop runs here; dropping `job_tx` when it exits
-                           // disconnects the channel and terminates the workers.
-            event_loop::run(listener, &shared, job_tx, done_rx, &wake, &connections)
-        });
-        result?;
+        std::thread::scope(|scope| {
+            let shared = &shared;
+            let loops: Vec<_> = (1..config.workers)
+                .map(|k| scope.spawn(move || event_loop::run(k, None, shared)))
+                .collect();
+            let first = event_loop::run(0, Some(listener), shared);
+            let rest = loops
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+            rest.fold(first, io::Result::and)
+        })?;
 
         Ok(ServerReport {
             queries: catalog.aggregate().queries(),
@@ -202,12 +198,28 @@ impl Server {
     }
 }
 
-/// Everything the event loop and executors share, borrowed for the scope
-/// of [`Server::run`].
+/// Everything the event loops share, borrowed for the scope of
+/// [`Server::run`].
 pub(crate) struct Shared<'a> {
     pub catalog: &'a Catalog,
     pub shutdown: &'a AtomicBool,
     pub config: &'a ServerConfig,
+    /// One per loop, indexed by loop number.
+    pub inboxes: &'a [Inbox],
+    /// Connections accepted so far (the deal counter).
+    pub connections: &'a AtomicU64,
+}
+
+impl Shared<'_> {
+    /// Flip the shutdown flag and wake every loop so each starts
+    /// draining now (a [`ShutdownHandle`] flip is only seen at the next
+    /// poll timeout).
+    pub fn drain_all(&self) {
+        self.shutdown.store(true, Ordering::SeqCst);
+        for inbox in self.inboxes {
+            inbox.wake.wake();
+        }
+    }
 }
 
 #[cfg(test)]

@@ -45,10 +45,6 @@ impl PollFd {
     pub fn readable(&self) -> bool {
         self.revents & (POLLIN | POLLERR | POLLHUP) != 0
     }
-
-    pub fn writable(&self) -> bool {
-        self.revents & (POLLOUT | POLLERR | POLLHUP) != 0
-    }
 }
 
 extern "C" {
@@ -89,8 +85,9 @@ fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     Ok(())
 }
 
-/// Self-pipe waker: worker threads [`WakePipe::wake`] after posting a
-/// completion, which makes the event loop's `poll` return immediately.
+/// Self-pipe waker: [`WakePipe::wake`] makes the owning event loop's
+/// `poll` return immediately (a connection was dealt to it, or the
+/// server is draining).
 /// Both ends are nonblocking — a full pipe means a wake is already
 /// pending, which is all the signal carries.
 pub struct WakePipe {

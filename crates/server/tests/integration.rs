@@ -156,11 +156,11 @@ fn enveloped(corr: u32, body: &[u8]) -> Vec<u8> {
 #[test]
 fn concurrent_clients_match_in_process_execution_and_drain_cleanly() {
     let map = test_map();
-    let index = build(&map);
     let stream = mixed_stream(&map, 25, 0xBEEF);
 
     // Ground truth: every request executed in-process, plus the summed
     // counters the server's STATS op must report per pass.
+    let index = build(&map);
     let expected: Vec<Reply> = stream
         .iter()
         .map(|r| run_in_process(index.as_ref(), r))
@@ -169,46 +169,53 @@ fn concurrent_clients_match_in_process_execution_and_drain_cleanly() {
     for r in &expected {
         expected_totals.add(r.stats().unwrap());
     }
-
-    let (addr, handle) = start_server(index);
     const CLIENTS: usize = 4;
-
-    std::thread::scope(|scope| {
-        for c in 0..CLIENTS {
-            let stream = &stream;
-            let expected = &expected;
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
-                client.ping().unwrap();
-                for (i, req) in stream.iter().enumerate() {
-                    let reply = client.call(req).unwrap();
-                    assert_eq!(&reply, &expected[i], "client {c}, request {i}: {req:?}");
-                }
-            });
-        }
-    });
-
-    // Counters aggregate across all clients exactly: four identical
-    // passes, each a plain sum of per-query values.
-    let mut client = Client::connect(addr).unwrap();
-    let stats = client.stats_v3().unwrap();
-    assert_eq!(stats.queries, (CLIENTS * stream.len()) as u64);
     let mut four = QueryStats::default();
     for _ in 0..CLIENTS {
         four.add(expected_totals);
     }
-    assert_eq!(stats.totals, four);
 
-    client.shutdown().unwrap();
-    let report = handle.join().unwrap();
-    assert_eq!(report.queries, (CLIENTS * stream.len()) as u64);
-    assert_eq!(report.totals, four);
-    assert!(report.connections >= (CLIENTS + 1) as u64);
+    // One event loop, fewer loops than clients, and as many. With three
+    // loops the fifth connection (the final SHUTDOWN) is dealt to loop
+    // 1, so the drain has to wake loops 0 and 2 from another thread.
+    for workers in 1..=4 {
+        let (addr, handle) = start_live(LiveIndex::volatile(build(&map)), workers);
+        std::thread::scope(|scope| {
+            for c in 0..CLIENTS {
+                let stream = &stream;
+                let expected = &expected;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    client.ping().unwrap();
+                    for (i, req) in stream.iter().enumerate() {
+                        let reply = client.call(req).unwrap();
+                        assert_eq!(
+                            &reply, &expected[i],
+                            "{workers} loops, client {c}, request {i}: {req:?}"
+                        );
+                    }
+                });
+            }
+        });
 
-    // The listener is gone: new connections are refused (allow a moment
-    // for the OS to tear the socket down).
-    std::thread::sleep(Duration::from_millis(100));
-    assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(250)).is_err());
+        // Counters aggregate across all clients exactly: four identical
+        // passes, each a plain sum of per-query values.
+        let mut client = Client::connect(addr).unwrap();
+        let stats = client.stats_v3().unwrap();
+        assert_eq!(stats.queries, (CLIENTS * stream.len()) as u64);
+        assert_eq!(stats.totals, four, "{workers} loops");
+
+        client.shutdown().unwrap();
+        let report = handle.join().unwrap();
+        assert_eq!(report.queries, (CLIENTS * stream.len()) as u64);
+        assert_eq!(report.totals, four);
+        assert_eq!(report.connections, (CLIENTS + 1) as u64);
+
+        // The listener is gone: new connections are refused (allow a
+        // moment for the OS to tear the socket down).
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(250)).is_err());
+    }
 }
 
 #[test]
@@ -581,11 +588,12 @@ fn live_mutations_apply_over_the_wire_while_readers_run() {
 }
 
 #[test]
-fn out_of_world_inserts_are_refused_before_the_wal() {
-    // The PMR quadtree cannot place a point outside its 16K world; such
-    // an insert must be refused up front, not committed and then
-    // applied (which panics the worker in debug builds, and the replay
-    // after it). One worker: a dead worker would stall every later
+fn out_of_world_and_degenerate_inserts_are_refused_before_the_wal() {
+    // The PMR quadtree cannot place a point outside its 16K world, and
+    // no structure's queries can take a zero-length segment (its angle
+    // has no direction). Such an insert must be refused up front, not
+    // committed and then applied (which panics in debug builds, and the
+    // replay after it). One loop: a dead loop would stall every later
     // request.
     let map = test_map();
     let base = map.segments.len() as u64;
@@ -597,6 +605,7 @@ fn out_of_world_inserts_are_refused_before_the_wal() {
         ((100, 100), (100, -1)),
         ((-5, -5), (-1, -1)),
         ((i32::MAX, i32::MIN), (0, 0)),
+        ((100, 100), (100, 100)),
     ] {
         let seg = lsdb_geom::Segment {
             a: lsdb_geom::Point::new(a.0, a.1),
@@ -618,6 +627,58 @@ fn out_of_world_inserts_are_refused_before_the_wal() {
     assert_eq!(client.open_map("default").unwrap(), (0, base));
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+#[test]
+fn a_panicking_job_is_answered_internal_and_its_loop_keeps_serving() {
+    // One loop hosts a live map and a buildable map whose builder
+    // panics. The panic must stay inside its own request: the loop
+    // thread, its other connections and the listener all survive.
+    let map = test_map();
+    let probe = mixed_stream(&map, 2, 0x9A1C);
+    let index = build(&map);
+    let expected: Vec<Reply> = probe
+        .iter()
+        .map(|r| run_in_process(index.as_ref(), r))
+        .collect();
+    let mut catalog = Catalog::new(0, 4);
+    let live = catalog.add_live("live", LiveIndex::volatile(index));
+    catalog.add_map("boom", Box::new(|| panic!("builder exploded")));
+    let config = ServerConfig {
+        workers: 1,
+        read_timeout: Duration::from_millis(100),
+        ..Default::default()
+    };
+    let server = Server::bind_catalog("127.0.0.1:0", catalog, config).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(addr).unwrap();
+    let err = client.open_map("boom").unwrap_err();
+    let server_err = err
+        .get_ref()
+        .and_then(|e| e.downcast_ref::<ServerError>())
+        .unwrap_or_else(|| panic!("expected an error frame, got {err}"));
+    assert_eq!(server_err.code, ErrorCode::Internal);
+    assert!(
+        server_err.message.contains("builder exploded"),
+        "{}",
+        server_err.message
+    );
+
+    // The same connection answers the live map exactly as in-process
+    // execution does, on the loop's fresh context.
+    for (req, want) in probe.iter().zip(&expected) {
+        let got = client.call_on(live, req).unwrap();
+        assert_eq!(got.encode(), want.encode(), "{req:?}");
+    }
+
+    // The listener still accepts, and the drain still completes.
+    let mut other = Client::connect(addr).unwrap();
+    other.ping().unwrap();
+    other.shutdown().unwrap();
+    let report = handle.join().unwrap().unwrap();
+    assert_eq!(report.queries, probe.len() as u64);
 }
 
 #[test]

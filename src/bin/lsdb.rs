@@ -89,6 +89,8 @@ fn print_usage() {
               [--cache] [--shutdown]\n  \
          lsdb bench-client --addr HOST:PORT --multimap K [--open-loop QPS] \\\n      \
               [--zipf THETA] [--county-segments S] [--continent-seed S] [...]\n\n\
+         serve --workers W: event-loop threads (default 4), each serving the\n  \
+         connections dealt to it from read to reply\n\
          bench-client workloads: point1 point2 nearest1 nearest2 polygon1 polygon2 range"
     );
 }
@@ -703,7 +705,7 @@ fn cmd_serve(rest: &[String]) -> i32 {
 fn run_server(server: lsdb::server::Server, host: &str, port: u16, workers: usize) -> i32 {
     match server.local_addr() {
         Ok(addr) => {
-            println!("serving on {addr} with {workers} worker(s); a SHUTDOWN request stops it")
+            println!("serving on {addr} with {workers} event loop(s); a SHUTDOWN request stops it")
         }
         Err(_) => println!("serving on {host}:{port}"),
     }
