@@ -2,20 +2,18 @@
 //! on a plain self-contained harness (no external bench framework).
 //!
 //! These are timing companions to the experiment binaries (which report
-//! the paper's disk-access metrics): one group per reproduced artifact, on
-//! reduced maps so `cargo bench` completes quickly.
+//! the paper's disk-access metrics), on reduced maps so `cargo bench`
+//! completes quickly. Build, page/buffer and PMR-threshold timings are
+//! not repeated here: `table1`, `fig6` and `occupancy` run those
+//! pipelines and report their walls.
 //!
-//! * `build/*`          — Table 1's CPU-seconds column, reduced scale
-//! * `page_buffer/*`    — Figure 6's configuration sweep, reduced grid
 //! * `query/*`          — Table 2's workloads (point, nearest, window, polygon)
 //!   per structure
 //! * `parallel/*`       — the shared-read driver at 1/2/4 threads
-//! * `threshold/*`      — §7's PMR splitting-threshold ablation
 
 use lsdb_bench::workloads::{QueryWorkbench, Workload};
 use lsdb_bench::{build_index, IndexKind};
-use lsdb_core::{queries, IndexConfig, PolygonalMap, QueryCtx, SpatialIndex};
-use lsdb_pmr::{PmrConfig, PmrQuadtree};
+use lsdb_core::{queries, IndexConfig, PolygonalMap, QueryCtx};
 use lsdb_tiger::{generate, CountyClass, CountySpec};
 use std::hint::black_box;
 use std::time::Instant;
@@ -51,40 +49,6 @@ fn kinds() -> Vec<IndexKind> {
         IndexKind::RQuadratic,
         IndexKind::Grid(32),
     ]
-}
-
-fn bench_build() {
-    let cfg = IndexConfig::default();
-    for (label, class) in [
-        ("urban", CountyClass::Urban),
-        ("rural", CountyClass::Rural { meander: 24 }),
-    ] {
-        let map = bench_map(class, 2500, 3);
-        for kind in kinds() {
-            bench("build", &format!("{}/{label}", kind.label()), 3, || {
-                build_index(kind, &map, cfg).len()
-            });
-        }
-    }
-}
-
-fn bench_page_buffer() {
-    let map = bench_map(CountyClass::Suburban, 2000, 5);
-    for page in [512usize, 1024, 2048] {
-        for pool in [8usize, 16, 32] {
-            let cfg = IndexConfig {
-                page_size: page,
-                pool_pages: pool,
-                ..Default::default()
-            };
-            bench(
-                "page_buffer",
-                &format!("pmr_build/{page}B/{pool}p"),
-                3,
-                || build_index(IndexKind::Pmr, &map, cfg).size_bytes(),
-            );
-        }
-    }
 }
 
 fn bench_queries() {
@@ -145,22 +109,6 @@ fn bench_parallel() {
     }
 }
 
-fn bench_threshold() {
-    let map = bench_map(CountyClass::Rural { meander: 20 }, 2500, 13);
-    for t in [2usize, 4, 16, 64] {
-        bench("threshold", &format!("pmr_build/t={t}"), 3, || {
-            PmrQuadtree::build(
-                &map,
-                PmrConfig {
-                    threshold: t,
-                    ..Default::default()
-                },
-            )
-            .size_bytes()
-        });
-    }
-}
-
 fn main() {
     // `cargo bench` passes a `--bench` flag to harness = false targets;
     // the first non-flag argument (if any) filters the groups.
@@ -169,19 +117,10 @@ fn main() {
         .find(|a| !a.starts_with('-'))
         .unwrap_or_default();
     let run = |name: &str| filter.is_empty() || name.contains(&filter);
-    if run("build") {
-        bench_build();
-    }
-    if run("page_buffer") {
-        bench_page_buffer();
-    }
     if run("query") {
         bench_queries();
     }
     if run("parallel") {
         bench_parallel();
-    }
-    if run("threshold") {
-        bench_threshold();
     }
 }

@@ -34,7 +34,6 @@ fn main() {
                 let cfg = IndexConfig {
                     page_size: ps,
                     pool_pages: pool,
-                    ..Default::default()
                 };
                 let (_, rep) = measure_build(kind, &map, cfg);
                 row.push(rep.disk_accesses.to_string());

@@ -52,7 +52,6 @@ fn county_cfg() -> IndexConfig {
     IndexConfig {
         page_size: 1024,
         pool_pages: 48,
-        ..Default::default()
     }
 }
 

@@ -1,36 +1,25 @@
-//! Node-scan kernel microbenchmark: layout × ISA × entry-order matrix.
+//! Node-scan kernel microbenchmark: ISA × page-size matrix.
 //!
 //! The hot loop of every query is "test each bounding rectangle on one
 //! node page against the query region". This binary races the
-//! implementations of that loop over synthetic leaf pages of 256, 512 and
-//! 1024 entries (raw byte layouts, no pool):
+//! implementations of that loop over synthetic leaf pages of 50 (what a
+//! 1 KB paper page holds), 256, 512 and 1024 entries (raw byte layouts,
+//! no pool), all in the v2 structure-of-arrays lane layout:
 //!
-//! * **aos-scalar** — the pre-SoA baseline: interleaved 20-byte entries
-//!   (the retired format-v1 page layout, rebuilt here for comparison)
-//!   scanned by the 4-wide blocked branch-free loop the kernels used
-//!   through PR 7. Whatever vectorization it gets is the
-//!   auto-vectorizer's.
-//! * **soa-scalar** — the v2 structure-of-arrays lanes scanned by the
-//!   portable blocked-scalar kernel ([`Isa::Scalar`]).
-//! * **soa-sse2** / **soa-avx2** — the same lanes through the explicit
-//!   `std::arch` kernels with movemask survivor extraction (4- and 8-wide;
-//!   rows appear only when the host CPU supports the ISA).
+//! * **soa-scalar** — the portable blocked-scalar kernel ([`Isa::Scalar`]).
+//! * **soa-sse2** / **soa-avx2** — the explicit `std::arch` kernels with
+//!   movemask survivor extraction (4- and 8-wide; rows appear only when
+//!   the host CPU supports the ISA).
 //!
-//! Pages are measured under both intra-node entry orders
-//! ([`EntryOrder::Storage`] scatter and [`EntryOrder::Hilbert`]): Hilbert
-//! sorting clusters window-survivors into runs, which changes how often a
-//! SIMD block is all-miss (skipped with one movemask test) versus mixed —
-//! the ordering effect the SIMD R-tree literature reports.
-//!
-//! Every variant must produce the identical survivor aggregate — checked
-//! here per cell, and proven survivor-by-survivor in the differential
-//! tests of `lsdb-core`. `--json PATH` additionally writes the matrix as
-//! `BENCH_scan.json` rows.
+//! Every SIMD arm must reproduce the scalar arm's survivor aggregate —
+//! checked here per cell, and proven survivor-by-survivor in the
+//! differential tests of `lsdb-core`. `--json PATH` additionally writes
+//! the matrix as `BENCH_scan.json` rows.
 //!
 //! Usage: `scanbench [--iters N] [--json PATH]`
 
 use lsdb_bench::report::render_table;
-use lsdb_core::rectnode::{order_entries, Entry, EntryOrder, RectNode, ENTRY, HDR};
+use lsdb_core::rectnode::{Entry, RectNode, ENTRY, HDR};
 use lsdb_core::scan::{
     scan_containing_point_with, scan_intersecting_with, scan_min_dist2_with, EntryScan, Isa,
 };
@@ -40,9 +29,10 @@ use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Entry counts per synthetic page. 1 KB paper pages hold ~50 entries;
-/// the larger sizes show how the kernels scale when pages do.
-const PAGE_ENTRIES: [usize; 3] = [256, 512, 1024];
+/// Entry counts per synthetic page. 50 is what a 1 KB paper page holds,
+/// the node size actually served; the larger sizes show how the kernels
+/// scale when pages do.
+const PAGE_ENTRIES: [usize; 4] = [50, 256, 512, 1024];
 
 /// Generate the entry set for one synthetic leaf page, mirroring the
 /// differential tests: 25% zero-area rectangles.
@@ -74,128 +64,6 @@ fn soa_page(entries: &[Entry]) -> Vec<u8> {
     buf
 }
 
-// ----------------------------------------------------------------------
-// The retired format-v1 AoS layout + its blocked auto-vectorized kernels,
-// rebuilt here as the baseline the SoA/SIMD rows are measured against.
-// ----------------------------------------------------------------------
-
-/// Encode entries in the interleaved v1 layout: 24-byte header, then
-/// 20-byte records (xlo, ylo, xhi, yhi, child — all i32/u32 LE).
-fn aos_page(entries: &[Entry]) -> Vec<u8> {
-    let mut buf = vec![0u8; HDR + entries.len() * ENTRY];
-    buf[2..4].copy_from_slice(&(entries.len() as u16).to_le_bytes());
-    for (i, e) in entries.iter().enumerate() {
-        let at = HDR + i * ENTRY;
-        buf[at..at + 4].copy_from_slice(&e.rect.min.x.to_le_bytes());
-        buf[at + 4..at + 8].copy_from_slice(&e.rect.min.y.to_le_bytes());
-        buf[at + 8..at + 12].copy_from_slice(&e.rect.max.x.to_le_bytes());
-        buf[at + 12..at + 16].copy_from_slice(&e.rect.max.y.to_le_bytes());
-        buf[at + 16..at + 20].copy_from_slice(&e.child.to_le_bytes());
-    }
-    buf
-}
-
-#[inline(always)]
-fn aos_entry(buf: &[u8], i: usize) -> Entry {
-    let at = HDR + i * ENTRY;
-    let word = |o: usize| i32::from_le_bytes(buf[at + o..at + o + 4].try_into().unwrap());
-    Entry {
-        rect: Rect::new(word(0), word(4), word(8), word(12)),
-        child: word(16) as u32,
-    }
-}
-
-fn aos_count(buf: &[u8]) -> usize {
-    u16::from_le_bytes([buf[2], buf[3]]) as usize
-}
-
-/// The PR 5–7 window kernel: 4-wide blocks, branch-free predicate
-/// evaluation over interleaved records, emission behind a branch.
-fn aos_intersecting(buf: &[u8], w: &Rect, mut f: impl FnMut(Entry)) {
-    let n = aos_count(buf);
-    let mut i = 0;
-    let mut keep = [false; 4];
-    while i + 4 <= n {
-        for (j, k) in keep.iter_mut().enumerate() {
-            let e = aos_entry(buf, i + j);
-            *k = (w.min.x <= e.rect.max.x)
-                & (e.rect.min.x <= w.max.x)
-                & (w.min.y <= e.rect.max.y)
-                & (e.rect.min.y <= w.max.y);
-        }
-        for (j, k) in keep.iter().enumerate() {
-            if *k {
-                f(aos_entry(buf, i + j));
-            }
-        }
-        i += 4;
-    }
-    for k in i..n {
-        let e = aos_entry(buf, k);
-        if w.intersects(&e.rect) {
-            f(e);
-        }
-    }
-}
-
-fn aos_containing(buf: &[u8], p: Point, mut f: impl FnMut(Entry)) {
-    let n = aos_count(buf);
-    let mut i = 0;
-    let mut keep = [false; 4];
-    while i + 4 <= n {
-        for (j, k) in keep.iter_mut().enumerate() {
-            let e = aos_entry(buf, i + j);
-            *k = (e.rect.min.x <= p.x)
-                & (p.x <= e.rect.max.x)
-                & (e.rect.min.y <= p.y)
-                & (p.y <= e.rect.max.y);
-        }
-        for (j, k) in keep.iter().enumerate() {
-            if *k {
-                f(aos_entry(buf, i + j));
-            }
-        }
-        i += 4;
-    }
-    for k in i..n {
-        let e = aos_entry(buf, k);
-        if e.rect.contains_point(p) {
-            f(e);
-        }
-    }
-}
-
-fn aos_min_dist2(buf: &[u8], p: Point, mut f: impl FnMut(Entry, i64)) {
-    let (px, py) = (p.x as i64, p.y as i64);
-    let n = aos_count(buf);
-    let mut i = 0;
-    let mut d2 = [0i64; 4];
-    while i + 4 <= n {
-        for (j, d) in d2.iter_mut().enumerate() {
-            let e = aos_entry(buf, i + j);
-            let dx = (e.rect.min.x as i64 - px)
-                .max(0)
-                .max(px - e.rect.max.x as i64);
-            let dy = (e.rect.min.y as i64 - py)
-                .max(0)
-                .max(py - e.rect.max.y as i64);
-            *d = dx * dx + dy * dy;
-        }
-        for (j, d) in d2.iter().enumerate() {
-            f(aos_entry(buf, i + j), *d);
-        }
-        i += 4;
-    }
-    for k in i..n {
-        let e = aos_entry(buf, k);
-        f(e, e.rect.dist2_point(p));
-    }
-}
-
-// ----------------------------------------------------------------------
-// Harness
-// ----------------------------------------------------------------------
-
 /// Run `f` `iters` times over the page and report nanoseconds per entry
 /// plus the survivor aggregate (for cross-variant agreement checks).
 fn bench(iters: usize, n: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
@@ -209,13 +77,39 @@ fn bench(iters: usize, n: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
     (ns / (iters as f64 * n as f64), check)
 }
 
-/// One matrix cell: a (predicate, page size, order, variant) timing.
+/// One matrix cell: a (predicate, page size, ISA) timing.
 struct Cell {
     predicate: &'static str,
     entries: usize,
-    order: EntryOrder,
-    variant: String,
+    isa: Isa,
     ns_per_entry: f64,
+}
+
+/// Time one predicate on every host ISA, appending one cell per ISA.
+/// `scan` runs the predicate once on the given arm and returns its
+/// survivor aggregate. The scalar arm is always available and comes first
+/// in [`Isa::ALL`], so its aggregate is the reference every SIMD arm must
+/// reproduce.
+fn race(
+    cells: &mut Vec<Cell>,
+    isas: &[Isa],
+    iters: usize,
+    n: usize,
+    predicate: &'static str,
+    scan: impl Fn(Isa) -> u64,
+) {
+    let mut want = None;
+    for &isa in isas {
+        let (ns_per_entry, got) = bench(iters, n, || scan(isa));
+        let want = *want.get_or_insert(got);
+        assert_eq!(got, want, "{predicate} survivors diverged on {isa:?}");
+        cells.push(Cell {
+            predicate,
+            entries: n,
+            isa,
+            ns_per_entry,
+        });
+    }
 }
 
 fn main() {
@@ -247,124 +141,37 @@ fn main() {
     let probe = Point::new(17, -42);
 
     let mut cells: Vec<Cell> = Vec::new();
-    let mut header = vec![
-        "predicate".to_string(),
-        "entries".to_string(),
-        "order".to_string(),
-        "aos-scalar ns/e".to_string(),
-    ];
-    for isa in &isas {
-        header.push(format!("soa-{} ns/e", isa.label()));
-    }
-    header.push("best vs aos".to_string());
-    let mut rows = vec![header];
-
     for n in PAGE_ENTRIES {
-        let base = random_entries(&mut rng, n);
-        for order in [EntryOrder::Storage, EntryOrder::Hilbert] {
-            let mut entries = base.clone();
-            order_entries(&mut entries, order);
-            let aos = aos_page(&entries);
-            let soa = soa_page(&entries);
-            let aos_buf = aos.as_slice();
-            let soa_buf = soa.as_slice();
-
-            // --- window intersection ---------------------------------
-            let (aos_ns, want) = bench(iters, n, || {
-                let mut hits = 0u64;
-                aos_intersecting(black_box(aos_buf), &window, |e| hits += e.child as u64);
-                hits
-            });
-            let mut row = vec![
-                "window".to_string(),
-                n.to_string(),
-                order.label().to_string(),
-                format!("{aos_ns:.2}"),
-            ];
-            cells.push(cell("window", n, order, "aos-scalar", aos_ns));
-            let mut best = f64::INFINITY;
-            for &isa in &isas {
-                let (ns, got) = bench(iters, n, || {
-                    let mut hits = 0u64;
-                    let scan = EntryScan::of_node(black_box(soa_buf));
-                    scan_intersecting_with(isa, &scan, &window, |e| hits += e.child as u64);
-                    hits
-                });
-                assert_eq!(got, want, "window survivors diverged on {isa:?}");
-                row.push(format!("{ns:.2}"));
-                cells.push(cell(
-                    "window",
-                    n,
-                    order,
-                    &format!("soa-{}", isa.label()),
-                    ns,
-                ));
-                best = best.min(ns);
-            }
-            row.push(format!("{:.2}x", aos_ns / best));
-            rows.push(row);
-
-            // --- point containment -----------------------------------
-            let (aos_ns, want) = bench(iters, n, || {
-                let mut hits = 0u64;
-                aos_containing(black_box(aos_buf), probe, |e| hits += e.child as u64);
-                hits
-            });
-            let mut row = vec![
-                "point".to_string(),
-                n.to_string(),
-                order.label().to_string(),
-                format!("{aos_ns:.2}"),
-            ];
-            cells.push(cell("point", n, order, "aos-scalar", aos_ns));
-            let mut best = f64::INFINITY;
-            for &isa in &isas {
-                let (ns, got) = bench(iters, n, || {
-                    let mut hits = 0u64;
-                    let scan = EntryScan::of_node(black_box(soa_buf));
-                    scan_containing_point_with(isa, &scan, probe, |e| hits += e.child as u64);
-                    hits
-                });
-                assert_eq!(got, want, "point survivors diverged on {isa:?}");
-                row.push(format!("{ns:.2}"));
-                cells.push(cell("point", n, order, &format!("soa-{}", isa.label()), ns));
-                best = best.min(ns);
-            }
-            row.push(format!("{:.2}x", aos_ns / best));
-            rows.push(row);
-
-            // --- min distance ----------------------------------------
-            let (aos_ns, want) = bench(iters, n, || {
-                let mut acc = 0u64;
-                aos_min_dist2(black_box(aos_buf), probe, |_, d| {
-                    acc = acc.wrapping_add(d as u64)
-                });
-                acc
-            });
-            let mut row = vec![
-                "dist2".to_string(),
-                n.to_string(),
-                order.label().to_string(),
-                format!("{aos_ns:.2}"),
-            ];
-            cells.push(cell("dist2", n, order, "aos-scalar", aos_ns));
-            let mut best = f64::INFINITY;
-            for &isa in &isas {
-                let (ns, got) = bench(iters, n, || {
-                    let mut acc = 0u64;
-                    let scan = EntryScan::of_node(black_box(soa_buf));
-                    scan_min_dist2_with(isa, &scan, probe, |_, d| acc = acc.wrapping_add(d as u64));
-                    acc
-                });
-                assert_eq!(got, want, "dist2 sums diverged on {isa:?}");
-                row.push(format!("{ns:.2}"));
-                cells.push(cell("dist2", n, order, &format!("soa-{}", isa.label()), ns));
-                best = best.min(ns);
-            }
-            row.push(format!("{:.2}x", aos_ns / best));
-            rows.push(row);
-        }
+        let page = soa_page(&random_entries(&mut rng, n));
+        let page = page.as_slice();
+        race(&mut cells, &isas, iters, n, "window", |isa| {
+            let mut hits = 0u64;
+            let scan = EntryScan::of_node(black_box(page));
+            scan_intersecting_with(isa, &scan, &window, |e| hits += e.child as u64);
+            hits
+        });
+        race(&mut cells, &isas, iters, n, "point", |isa| {
+            let mut hits = 0u64;
+            let scan = EntryScan::of_node(black_box(page));
+            scan_containing_point_with(isa, &scan, probe, |e| hits += e.child as u64);
+            hits
+        });
+        race(&mut cells, &isas, iters, n, "dist2", |isa| {
+            let mut acc = 0u64;
+            let scan = EntryScan::of_node(black_box(page));
+            scan_min_dist2_with(isa, &scan, probe, |_, d| acc = acc.wrapping_add(d as u64));
+            acc
+        });
     }
+
+    let mut header = vec!["predicate".to_string(), "entries".to_string()];
+    header.extend(isas.iter().map(|isa| format!("soa-{} ns/e", isa.label())));
+    let mut rows = vec![header];
+    rows.extend(cells.chunks(isas.len()).map(|row| {
+        let mut out = vec![row[0].predicate.to_string(), row[0].entries.to_string()];
+        out.extend(row.iter().map(|c| format!("{:.2}", c.ns_per_entry)));
+        out
+    }));
 
     println!(
         "Node-scan kernel matrix ({iters} iterations per cell, ns per entry; host ISAs: {})\n",
@@ -374,31 +181,13 @@ fn main() {
             .join(", ")
     );
     println!("{}", render_table(&rows));
-    println!("aos-scalar = retired interleaved v1 layout, 4-wide blocked auto-vectorized loop;");
-    println!("soa-*      = v2 lane layout through lsdb_core::scan on the named ISA;");
-    println!("order      = intra-node entry order (hilbert clusters window survivors into runs).");
+    println!("soa-* = v2 lane layout through lsdb_core::scan on the named ISA.");
 
     if let Some(path) = json_path {
         let doc = render_scan_json(iters, &isas, &cells);
         lsdb_bench::json::write_file(std::path::Path::new(&path), &doc)
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         println!("\nwrote {path}");
-    }
-}
-
-fn cell(
-    predicate: &'static str,
-    entries: usize,
-    order: EntryOrder,
-    variant: &str,
-    ns: f64,
-) -> Cell {
-    Cell {
-        predicate,
-        entries,
-        order,
-        variant: variant.to_string(),
-        ns_per_entry: ns,
     }
 }
 
@@ -422,12 +211,11 @@ fn render_scan_json(iters: usize, isas: &[Isa], cells: &[Cell]) -> String {
     for (i, c) in cells.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"predicate\": \"{}\", \"entries\": {}, \"order\": \"{}\", \
-             \"variant\": \"{}\", \"ns_per_entry\": {:.3}}}",
+            "    {{\"predicate\": \"{}\", \"entries\": {}, \"variant\": \"soa-{}\", \
+             \"ns_per_entry\": {:.3}}}",
             c.predicate,
             c.entries,
-            c.order.label(),
-            c.variant,
+            c.isa.label(),
             c.ns_per_entry,
         );
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });

@@ -14,10 +14,9 @@
 //! Shared infrastructure lives here: index construction behind one enum,
 //! the five query workloads with metric accumulation, plain-text table
 //! rendering, and [`WorkloadConfig`] — the typed run configuration every
-//! binary builds with [`WorkloadConfig::from_args`]. Flags (`--scale`,
-//! `--queries`, `--threads`, `--map-cache`) override the environment
-//! (`LSDB_SCALE`, `LSDB_QUERIES`, `LSDB_THREADS`, `LSDB_MAP_CACHE`), which
-//! overrides the defaults (1.0 / 1000 / 1 / `target/lsdb-maps`).
+//! binary builds with [`WorkloadConfig::from_args`]: flags (`--scale`,
+//! `--queries`, `--threads`, `--map-cache`, `--json`) override the
+//! defaults (1.0 / 1000 / 1 / `target/lsdb-maps` / off).
 
 pub mod json;
 pub mod report;
@@ -134,10 +133,8 @@ pub fn measure_build(
     (index, report)
 }
 
-/// Typed run configuration for the experiment binaries, replacing the old
-/// loose `LSDB_*` environment lookups. Precedence, lowest to highest:
-/// defaults, environment ([`WorkloadConfig::from_env`]), CLI flags
-/// ([`WorkloadConfig::from_args`]).
+/// Typed run configuration for the experiment binaries: the defaults,
+/// overridden by CLI flags ([`WorkloadConfig::from_args`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadConfig {
     /// Scale factor for the county segment counts (default 1.0; the smoke
@@ -169,40 +166,15 @@ impl Default for WorkloadConfig {
 
 impl WorkloadConfig {
     pub const USAGE: &'static str = "options:
-  --scale <f64>       county size multiplier        (env LSDB_SCALE, default 1.0)
-  --queries <n>       queries per workload type     (env LSDB_QUERIES, default 1000)
-  --threads <n>       query worker threads          (env LSDB_THREADS, default 1)
-  --map-cache <dir>   cached generated maps         (env LSDB_MAP_CACHE, default target/lsdb-maps)
-  --json <path>       also write results as JSON    (env LSDB_JSON, default off)
+  --scale <f64>       county size multiplier        (default 1.0)
+  --queries <n>       queries per workload type     (default 1000)
+  --threads <n>       query worker threads          (default 1)
+  --map-cache <dir>   cached generated maps         (default target/lsdb-maps)
+  --json <path>       also write results as JSON    (default off)
   -h, --help          print this help";
 
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Defaults overridden by whichever `LSDB_*` variables parse cleanly.
-    pub fn from_env() -> Self {
-        let mut cfg = Self::default();
-        if let Some(v) = env_parse("LSDB_SCALE") {
-            cfg.scale = v;
-        }
-        if let Some(v) = env_parse("LSDB_QUERIES") {
-            cfg.queries = v;
-        }
-        if let Some(v) = env_parse("LSDB_THREADS") {
-            cfg.threads = v;
-        }
-        if let Ok(v) = std::env::var("LSDB_MAP_CACHE") {
-            cfg.map_cache = PathBuf::from(v);
-        }
-        if let Ok(v) = std::env::var("LSDB_JSON") {
-            cfg.json = Some(PathBuf::from(v));
-        }
-        cfg
-    }
-
-    /// Environment config overridden by the process's CLI flags. Prints
-    /// usage and exits on `--help` or a malformed flag — this is the one
+    /// The defaults overridden by the process's CLI flags. Prints usage
+    /// and exits on `--help` or a malformed flag — this is the one
     /// constructor meant for `main`.
     pub fn from_args() -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
@@ -210,7 +182,7 @@ impl WorkloadConfig {
             println!("{}", Self::USAGE);
             std::process::exit(0);
         }
-        match Self::from_env().try_apply_args(args) {
+        match Self::default().try_apply_args(args) {
             Ok(cfg) => cfg,
             Err(e) => {
                 eprintln!("error: {e}\n{}", Self::USAGE);
@@ -253,31 +225,6 @@ impl WorkloadConfig {
         Ok(self)
     }
 
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    pub fn with_queries(mut self, queries: usize) -> Self {
-        self.queries = queries;
-        self
-    }
-
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    pub fn with_map_cache(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.map_cache = dir.into();
-        self
-    }
-
-    pub fn with_json(mut self, path: impl Into<PathBuf>) -> Self {
-        self.json = Some(path.into());
-        self
-    }
-
     /// The six counties at the configured scale, generated (or loaded from
     /// the cache).
     pub fn counties(&self) -> Vec<PolygonalMap> {
@@ -298,10 +245,6 @@ impl WorkloadConfig {
         let spec = spec.with_target(target);
         lsdb_tiger::io::load_or_generate(&spec, &self.map_cache)
     }
-}
-
-fn env_parse<T: std::str::FromStr>(var: &str) -> Option<T> {
-    std::env::var(var).ok().and_then(|s| s.parse().ok())
 }
 
 fn parse_flag<T: std::str::FromStr>(v: &str, flag: &str) -> Result<T, String> {
@@ -325,7 +268,6 @@ mod tests {
         let cfg = IndexConfig {
             page_size: 512,
             pool_pages: 16,
-            ..Default::default()
         };
         for kind in [
             IndexKind::RStar,
@@ -366,64 +308,36 @@ mod tests {
     }
 
     #[test]
-    fn workload_config_builder_and_defaults() {
-        let cfg = WorkloadConfig::new();
-        assert_eq!(cfg.scale, 1.0);
-        assert_eq!(cfg.queries, 1000);
-        assert_eq!(cfg.threads, 1);
-        let cfg = cfg
-            .with_scale(0.25)
-            .with_queries(50)
-            .with_threads(4)
-            .with_map_cache("/tmp/maps");
-        assert_eq!(cfg.scale, 0.25);
-        assert_eq!(cfg.queries, 50);
-        assert_eq!(cfg.threads, 4);
-        assert_eq!(cfg.map_cache, PathBuf::from("/tmp/maps"));
-        assert_eq!(WorkloadConfig::new().with_threads(0).threads, 1);
-    }
-
-    #[test]
     fn workload_config_parses_cli_flags() {
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let cfg = WorkloadConfig::new()
+        let cfg = WorkloadConfig::default().try_apply_args(args(&[])).unwrap();
+        assert_eq!((cfg.scale, cfg.queries, cfg.threads), (1.0, 1000, 1));
+        let cfg = WorkloadConfig::default()
             .try_apply_args(args(&["--scale", "0.1", "--queries=200", "--threads", "8"]))
             .unwrap();
         assert_eq!(cfg.scale, 0.1);
         assert_eq!(cfg.queries, 200);
         assert_eq!(cfg.threads, 8);
-        let cfg = WorkloadConfig::new()
+        let cfg = WorkloadConfig::default()
             .try_apply_args(args(&["--map-cache=/tmp/x"]))
             .unwrap();
         assert_eq!(cfg.map_cache, PathBuf::from("/tmp/x"));
         assert_eq!(cfg.json, None);
-        let cfg = WorkloadConfig::new()
+        let cfg = WorkloadConfig::default()
             .try_apply_args(args(&["--json", "/tmp/out.json"]))
             .unwrap();
         assert_eq!(cfg.json, Some(PathBuf::from("/tmp/out.json")));
-        assert!(WorkloadConfig::new()
+        assert!(WorkloadConfig::default()
             .try_apply_args(args(&["--queries"]))
             .is_err());
-        assert!(WorkloadConfig::new()
+        assert!(WorkloadConfig::default()
             .try_apply_args(args(&["--queries", "lots"]))
             .is_err());
-        assert!(WorkloadConfig::new()
+        assert!(WorkloadConfig::default()
             .try_apply_args(args(&["--threads", "0"]))
             .is_err());
-        assert!(WorkloadConfig::new()
+        assert!(WorkloadConfig::default()
             .try_apply_args(args(&["--frobnicate"]))
             .is_err());
-    }
-
-    #[test]
-    fn env_beats_defaults_and_flags_beat_env() {
-        // try_apply_args layers on top of whatever base config it is given,
-        // which is how from_args implements flags-over-env precedence.
-        let base = WorkloadConfig::new().with_queries(250).with_threads(2);
-        let cfg = base
-            .try_apply_args(vec!["--queries".to_string(), "40".to_string()])
-            .unwrap();
-        assert_eq!(cfg.queries, 40);
-        assert_eq!(cfg.threads, 2, "untouched fields keep the base value");
     }
 }

@@ -73,7 +73,10 @@ fn measure(
     ) -> lsdb_bench::workloads::WorkloadResult,
 ) -> Vec<Measurement> {
     let cfg = IndexConfig::default();
-    let wcfg = WorkloadConfig::new().with_queries(QUERIES);
+    let wcfg = WorkloadConfig {
+        queries: QUERIES,
+        ..Default::default()
+    };
     let map = wcfg.county("Charles");
     let wb = QueryWorkbench::new(&map, QUERIES, 0xC4A5);
 

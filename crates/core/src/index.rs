@@ -1,4 +1,3 @@
-use crate::rectnode::EntryOrder;
 use crate::{QueryCtx, QueryStats, SegId, SegmentTable};
 use lsdb_geom::{Point, Rect};
 
@@ -9,14 +8,6 @@ pub struct IndexConfig {
     pub page_size: usize,
     /// Buffer-pool capacity in pages. The paper uses 16.
     pub pool_pages: usize,
-    /// Intra-node entry ordering applied when R-tree-family nodes are
-    /// (re)written. [`EntryOrder::Storage`] — the default, and what every
-    /// committed counter baseline uses — keeps the maintenance
-    /// algorithms' order; [`EntryOrder::Hilbert`] sorts each written
-    /// node's entries along the Hilbert curve, the SIMD-literature
-    /// ordering experiment (changes traversal emit order, hence
-    /// counters). Ignored by the non-rectangle structures.
-    pub entry_order: EntryOrder,
 }
 
 impl Default for IndexConfig {
@@ -24,7 +15,6 @@ impl Default for IndexConfig {
         IndexConfig {
             page_size: lsdb_pager::DEFAULT_PAGE_SIZE,
             pool_pages: lsdb_pager::DEFAULT_POOL_PAGES,
-            entry_order: EntryOrder::Storage,
         }
     }
 }

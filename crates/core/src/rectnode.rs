@@ -45,16 +45,12 @@
 //! Entry order within a node is not semantically meaningful (R-tree nodes
 //! are unordered sets), so removal is a swap-remove — this matches the
 //! paper's observation that R-tree-family 2-tuples "need not be sorted",
-//! unlike the PMR quadtree's B-tree pages. Build paths may still *choose*
-//! an order ([`EntryOrder`]): Hilbert-sorting a node's entries clusters
-//! the survivors of a window predicate into runs, which changes how full
-//! the per-block survivor masks of the SIMD kernels are (measured by the
-//! `scanbench` ordering experiment).
+//! unlike the PMR quadtree's B-tree pages.
 
 use crate::scan::{self, EntryScan};
 use crate::traverse::{DfsSink, NnSink, NodeAccess};
 use crate::{LocId, QueryCtx, SegId, SegmentTable};
-use lsdb_geom::{hilbert::hilbert_xy2d, Dist2, Point, Rect};
+use lsdb_geom::{Dist2, Point, Rect};
 use lsdb_pager::{MemPool, PageId};
 
 /// Node header bytes: tag (1) + format version (1) + count (2) +
@@ -74,53 +70,6 @@ pub struct Entry {
     pub rect: Rect,
     /// Segment id (leaf) or page id (internal).
     pub child: u32,
-}
-
-/// Intra-node entry ordering applied by the build/split paths.
-///
-/// `Storage` keeps entries exactly where the maintenance algorithms put
-/// them — the paper's behaviour, and the default: every committed counter
-/// baseline is recorded under it (traversal emit order follows entry
-/// order, so changing the order changes DFS descent order and with it the
-/// disk-access counters). `Hilbert` sorts each written node's entries by
-/// the Hilbert code of their rectangle centers, the ordering experiment
-/// of the SIMD R-tree literature.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum EntryOrder {
-    /// Maintenance-path order (insertion/split order). The default.
-    #[default]
-    Storage,
-    /// Entries sorted by Hilbert code of their rectangle center.
-    Hilbert,
-}
-
-impl EntryOrder {
-    pub fn label(self) -> &'static str {
-        match self {
-            EntryOrder::Storage => "storage",
-            EntryOrder::Hilbert => "hilbert",
-        }
-    }
-}
-
-/// Sort key: Hilbert code of the (doubled) rectangle center, quantized to
-/// the order-16 curve. Ties (same quantized cell) keep their relative
-/// order — `sort_by_key` is stable — so the knob is deterministic.
-fn hilbert_key(r: &Rect) -> u64 {
-    let (cx2, cy2) = r.center2();
-    // Doubled centers span [-2^32, 2^32]; shift to unsigned and keep the
-    // top 16 bits of the 33-bit range.
-    let q = |c2: i64| (((c2 + (1i64 << 32)) >> 17) as u32).min(0xFFFF);
-    hilbert_xy2d(16, q(cx2), q(cy2))
-}
-
-/// Apply `order` to a node's entries before they are written. Called by
-/// the build/split sites of the R-tree family; a no-op for
-/// [`EntryOrder::Storage`].
-pub fn order_entries(entries: &mut [Entry], order: EntryOrder) {
-    if order == EntryOrder::Hilbert {
-        entries.sort_by_key(|e| hilbert_key(&e.rect));
-    }
 }
 
 /// Static accessors over a raw node page.
@@ -514,30 +463,5 @@ mod tests {
         let x = e(i32::MIN, i32::MIN, i32::MAX, i32::MAX, u32::MAX);
         RectNode::push(&mut buf, x);
         assert_eq!(RectNode::entry(&buf, 0), x);
-    }
-
-    #[test]
-    fn storage_order_is_identity_hilbert_order_clusters() {
-        let mut entries: Vec<Entry> = (0..8)
-            .map(|i| {
-                let x = (i % 2) * 8000 + 10 * i;
-                e(x, 100 * i, x + 5, 100 * i + 5, i as u32)
-            })
-            .collect();
-        let snapshot = entries.clone();
-        order_entries(&mut entries, EntryOrder::Storage);
-        assert_eq!(entries, snapshot, "storage order never reorders");
-        order_entries(&mut entries, EntryOrder::Hilbert);
-        let keys: Vec<u64> = entries.iter().map(|x| hilbert_key(&x.rect)).collect();
-        let sorted = {
-            let mut s = keys.clone();
-            s.sort();
-            s
-        };
-        assert_eq!(keys, sorted, "hilbert order sorts by curve position");
-        // Same multiset of entries either way.
-        let mut ids: Vec<u32> = entries.iter().map(|x| x.child).collect();
-        ids.sort();
-        assert_eq!(ids, (0..8).collect::<Vec<_>>());
     }
 }

@@ -14,13 +14,11 @@
 //! * exact squared distances ([`Dist2`]) from points to points, rectangles
 //!   and segments,
 //! * Morton (Z-order / locational) codes for the quadtree ([`morton`]),
-//! * Hilbert-curve codes for locality-ordered entry packing ([`hilbert`]),
 //! * clockwise angular ordering around a vertex for polygon face traversal
 //!   ([`angle`]).
 
 pub mod angle;
 pub mod dist;
-pub mod hilbert;
 pub mod morton;
 mod point;
 mod rect;

@@ -466,7 +466,6 @@ mod tests {
         IndexConfig {
             page_size: 128,
             pool_pages: 8,
-            ..Default::default()
         }
     }
 

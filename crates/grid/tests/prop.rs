@@ -40,7 +40,6 @@ fn queries_match_oracle() {
         let cfg = IndexConfig {
             page_size: 256,
             pool_pages: 8,
-            ..Default::default()
         };
         let t = UniformGrid::build(&map, cfg, g);
         let mut ctx = QueryCtx::new();
@@ -70,7 +69,6 @@ fn deletes_then_queries() {
         let cfg = IndexConfig {
             page_size: 128,
             pool_pages: 8,
-            ..Default::default()
         };
         let mut t = UniformGrid::build(&map, cfg, g);
         let mut kept = Vec::new();

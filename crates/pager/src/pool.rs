@@ -469,8 +469,9 @@ impl MemPool {
 
 impl<S: Storage> BufferPool<S> {
     /// A pool with the default shard count: up to [`DEFAULT_SHARDS`]
-    /// stripes, but never fewer than two frames per shard (node splits pin
-    /// two pages of one shard at once).
+    /// stripes, but never fewer than two frames per shard. The stripes
+    /// decide which pages share an LRU list, so the committed build
+    /// counters depend on this formula.
     pub fn new(storage: S, capacity: usize) -> Self {
         let shards = DEFAULT_SHARDS.min(capacity / 2).max(1);
         Self::with_shards(storage, capacity, shards)
@@ -786,71 +787,6 @@ impl<S: Storage> BufferPool<S> {
         Ok(f(shard.frames[frame].bytes_mut()))
     }
 
-    /// Mutate two pages simultaneously (used by node splits that stream
-    /// entries from an old node into a new one).
-    pub fn with_two_pages_mut<T>(
-        &mut self,
-        a: PageId,
-        b: PageId,
-        f: impl FnOnce(&mut [u8], &mut [u8]) -> T,
-    ) -> T {
-        self.try_with_two_pages_mut(a, b, f)
-            .unwrap_or_else(|e| io_abort(e))
-    }
-
-    /// Fallible [`BufferPool::with_two_pages_mut`].
-    pub fn try_with_two_pages_mut<T>(
-        &mut self,
-        a: PageId,
-        b: PageId,
-        f: impl FnOnce(&mut [u8], &mut [u8]) -> T,
-    ) -> io::Result<T> {
-        assert_ne!(a, b);
-        self.version += 1;
-        let (ia, ib) = (self.shard_of(a), self.shard_of(b));
-        let storage = &self.storage;
-        if ia == ib {
-            let shard = self.shards[ia].get_mut().unwrap();
-            assert!(
-                shard.frames.len() >= 2,
-                "two-page access needs >= 2 frames per shard"
-            );
-            let fa = shard.fetch(storage, a)?;
-            // Pin `a` by bumping its tick before fetching `b`, so `b`'s
-            // fetch cannot evict it.
-            shard.touch(fa);
-            let fb = shard.fetch(storage, b)?;
-            assert_ne!(fa, fb);
-            shard.frames[fa].dirty = true;
-            shard.frames[fb].dirty = true;
-            debug_assert_eq!(shard.frames[fa].pid, Some(a), "frame A was evicted");
-            let (la, lb) = if fa < fb {
-                let (left, right) = shard.frames.split_at_mut(fb);
-                (&mut left[fa], &mut right[0])
-            } else {
-                let (left, right) = shard.frames.split_at_mut(fa);
-                (&mut right[0], &mut left[fb])
-            };
-            Ok(f(la.bytes_mut(), lb.bytes_mut()))
-        } else {
-            // Distinct shards: split-borrow the stripe vector.
-            let (first, second) = if ia < ib {
-                let (l, r) = self.shards.split_at_mut(ib);
-                (&mut l[ia], &mut r[0])
-            } else {
-                let (l, r) = self.shards.split_at_mut(ia);
-                (&mut r[0], &mut l[ib])
-            };
-            let (sa, sb) = (first.get_mut().unwrap(), second.get_mut().unwrap());
-            let fa = sa.fetch(storage, a)?;
-            let fb = sb.fetch(storage, b)?;
-            sa.frames[fa].dirty = true;
-            sb.frames[fb].dirty = true;
-            let (fa, fb) = (&mut sa.frames[fa], &mut sb.frames[fb]);
-            Ok(f(fa.bytes_mut(), fb.bytes_mut()))
-        }
-    }
-
     /// Query path: run `f` over the page contents, charging all accounting
     /// to `ctx` instead of the pool.
     ///
@@ -1139,49 +1075,6 @@ mod tests {
         let b = p.allocate();
         assert_eq!(b, a);
         p.with_page(b, |d| assert!(d.iter().all(|&x| x == 0)));
-    }
-
-    #[test]
-    fn two_pages_mut_split_borrow() {
-        // Default sharding: pages 0 and 1 land in different stripes,
-        // pages 0 and 2 in the same one — exercise both paths.
-        let mut p = MemPool::in_memory(128, 4);
-        assert_eq!(p.shard_count(), 2);
-        let a = p.allocate();
-        let b = p.allocate();
-        let c = p.allocate();
-        p.with_two_pages_mut(a, b, |da, db| {
-            da[0] = 1;
-            db[0] = 2;
-        });
-        p.with_two_pages_mut(a, c, |da, dc| {
-            assert_eq!(da[0], 1);
-            dc[0] = 3;
-        });
-        p.with_page(a, |d| assert_eq!(d[0], 1));
-        p.with_page(b, |d| assert_eq!(d[0], 2));
-        p.with_page(c, |d| assert_eq!(d[0], 3));
-        // Also in the reverse order.
-        p.with_two_pages_mut(b, a, |db, da| {
-            assert_eq!(db[0], 2);
-            assert_eq!(da[0], 1);
-        });
-    }
-
-    #[test]
-    fn two_pages_mut_works_when_neither_resident() {
-        let mut p = pool1(2);
-        let a = p.allocate();
-        let b = p.allocate();
-        let c = p.allocate();
-        let d = p.allocate(); // a, b now evicted
-        let _ = (c, d);
-        p.with_two_pages_mut(a, b, |da, db| {
-            da[1] = 3;
-            db[1] = 4;
-        });
-        p.with_page(a, |x| assert_eq!(x[1], 3));
-        p.with_page(b, |x| assert_eq!(x[1], 4));
     }
 
     #[test]

@@ -736,7 +736,6 @@ mod tests {
             index: IndexConfig {
                 page_size: 256,
                 pool_pages: 8,
-                ..Default::default()
             },
         }
     }

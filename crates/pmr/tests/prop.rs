@@ -35,7 +35,6 @@ fn cfg(threshold: usize) -> PmrConfig {
         index: IndexConfig {
             page_size: 256,
             pool_pages: 8,
-            ..Default::default()
         },
     }
 }

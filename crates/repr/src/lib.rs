@@ -458,7 +458,6 @@ mod tests {
         IndexConfig {
             page_size: 256,
             pool_pages: 16,
-            ..Default::default()
         }
     }
 

@@ -35,7 +35,6 @@ fn queries_match_oracle() {
         let cfg = IndexConfig {
             page_size: 256,
             pool_pages: 8,
-            ..Default::default()
         };
         let t = ReprGrid::build(&map, cfg, g);
         let mut ctx = QueryCtx::new();
@@ -65,7 +64,6 @@ fn incident_at_real_endpoints() {
         let cfg = IndexConfig {
             page_size: 256,
             pool_pages: 8,
-            ..Default::default()
         };
         let t = ReprGrid::build(&map, cfg, 8);
         let mut ctx = QueryCtx::new();
@@ -88,7 +86,6 @@ fn deletes_then_queries() {
         let cfg = IndexConfig {
             page_size: 128,
             pool_pages: 8,
-            ..Default::default()
         };
         let mut t = ReprGrid::build(&map, cfg, 4);
         let mut kept = Vec::new();

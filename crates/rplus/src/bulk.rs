@@ -24,7 +24,7 @@
 //! build (hundreds of counties) feasible.
 
 use crate::{cut_region, midpoint, Axis, RPlusTree};
-use lsdb_core::rectnode::{order_entries, Entry, RectNode};
+use lsdb_core::rectnode::{Entry, RectNode};
 use lsdb_core::{IndexConfig, PolygonalMap, SegmentTable};
 use lsdb_geom::{world_rect, Rect, Segment};
 use lsdb_pager::PageId;
@@ -128,9 +128,8 @@ impl RPlusTree {
 
     fn write_leaves(&mut self, part: Part) -> Packed {
         match part {
-            Part::Leaf { region, mut items } => {
+            Part::Leaf { region, items } => {
                 debug_assert!(items.len() <= self.m_max);
-                order_entries(&mut items, self.order);
                 let pid = self.pool.allocate();
                 self.pool.with_page_mut(pid, |buf| {
                     RectNode::init(buf, true);
@@ -186,7 +185,6 @@ impl RPlusTree {
                 let mut entries = Vec::new();
                 collect_entries(subtree, &mut entries);
                 debug_assert!(!entries.is_empty() && entries.len() <= self.m_max);
-                order_entries(&mut entries, self.order);
                 let pid = self.pool.allocate();
                 self.pool.with_page_mut(pid, |buf| {
                     RectNode::init(buf, false);
@@ -366,7 +364,6 @@ mod tests {
         IndexConfig {
             page_size: 224,
             pool_pages: 8,
-            ..Default::default()
         }
     }
 

@@ -37,7 +37,7 @@
 
 mod bulk;
 
-use lsdb_core::rectnode::{order_entries, Entry, EntryOrder, RectNode, RectTreeAccess};
+use lsdb_core::rectnode::{Entry, RectNode, RectTreeAccess};
 use lsdb_core::{
     traverse, IndexConfig, LocId, PolygonalMap, QueryCtx, QueryStats, SegId, SegmentTable,
     SpatialIndex,
@@ -62,8 +62,6 @@ pub struct RPlusTree {
     height: u32,
     m_max: usize,
     len: usize,
-    /// Intra-node ordering applied whenever a node is rewritten.
-    order: EntryOrder,
 }
 
 impl RPlusTree {
@@ -83,7 +81,6 @@ impl RPlusTree {
             height: 1,
             m_max,
             len: 0,
-            order: cfg.entry_order,
         }
     }
 
@@ -111,31 +108,6 @@ impl RPlusTree {
         let height = self.height;
         let (sum, leaves) = self.occupancy_rec(root, height);
         sum as f64 / leaves as f64
-    }
-
-    /// Per-leaf entry counts (diagnostics/ablation).
-    pub fn leaf_occupancies(&mut self) -> Vec<usize> {
-        let root = self.root;
-        let height = self.height;
-        let mut out = Vec::new();
-        self.leaf_occ_rec(root, height, &mut out);
-        out
-    }
-
-    fn leaf_occ_rec(&mut self, pid: PageId, level: u32, out: &mut Vec<usize>) {
-        if level == 1 {
-            out.push(self.pool.with_page(pid, RectNode::count));
-            return;
-        }
-        let children: Vec<PageId> = self.pool.with_page(pid, |buf| {
-            RectNode::entries(buf)
-                .iter()
-                .map(|e| PageId(e.child))
-                .collect()
-        });
-        for ch in children {
-            self.leaf_occ_rec(ch, level - 1, out);
-        }
     }
 
     fn occupancy_rec(&mut self, pid: PageId, level: u32) -> (u64, u64) {
@@ -231,9 +203,8 @@ impl RPlusTree {
     ) -> Vec<Entry> {
         let mut out = Vec::with_capacity(parts.len());
         let mut reuse = reuse;
-        for (region, mut entries) in parts {
+        for (region, entries) in parts {
             debug_assert!(entries.len() <= self.m_max);
-            order_entries(&mut entries, self.order);
             let pid = match reuse.take() {
                 Some(p) => p,
                 None => self.pool.allocate(),
@@ -360,8 +331,6 @@ impl RPlusTree {
             );
         }
         let rpid = self.pool.allocate();
-        order_entries(&mut left, self.order);
-        order_entries(&mut right, self.order);
         self.pool.with_page_mut(pid, |buf| {
             RectNode::init(buf, is_leaf);
             RectNode::write_entries(buf, &left);
@@ -794,7 +763,6 @@ mod tests {
         IndexConfig {
             page_size: 224,
             pool_pages: 8,
-            ..Default::default()
         }
     }
 

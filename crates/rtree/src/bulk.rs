@@ -69,11 +69,9 @@ impl RTree {
 
     fn write_node(&mut self, entries: &[Entry], leaf: bool) -> PageId {
         let pid = self.pool.allocate();
-        let mut ordered = entries.to_vec();
-        lsdb_core::rectnode::order_entries(&mut ordered, self.order);
         self.pool.with_page_mut(pid, |buf| {
             RectNode::init(buf, leaf);
-            RectNode::write_entries(buf, &ordered);
+            RectNode::write_entries(buf, entries);
         });
         pid
     }
@@ -147,7 +145,6 @@ mod tests {
         IndexConfig {
             page_size: 224,
             pool_pages: 8,
-            ..Default::default()
         }
     }
 

@@ -19,9 +19,7 @@ mod split;
 
 pub use split::RTreeKind;
 
-use lsdb_core::rectnode::{
-    entries_mbr, order_entries, Entry, EntryOrder, RectNode, RectTreeAccess,
-};
+use lsdb_core::rectnode::{entries_mbr, Entry, RectNode, RectTreeAccess};
 use lsdb_core::{
     traverse, IndexConfig, LocId, PolygonalMap, QueryCtx, QueryStats, SegId, SegmentTable,
     SpatialIndex,
@@ -45,9 +43,6 @@ pub struct RTree {
     m_max: usize,
     m_min: usize,
     len: usize,
-    /// Intra-node ordering applied whenever a node is rewritten
-    /// (splits, reinsertion keeps, bulk packing).
-    order: EntryOrder,
 }
 
 impl RTree {
@@ -72,7 +67,6 @@ impl RTree {
             m_max,
             m_min,
             len: 0,
-            order: cfg.entry_order,
         }
     }
 
@@ -249,8 +243,7 @@ impl RTree {
             };
             entries.sort_by_key(|e| Reverse(dist(&e.rect)));
             let p = ((self.m_max as f64 * REINSERT_FRACTION).round() as usize).max(1);
-            let mut keep = entries.split_off(p);
-            order_entries(&mut keep, self.order);
+            let keep = entries.split_off(p);
             self.pool
                 .with_page_mut(pid, |buf| RectNode::write_entries(buf, &keep));
             // `pending` is popped from the back; entries[] is sorted
@@ -261,9 +254,7 @@ impl RTree {
             return None;
         }
         let is_leaf = level == 1;
-        let (mut left, mut right) = split::split(self.kind, entries, self.m_min);
-        order_entries(&mut left, self.order);
-        order_entries(&mut right, self.order);
+        let (left, right) = split::split(self.kind, entries, self.m_min);
         let right_pid = self.pool.allocate();
         self.pool.with_page_mut(pid, |buf| {
             RectNode::init(buf, is_leaf);
@@ -603,7 +594,6 @@ mod tests {
         IndexConfig {
             page_size: 224,
             pool_pages: 8,
-            ..Default::default()
         }
     }
 
@@ -812,7 +802,6 @@ mod tests {
             IndexConfig {
                 page_size: 224,
                 pool_pages: 4096,
-                ..Default::default()
             },
             RTreeKind::RStar,
         );

@@ -37,7 +37,6 @@ fn small_cfg() -> IndexConfig {
     IndexConfig {
         page_size: 224,
         pool_pages: 8,
-        ..Default::default()
     }
 }
 

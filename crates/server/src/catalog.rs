@@ -45,7 +45,7 @@ use lsdb_pager::{BufferBudget, CacheStats};
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A deterministic recipe for (re)building one map's index. Called
 /// under the map's slot lock, possibly many times over the server's
@@ -87,7 +87,24 @@ impl MapSlot {
     }
 
     fn is_open(&self) -> bool {
-        self.state.read().expect("slot lock").is_some()
+        self.read_state().is_some()
+    }
+
+    /// Shared access to the slot's index. A panic under the write lock
+    /// (a map builder that panics inside `open_slot`) poisons it; the
+    /// guard is recovered rather than the panic spread to every later
+    /// request that walks the roster. That is sound because the only
+    /// write sections, `open_slot` and `close_slot`, store a fully built
+    /// index or take it out in one step, so the `Option` is valid
+    /// whenever a panic can strike.
+    fn read_state(&self) -> RwLockReadGuard<'_, Option<LiveIndex>> {
+        self.state.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Exclusive access to the slot's index; poison is recovered as in
+    /// [`MapSlot::read_state`].
+    fn write_state(&self) -> RwLockWriteGuard<'_, Option<LiveIndex>> {
+        self.state.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Eviction may not close this slot (it could not come back intact).
@@ -241,22 +258,6 @@ impl Catalog {
         self.reply_cache_pool.set_cap(bytes);
     }
 
-    /// The pool backing every slot's reply cache.
-    pub fn reply_cache_pool(&self) -> &Arc<ReplyCachePool> {
-        &self.reply_cache_pool
-    }
-
-    /// Flip one map's reply-cache enable bit (disabling drops its
-    /// entries). The pool cap still gates actual caching.
-    pub fn set_map_cache(&self, name: &str, enabled: bool) -> Result<(), CatalogError> {
-        let &id = self
-            .by_name
-            .get(name)
-            .ok_or_else(|| CatalogError::UnknownMap(format!("{name:?}")))?;
-        self.slots[id as usize].reply_cache.set_enabled(enabled);
-        Ok(())
-    }
-
     /// The process-wide aggregate counters (the aggregate block of
     /// `STATS`).
     pub fn aggregate(&self) -> &SharedStats {
@@ -279,7 +280,7 @@ impl Catalog {
         slot.ref_bit.store(true, Ordering::Relaxed);
         let out = loop {
             {
-                let state = slot.state.read().expect("slot lock");
+                let state = slot.read_state();
                 if let Some(live) = state.as_ref() {
                     break f(slot, live);
                 }
@@ -347,7 +348,7 @@ impl Catalog {
             .iter()
             .enumerate()
             .map(|(id, slot)| {
-                let state = slot.state.read().expect("slot lock");
+                let state = slot.read_state();
                 let cache = state
                     .as_ref()
                     .map(|live| live.with_read(|index| index.cache_stats()))
@@ -377,7 +378,7 @@ impl Catalog {
     }
 
     fn open_slot(&self, slot: &MapSlot) -> io::Result<()> {
-        let mut state = slot.state.write().expect("slot lock");
+        let mut state = slot.write_state();
         if state.is_none() {
             let builder = slot
                 .builder
@@ -393,7 +394,7 @@ impl Catalog {
 
     fn close_slot(&self, slot: &MapSlot) -> bool {
         debug_assert!(slot.builder.is_some());
-        let mut state = slot.state.write().expect("slot lock");
+        let mut state = slot.write_state();
         if state.take().is_some() {
             // Dropping the LiveIndex drops its pools, whose shards
             // release their held bytes back to the budget. The reply
@@ -450,7 +451,7 @@ impl Catalog {
                 break;
             }
             let overage = self.budget.over_budget();
-            let state = slot.state.read().expect("slot lock");
+            let state = slot.read_state();
             if let Some(live) = state.as_ref() {
                 // Shed write-backs are plain I/O errors at worst; a map
                 // that cannot shed is simply skipped this lap.
@@ -466,7 +467,7 @@ impl Catalog {
         let open = self.slots.iter().filter(|s| s.is_open()).count();
         let mut page_evictions = 0u64;
         for slot in &self.slots {
-            let state = slot.state.read().expect("slot lock");
+            let state = slot.read_state();
             if let Some(live) = state.as_ref() {
                 page_evictions += live.with_read(|index| index.cache_stats()).evictions;
             }
@@ -530,7 +531,6 @@ mod tests {
                 IndexConfig {
                     page_size: 512,
                     pool_pages: 32,
-                    ..Default::default()
                 },
             )) as Box<dyn SpatialIndex>)
         })

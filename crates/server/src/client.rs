@@ -10,7 +10,6 @@
 //! (replies matched by id) and [`Client::call_batch`] sends one `BATCH`
 //! frame for Morton-sorted server-side execution.
 //!
-//! Requests are built with the typed [`QueryRequest`] builder.
 //! Server-side error frames surface as [`std::io::ErrorKind::Other`]
 //! errors carrying the structured code and message.
 
@@ -19,7 +18,7 @@ use crate::protocol::{
     MapStatsWire, Reply, Request, MAX_REPLY_FRAME, PROTOCOL_VERSION,
 };
 use lsdb_core::{BatchRequest, QueryStats, SegId};
-use lsdb_geom::{Point, Rect, Segment};
+use lsdb_geom::Segment;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -38,90 +37,6 @@ impl std::fmt::Display for ServerError {
 }
 
 impl std::error::Error for ServerError {}
-
-/// Typed builder for the seven spatial requests — the one front door for
-/// constructing [`Request`] values without spelling wire enum variants.
-///
-/// ```no_run
-/// use lsdb_server::QueryRequest;
-/// use lsdb_geom::{Point, Rect};
-/// # let mut client = lsdb_server::Client::connect("127.0.0.1:4750").unwrap();
-/// let reply = client.call(&QueryRequest::window(Rect::new(0, 0, 64, 64)).build())?;
-/// let walk = QueryRequest::enclosing_polygon(Point::new(5, 5)).max_steps(500).build();
-/// # std::io::Result::Ok(())
-/// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct QueryRequest {
-    request: Request,
-}
-
-impl QueryRequest {
-    /// Query 1: all segments incident at `p`.
-    pub fn incident(p: Point) -> QueryRequest {
-        QueryRequest {
-            request: Request::Incident(p),
-        }
-    }
-
-    /// Query 2: segments at the *other* endpoint of `id`, given `at` is
-    /// one of its endpoints.
-    pub fn second_endpoint(id: SegId, at: Point) -> QueryRequest {
-        QueryRequest {
-            request: Request::Second { id, at },
-        }
-    }
-
-    /// Query 3: the nearest segment to `p`.
-    pub fn nearest(p: Point) -> QueryRequest {
-        QueryRequest {
-            request: Request::Nearest(p),
-        }
-    }
-
-    /// Ranked query 3: the `k` nearest segments, closest first.
-    pub fn nearest_k(p: Point, k: u32) -> QueryRequest {
-        QueryRequest {
-            request: Request::Knn { at: p, k },
-        }
-    }
-
-    /// Query 5: all segments intersecting `w`.
-    pub fn window(w: Rect) -> QueryRequest {
-        QueryRequest {
-            request: Request::Window(w),
-        }
-    }
-
-    /// Query 4: the minimal polygon enclosing `p` (default step cap
-    /// 10 000; tune with [`QueryRequest::max_steps`]).
-    pub fn enclosing_polygon(p: Point) -> QueryRequest {
-        QueryRequest {
-            request: Request::Polygon {
-                at: p,
-                max_steps: 10_000,
-            },
-        }
-    }
-
-    /// Cap the polygon boundary walk (no effect on other queries).
-    pub fn max_steps(mut self, steps: u32) -> QueryRequest {
-        if let Request::Polygon { max_steps, .. } = &mut self.request {
-            *max_steps = steps;
-        }
-        self
-    }
-
-    /// The wire request.
-    pub fn build(self) -> Request {
-        self.request
-    }
-}
-
-impl From<QueryRequest> for Request {
-    fn from(q: QueryRequest) -> Request {
-        q.build()
-    }
-}
 
 /// The `STATS` answer: process aggregates, the buffer-budget gauge, and
 /// one entry per map.
@@ -360,55 +275,4 @@ fn unexpected(reply: &Reply) -> io::Error {
         io::ErrorKind::InvalidData,
         format!("reply does not match the request: {reply:?}"),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn query_request_builds_every_wire_shape() {
-        assert_eq!(
-            QueryRequest::incident(Point::new(1, 2)).build(),
-            Request::Incident(Point::new(1, 2))
-        );
-        assert_eq!(
-            QueryRequest::second_endpoint(SegId(7), Point::new(3, 4)).build(),
-            Request::Second {
-                id: SegId(7),
-                at: Point::new(3, 4)
-            }
-        );
-        assert_eq!(
-            QueryRequest::nearest(Point::new(5, 6)).build(),
-            Request::Nearest(Point::new(5, 6))
-        );
-        assert_eq!(
-            QueryRequest::nearest_k(Point::new(5, 6), 9).build(),
-            Request::Knn {
-                at: Point::new(5, 6),
-                k: 9
-            }
-        );
-        assert_eq!(
-            QueryRequest::window(Rect::new(0, 0, 4, 4)).build(),
-            Request::Window(Rect::new(0, 0, 4, 4))
-        );
-        assert_eq!(
-            QueryRequest::enclosing_polygon(Point::new(8, 8))
-                .max_steps(77)
-                .build(),
-            Request::Polygon {
-                at: Point::new(8, 8),
-                max_steps: 77
-            }
-        );
-        // max_steps on a non-polygon request is inert, not a panic.
-        assert_eq!(
-            QueryRequest::nearest(Point::new(0, 0)).max_steps(5).build(),
-            Request::Nearest(Point::new(0, 0))
-        );
-        let via_from: Request = QueryRequest::incident(Point::new(1, 1)).into();
-        assert_eq!(via_from, Request::Incident(Point::new(1, 1)));
-    }
 }

@@ -52,7 +52,7 @@ pub mod server;
 mod sys;
 
 pub use catalog::{Catalog, CatalogError, MapBuilder, MapSlot};
-pub use client::{CatalogStats, Client, QueryRequest, ServerError};
+pub use client::{CatalogStats, Client, ServerError};
 pub use loadgen::{
     run_closed_loop, run_closed_loop_routed, run_open_loop, run_open_loop_routed, LoadReport,
 };

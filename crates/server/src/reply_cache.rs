@@ -49,7 +49,7 @@ use lsdb_pager::BufferBudget;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Fixed per-entry overhead charged on top of key + body bytes (map
@@ -125,9 +125,6 @@ struct Inner {
 /// `CLOSE_MAP` can drop exactly one slot's entries.
 pub struct ReplyCache {
     pool: Arc<ReplyCachePool>,
-    /// Per-map enable bit (`Catalog::set_map_cache`); caching needs
-    /// this *and* a nonzero pool cap.
-    enabled: AtomicBool,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -141,7 +138,6 @@ impl ReplyCache {
     pub fn new(pool: Arc<ReplyCachePool>) -> ReplyCache {
         ReplyCache {
             pool,
-            enabled: AtomicBool::new(true),
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
                 probation: VecDeque::new(),
@@ -160,16 +156,7 @@ impl ReplyCache {
 
     /// Whether probes and inserts do anything right now.
     pub fn on(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed) && self.pool.cap() > 0
-    }
-
-    /// Flip the per-map enable bit. Disabling drops this map's entries
-    /// (their bytes return to the pool and the budget).
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            self.clear();
-        }
+        self.pool.cap() > 0
     }
 
     /// Look up the reply cached for `req_bytes` at `epoch`. A hit
@@ -503,20 +490,6 @@ mod tests {
         assert!(cache.probe(0, b"q").is_none());
         let w = cache.wire();
         assert_eq!((w.hits, w.misses, w.insertions), (0, 0, 0));
-    }
-
-    #[test]
-    fn per_map_disable_clears_and_stops() {
-        let cache = ReplyCache::new(pool(1 << 20));
-        cache.insert(0, b"q", body(16), QueryStats::default());
-        cache.set_enabled(false);
-        assert_eq!(cache.entries(), 0);
-        assert_eq!(cache.bytes(), 0);
-        assert!(cache.probe(0, b"q").is_none());
-        assert_eq!(cache.wire().misses, 0, "disabled probes count nothing");
-        cache.set_enabled(true);
-        assert!(cache.probe(0, b"q").is_none());
-        assert_eq!(cache.wire().misses, 1);
     }
 
     #[test]

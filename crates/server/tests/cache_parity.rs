@@ -38,7 +38,6 @@ fn county_cfg() -> IndexConfig {
     IndexConfig {
         page_size: 1024,
         pool_pages: 64,
-        ..Default::default()
     }
 }
 

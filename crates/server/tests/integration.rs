@@ -12,8 +12,7 @@ use lsdb_server::protocol::{
     V3_MARKER,
 };
 use lsdb_server::{
-    BatchRequest, Catalog, Client, ErrorCode, QueryRequest, Reply, Request, Server, ServerConfig,
-    ServerError,
+    BatchRequest, Catalog, Client, ErrorCode, Reply, Request, Server, ServerConfig, ServerError,
 };
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -277,13 +276,10 @@ fn malformed_requests_get_error_frames_not_hangups() {
     // A bad argument (segment id beyond the map) is a structured error.
     let mut client = Client::connect(addr).unwrap();
     let e = client
-        .call(
-            &QueryRequest::second_endpoint(
-                lsdb_core::SegId(u32::MAX - 1),
-                lsdb_geom::Point::new(0, 0),
-            )
-            .build(),
-        )
+        .call(&Request::Second {
+            id: lsdb_core::SegId(u32::MAX - 1),
+            at: lsdb_geom::Point::new(0, 0),
+        })
         .unwrap_err();
     let server_err = e
         .get_ref()
@@ -561,7 +557,7 @@ fn live_mutations_apply_over_the_wire_while_readers_run() {
         assert_eq!(id, lsdb_core::SegId(base_len));
         assert!(lsn > 0);
 
-        match writer.call(&QueryRequest::incident(seg.a).build()).unwrap() {
+        match writer.call(&Request::Incident(seg.a)).unwrap() {
             Reply::Segs { ids, .. } => assert_eq!(ids, vec![id]),
             other => panic!("unexpected reply {other:?}"),
         }
@@ -570,7 +566,7 @@ fn live_mutations_apply_over_the_wire_while_readers_run() {
         assert!(removed);
         let (removed, _) = writer.delete(id).unwrap();
         assert!(!removed, "second delete of the same id is a no-op");
-        match writer.call(&QueryRequest::incident(seg.a).build()).unwrap() {
+        match writer.call(&Request::Incident(seg.a)).unwrap() {
             Reply::Segs { ids, .. } => assert!(ids.is_empty()),
             other => panic!("unexpected reply {other:?}"),
         }
@@ -653,18 +649,20 @@ fn a_panicking_job_is_answered_internal_and_its_loop_keeps_serving() {
     let addr = server.local_addr().unwrap();
     let handle = std::thread::spawn(move || server.run());
 
+    let builder_panicked = |err: std::io::Error| {
+        let server_err = err
+            .get_ref()
+            .and_then(|e| e.downcast_ref::<ServerError>())
+            .unwrap_or_else(|| panic!("expected an error frame, got {err}"));
+        assert_eq!(server_err.code, ErrorCode::Internal);
+        assert!(
+            server_err.message.contains("builder exploded"),
+            "{}",
+            server_err.message
+        );
+    };
     let mut client = Client::connect(addr).unwrap();
-    let err = client.open_map("boom").unwrap_err();
-    let server_err = err
-        .get_ref()
-        .and_then(|e| e.downcast_ref::<ServerError>())
-        .unwrap_or_else(|| panic!("expected an error frame, got {err}"));
-    assert_eq!(server_err.code, ErrorCode::Internal);
-    assert!(
-        server_err.message.contains("builder exploded"),
-        "{}",
-        server_err.message
-    );
+    builder_panicked(client.open_map("boom").unwrap_err());
 
     // The same connection answers the live map exactly as in-process
     // execution does, on the loop's fresh context.
@@ -672,6 +670,23 @@ fn a_panicking_job_is_answered_internal_and_its_loop_keeps_serving() {
         let got = client.call_on(live, req).unwrap();
         assert_eq!(got.encode(), want.encode(), "{req:?}");
     }
+
+    // The builder panicked under its slot's write lock. The requests
+    // that walk every slot still answer, and re-opening the map runs
+    // the builder again rather than tripping over the poisoned lock.
+    let stats = client.stats_v3().unwrap();
+    assert_eq!((stats.queries, stats.maps.len()), (probe.len() as u64, 2));
+    let listed: Vec<(String, bool)> = client
+        .list_maps()
+        .unwrap()
+        .into_iter()
+        .map(|m| (m.name, m.open))
+        .collect();
+    assert_eq!(
+        listed,
+        [("live".to_string(), true), ("boom".to_string(), false)]
+    );
+    builder_panicked(client.open_map("boom").unwrap_err());
 
     // The listener still accepts, and the drain still completes.
     let mut other = Client::connect(addr).unwrap();

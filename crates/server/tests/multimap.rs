@@ -20,7 +20,6 @@ fn county_cfg() -> IndexConfig {
     IndexConfig {
         page_size: 512,
         pool_pages: 256,
-        ..Default::default()
     }
 }
 

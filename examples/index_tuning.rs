@@ -57,7 +57,6 @@ fn main() {
             let cfg = IndexConfig {
                 page_size: page,
                 pool_pages: pool,
-                ..Default::default()
             };
             let pmr = PmrQuadtree::build(
                 &map,

@@ -275,7 +275,6 @@ fn cmd_build(rest: &[String]) -> i32 {
     let cfg = IndexConfig {
         page_size: page,
         pool_pages: pool,
-        ..Default::default()
     };
     let start = std::time::Instant::now();
     let Some(mut idx) = build_structure(&structure, &map, cfg) else {
@@ -563,7 +562,6 @@ fn cmd_serve(rest: &[String]) -> i32 {
     let cfg = IndexConfig {
         page_size: page,
         pool_pages: pool,
-        ..Default::default()
     };
 
     // Continent mode: host a whole catalog of deterministic county maps

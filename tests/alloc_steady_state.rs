@@ -51,7 +51,6 @@ fn steady_state_queries_do_not_allocate() {
     let cfg = IndexConfig {
         page_size: 1024,
         pool_pages: 8192,
-        ..Default::default()
     };
     let mut pgen = UniformGen::new(99);
     let probes: Vec<_> = (0..50).map(|_| pgen.next_point()).collect();

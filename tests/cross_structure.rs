@@ -193,7 +193,6 @@ fn resident_pages_are_free_cold_caches_fault() {
         let cfg = IndexConfig {
             page_size: 1024,
             pool_pages: 4096,
-            ..Default::default()
         };
         let mut idx = build_index(kind, &map, cfg);
         let p = lsdb::geom::Point::new(8000, 8000);

@@ -59,7 +59,6 @@ fn fig6_pipeline_shape() {
         let cfg = IndexConfig {
             page_size: 1024,
             pool_pages: pool,
-            ..Default::default()
         };
         let (_, rep) = measure_build(IndexKind::Pmr, &map, cfg);
         assert!(
@@ -75,7 +74,6 @@ fn fig6_pipeline_shape() {
         let cfg = IndexConfig {
             page_size: page,
             pool_pages: 16,
-            ..Default::default()
         };
         let (_, rep) = measure_build(IndexKind::Pmr, &map, cfg);
         assert!(
