@@ -46,7 +46,7 @@ const STREAM_LEN: usize = 256;
 
 /// Paper-style 1 KB pages with a pool *smaller* than one county's tree,
 /// so the logical miss counters stay nonzero (and — because paper
-/// counters are independent of physical shedding — provably identical
+/// counters are independent of budget shedding — provably identical
 /// across fleet sizes: the isolation column of the sweep).
 fn county_cfg() -> IndexConfig {
     IndexConfig {

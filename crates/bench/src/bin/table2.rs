@@ -62,8 +62,8 @@ fn main() {
         walls_ms.push(wall);
     }
     // The set-oriented workloads again as single locality-sorted batches:
-    // identical counters (the guard asserts it), lower wall-clock — warm
-    // page pins and the segment mini-cache carry across Morton neighbors.
+    // identical counters (the guard asserts it); Morton neighbours touch
+    // the same pages while they are still in the CPU caches.
     const BATCHED: [Workload; 2] = [Workload::Range, Workload::PolygonTwoStage];
     let mut batched_results = Vec::new();
     let mut batched_walls_ms = Vec::new();

@@ -244,10 +244,9 @@ impl QueryWorkbench {
 
     /// Run one workload as a single locality-sorted batch
     /// ([`execute_batch`]): queries execute in Morton order of query
-    /// point over one warm context, so pinned pages and the segment
-    /// mini-cache carry across neighbors. The averages are exactly those
+    /// point, the context reset per item. The averages are exactly those
     /// of [`QueryWorkbench::run`] — batching is counter-transparent by
-    /// construction (and by the counter guard) — only wall time drops.
+    /// construction (and by the counter guard) — only wall time differs.
     pub fn run_batched(&self, workload: Workload, index: &dyn SpatialIndex) -> WorkloadResult {
         let req = self.batch(workload);
         let mut ctx = QueryCtx::new();
@@ -428,9 +427,9 @@ mod tests {
             .iter()
             .map(|&k| crate::build_index(k, &map, cfg))
             .collect();
-        // A context's page pins are only meaningful against one index's
-        // pools, so each (query, index) pair gets a fresh one — exactly
-        // what `drive` does per query.
+        // A context's touched pages are only meaningful against one
+        // index's pools, so each (query, index) pair gets a fresh one —
+        // exactly what `drive` does per query.
         for &(_, p) in &wb.endpoints {
             let mut answers: Vec<Vec<lsdb_core::SegId>> = indexes
                 .iter()

@@ -6,9 +6,8 @@
 //!
 //! The window and polygon workloads are checked per item over 1000
 //! queries combined (500 each): those are the set-oriented workloads the
-//! batch engine exists for, and the ones where warm page pins and the
-//! segment mini-cache would be most visible if the charge-replay
-//! bookkeeping leaked.
+//! batch engine exists for, and the ones where state leaking from one
+//! item into the next would be most visible.
 
 use lsdb_bench::workloads::{QueryWorkbench, Workload};
 use lsdb_bench::{build_index, IndexKind};

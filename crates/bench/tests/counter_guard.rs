@@ -3,7 +3,7 @@
 //! workload must match the values baked below **exactly** — they were
 //! recorded from the pre-kernel per-entry query path, and every later
 //! query-path optimization (zero-copy node scans, batched rectangle
-//! kernels, the per-context segment mini-cache, pinned B-tree descents)
+//! kernels, the per-context segment mini-cache, borrowed page bytes)
 //! is required to be counter-transparent.
 //!
 //! The full benchmark averages 1000 queries; this guard runs the same
@@ -53,10 +53,10 @@ fn table2_counters_match_pre_kernel_baseline() {
 }
 
 /// The same grid executed as locality-sorted batches
-/// ([`QueryWorkbench::run_batched`]): Morton-ordered execution over one
-/// warm context must reproduce the pre-kernel baseline **exactly** — the
-/// batch engine replays every charge per query, so warm pins and the
-/// segment mini-cache are not allowed to show up in any counter.
+/// ([`QueryWorkbench::run_batched`]): Morton-ordered execution must
+/// reproduce the pre-kernel baseline **exactly** — the batch engine
+/// resets the context per item, so the execution order is not allowed
+/// to show up in any counter.
 #[test]
 fn table2_counters_match_baseline_under_batched_execution() {
     let measured = measure(|wb, w, idx| wb.run_batched(w, idx));

@@ -21,7 +21,7 @@
 //! All nodes live in pages behind an [`lsdb_pager::BufferPool`], so every
 //! traversal is charged realistic (potential) disk accesses.
 
-use lsdb_pager::{BufferPool, MemPool, PageId, Storage};
+use lsdb_pager::{BufferPool, PageId, PoolCtx};
 use std::ops::ControlFlow;
 
 mod node;
@@ -35,8 +35,8 @@ pub struct NodeStats {
 }
 
 /// A disk B-tree storing a set of `u64` keys.
-pub struct BTree<S: Storage> {
-    pool: BufferPool<S>,
+pub struct BTree {
+    pool: BufferPool,
     root: PageId,
     len: u64,
     height: u32,
@@ -45,24 +45,14 @@ pub struct BTree<S: Storage> {
     stats: NodeStats,
 }
 
-/// The in-memory-backed B-tree used by experiments.
-pub type MemBTree = BTree<lsdb_pager::MemStorage>;
-
-impl MemBTree {
-    /// Convenience constructor over an in-memory pool.
-    pub fn in_memory(page_size: usize, pool_pages: usize) -> MemBTree {
-        BTree::new(MemPool::in_memory(page_size, pool_pages))
-    }
-}
-
 enum Insert {
     Done(bool),
     Split { sep: u64, right: PageId },
 }
 
-impl<S: Storage> BTree<S> {
+impl BTree {
     /// Create an empty tree owning `pool`.
-    pub fn new(mut pool: BufferPool<S>) -> Self {
+    pub fn new(mut pool: BufferPool) -> Self {
         let page_size = pool.page_size();
         let leaf_cap = LeafView::capacity(page_size);
         let internal_cap = InternalView::capacity(page_size);
@@ -94,16 +84,12 @@ impl<S: Storage> BTree<S> {
         self.height
     }
 
-    pub fn pool(&self) -> &BufferPool<S> {
+    pub fn pool(&self) -> &BufferPool {
         &self.pool
     }
 
-    pub fn pool_mut(&mut self) -> &mut BufferPool<S> {
+    pub fn pool_mut(&mut self) -> &mut BufferPool {
         &mut self.pool
-    }
-
-    pub fn into_pool(self) -> BufferPool<S> {
-        self.pool
     }
 
     pub fn stats(&self) -> NodeStats {
@@ -241,11 +227,11 @@ impl<S: Storage> BTree<S> {
     // ------------------------------------------------------------------
 
     /// Exact-key membership test on the shared read path.
-    pub fn contains_ctx(&self, key: u64, ctx: &mut lsdb_pager::PoolCtx) -> bool {
+    pub fn contains_ctx(&self, key: u64, ctx: &mut PoolCtx) -> bool {
         let mut pid = self.root;
         let mut level = self.height;
         loop {
-            let buf = self.pool.read_page_pinned(pid, ctx);
+            let buf = self.pool.read_page(pid, ctx);
             if level == 1 {
                 return LeafView::search(buf, key).is_ok();
             }
@@ -259,7 +245,7 @@ impl<S: Storage> BTree<S> {
         &self,
         lo: u64,
         hi: u64,
-        ctx: &mut lsdb_pager::PoolCtx,
+        ctx: &mut PoolCtx,
         f: &mut impl FnMut(u64) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         if lo > hi {
@@ -269,7 +255,7 @@ impl<S: Storage> BTree<S> {
     }
 
     /// Collect all keys in `[lo, hi]`, on the shared read path.
-    pub fn collect_range_ctx(&self, lo: u64, hi: u64, ctx: &mut lsdb_pager::PoolCtx) -> Vec<u64> {
+    pub fn collect_range_ctx(&self, lo: u64, hi: u64, ctx: &mut PoolCtx) -> Vec<u64> {
         let mut out = Vec::new();
         let _ = self.scan_range_ctx(lo, hi, ctx, &mut |k| {
             out.push(k);
@@ -279,7 +265,7 @@ impl<S: Storage> BTree<S> {
     }
 
     /// Number of keys in `[lo, hi]`, on the shared read path.
-    pub fn count_range_ctx(&self, lo: u64, hi: u64, ctx: &mut lsdb_pager::PoolCtx) -> u64 {
+    pub fn count_range_ctx(&self, lo: u64, hi: u64, ctx: &mut PoolCtx) -> u64 {
         let mut n = 0;
         let _ = self.scan_range_ctx(lo, hi, ctx, &mut |_| {
             n += 1;
@@ -289,12 +275,7 @@ impl<S: Storage> BTree<S> {
     }
 
     /// Smallest key `>= lo` within `[lo, hi]`, on the shared read path.
-    pub fn first_in_range_ctx(
-        &self,
-        lo: u64,
-        hi: u64,
-        ctx: &mut lsdb_pager::PoolCtx,
-    ) -> Option<u64> {
+    pub fn first_in_range_ctx(&self, lo: u64, hi: u64, ctx: &mut PoolCtx) -> Option<u64> {
         let mut found = None;
         let _ = self.scan_range_ctx(lo, hi, ctx, &mut |k| {
             found = Some(k);
@@ -305,12 +286,7 @@ impl<S: Storage> BTree<S> {
 
     /// Largest key `<= hi` within `[lo, hi]` (the predecessor search linear
     /// quadtrees use for point location), on the shared read path.
-    pub fn last_in_range_ctx(
-        &self,
-        lo: u64,
-        hi: u64,
-        ctx: &mut lsdb_pager::PoolCtx,
-    ) -> Option<u64> {
+    pub fn last_in_range_ctx(&self, lo: u64, hi: u64, ctx: &mut PoolCtx) -> Option<u64> {
         if lo > hi {
             return None;
         }
@@ -323,40 +299,24 @@ impl<S: Storage> BTree<S> {
         level: u32,
         lo: u64,
         hi: u64,
-        ctx: &mut lsdb_pager::PoolCtx,
+        ctx: &mut PoolCtx,
         f: &mut impl FnMut(u64) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         // Steady-state queries must not allocate: leaves are walked in
-        // place over the pinned borrow, and internal child ids are staged
-        // through a fixed stack buffer. Re-borrowing the parent between
-        // chunks is free in the disk counters — the page is already pinned
-        // in `ctx` after its first access.
+        // place over the borrowed page, and the recursion reads child ids
+        // straight from the borrowed parent.
+        let buf = self.pool.read_page(pid, ctx);
         if level == 1 {
-            let buf = self.pool.read_page_pinned(pid, ctx);
             let start = LeafView::search(buf, lo).unwrap_or_else(|i| i);
             let count = LeafView::count(buf);
             return lsdb_core::scan::scan_keys_le(LeafView::key_bytes(buf, start, count), hi, f);
         }
-        let buf = self.pool.read_page_pinned(pid, ctx);
         let count = InternalView::count(buf);
         let start = InternalView::child_index_for(buf, lo);
         let end = InternalView::child_index_for(buf, hi).min(count);
-        // Recursing needs `ctx` back, so child ids are staged on the stack
-        // in fixed chunks rather than re-reading the parent per child (or
-        // collecting into a Vec — steady-state queries must not allocate).
-        const CHUNK: usize = 32;
-        let mut kids = [PageId(0); CHUNK];
-        let mut i = start;
-        while i <= end {
-            let n = (end - i + 1).min(CHUNK);
-            let buf = self.pool.read_page_pinned(pid, ctx);
-            for (j, kid) in kids[..n].iter_mut().enumerate() {
-                *kid = InternalView::child_at(buf, i + j);
-            }
-            for &child in &kids[..n] {
-                self.scan_rec_ctx(child, level - 1, lo, hi, ctx, f)?;
-            }
-            i += n;
+        for i in start..=end {
+            let child = InternalView::child_at(buf, i);
+            self.scan_rec_ctx(child, level - 1, lo, hi, ctx, f)?;
         }
         ControlFlow::Continue(())
     }
@@ -367,10 +327,10 @@ impl<S: Storage> BTree<S> {
         level: u32,
         lo: u64,
         hi: u64,
-        ctx: &mut lsdb_pager::PoolCtx,
+        ctx: &mut PoolCtx,
     ) -> Option<u64> {
+        let buf = self.pool.read_page(pid, ctx);
         if level == 1 {
-            let buf = self.pool.read_page_pinned(pid, ctx);
             let end = match LeafView::search(buf, hi) {
                 Ok(i) => i + 1,
                 Err(i) => i,
@@ -381,20 +341,12 @@ impl<S: Storage> BTree<S> {
             let k = LeafView::key_at(buf, end - 1);
             return (k >= lo).then_some(k);
         }
-        let buf = self.pool.read_page_pinned(pid, ctx);
         let count = InternalView::count(buf);
         let start = InternalView::child_index_for(buf, lo);
         let end = InternalView::child_index_for(buf, hi).min(count);
-        // Rightmost candidate almost always hits, so a per-child pinned
-        // re-borrow (free in the disk counters) beats staging the ids.
-        for i in (start..=end).rev() {
-            let buf = self.pool.read_page_pinned(pid, ctx);
-            let child = InternalView::child_at(buf, i);
-            if let Some(k) = self.last_rec_ctx(child, level - 1, lo, hi, ctx) {
-                return Some(k);
-            }
-        }
-        None
+        (start..=end)
+            .rev()
+            .find_map(|i| self.last_rec_ctx(InternalView::child_at(buf, i), level - 1, lo, hi, ctx))
     }
 
     fn last_rec(&mut self, pid: PageId, level: u32, lo: u64, hi: u64) -> Option<u64> {
@@ -815,10 +767,10 @@ impl<S: Storage> BTree<S> {
 mod tests {
     use super::*;
 
-    fn tiny() -> MemBTree {
+    fn tiny() -> BTree {
         // 64-byte pages: leaf capacity 7, internal capacity 4 — forces deep
         // trees and frequent splits/merges at small n.
-        BTree::new(MemPool::in_memory(64, 8))
+        BTree::new(BufferPool::new(64, 8))
     }
 
     #[test]
@@ -973,8 +925,8 @@ mod tests {
     fn disk_stats_reflect_pool_misses() {
         // A pool big enough to hold everything: after warm-up, queries are
         // free; with a tiny pool, they are not.
-        let mut big = BTree::new(MemPool::in_memory(64, 1024));
-        let mut small = BTree::new(MemPool::in_memory(64, 2));
+        let mut big = BTree::new(BufferPool::new(64, 1024));
+        let mut small = BTree::new(BufferPool::new(64, 2));
         for k in 0..500u64 {
             big.insert(k);
             small.insert(k);
@@ -1010,7 +962,7 @@ mod tests {
         for k in (0..300u64).map(|i| i * 3) {
             t.insert(k);
         }
-        let mut ctx = lsdb_pager::PoolCtx::new();
+        let mut ctx = PoolCtx::new();
         for probe in [0, 1, 3, 299 * 3, 900, u64::MAX] {
             let expect = t.contains(probe);
             assert_eq!(t.contains_ctx(probe, &mut ctx), expect);
@@ -1035,13 +987,13 @@ mod tests {
     #[test]
     fn ctx_reads_charge_the_context_not_the_pool() {
         // Pool of 2 frames over a ~500-key tree: almost nothing resident.
-        let mut t = BTree::new(MemPool::in_memory(64, 2));
+        let mut t = BTree::new(BufferPool::new(64, 2));
         for k in 0..500u64 {
             t.insert(k);
         }
         t.pool_mut().clear();
         t.pool_mut().reset_stats();
-        let mut ctx = lsdb_pager::PoolCtx::new();
+        let mut ctx = PoolCtx::new();
         assert!(t.contains_ctx(250, &mut ctx));
         assert_eq!(
             ctx.stats.reads as u32,
@@ -1053,7 +1005,7 @@ mod tests {
             0,
             "pool counters untouched by ctx reads"
         );
-        // Re-walking the same path in the same context is free (pinned).
+        // Re-walking the same path in the same query is free.
         let before = ctx.stats.reads;
         assert!(t.contains_ctx(250, &mut ctx));
         assert_eq!(ctx.stats.reads, before);
@@ -1061,7 +1013,7 @@ mod tests {
 
     #[test]
     fn concurrent_ctx_scans() {
-        let mut t = BTree::new(MemPool::in_memory(64, 4));
+        let mut t = BTree::new(BufferPool::new(64, 4));
         for k in 0..400u64 {
             t.insert(k);
         }
@@ -1071,7 +1023,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|i| {
                     scope.spawn(move || {
-                        let mut ctx = lsdb_pager::PoolCtx::new();
+                        let mut ctx = PoolCtx::new();
                         let lo = i * 50;
                         let keys = t.collect_range_ctx(lo, lo + 99, &mut ctx);
                         assert_eq!(keys, (lo..=lo + 99).collect::<Vec<_>>());

@@ -4,13 +4,11 @@
 //! against one structure by one [`QueryCtx`]. Before execution the batch
 //! is sorted by the Morton (Z-order) key of each query's point, so
 //! queries landing in the same region of the world run consecutively and
-//! the context's warm state — pinned page bytes and the segment
-//! mini-cache — is maximally reused across neighbors. Between items the
-//! context is advanced with [`QueryCtx::next_query`], which keeps that
-//! warmth but replays every charge per query, so **each item's
-//! [`QueryStats`] is byte-identical to executing it alone on a freshly
-//! reset context** (asserted by the bench crate's counter guard). Results
-//! are returned in the original submission order.
+//! touch the same pages while they are still in the CPU caches. The
+//! context is [`QueryCtx::reset`] before every item, so **each item's
+//! [`QueryStats`] is byte-identical to executing it alone** (asserted by
+//! the bench crate's counter guard). Results are returned in the original
+//! submission order.
 
 use crate::{queries, QueryCtx, QueryStats, SegId, SpatialIndex};
 use lsdb_geom::{morton, Point, Rect};
@@ -69,13 +67,7 @@ impl BatchRequest {
             BatchRequest::Nearest(v) => v[i],
             BatchRequest::Knn(v) => v[i].0,
             // A window's locality is its center.
-            BatchRequest::Window(v) => {
-                let w = &v[i];
-                Point::new(
-                    w.min.x + (w.max.x - w.min.x) / 2,
-                    w.min.y + (w.max.y - w.min.y) / 2,
-                )
-            }
+            BatchRequest::Window(v) => v[i].center(),
             BatchRequest::Polygon { points, .. } => points[i],
         }
     }
@@ -123,10 +115,8 @@ fn morton_key(p: Point) -> u32 {
 /// point, returning per-item answers and counters in the original
 /// submission order.
 ///
-/// The context is [`QueryCtx::reset`] once up front, then advanced with
-/// [`QueryCtx::next_query`] between items: page pins and the segment
-/// mini-cache stay warm across neighboring queries, while every counter
-/// is charged per item exactly as a fresh context would charge it.
+/// The context is [`QueryCtx::reset`] before each item, so every counter
+/// is charged per item exactly as a singleton query charges it.
 pub fn execute_batch(
     index: &dyn SpatialIndex,
     req: &BatchRequest,
@@ -141,10 +131,9 @@ pub fn execute_batch(
         .collect();
     order.sort_unstable();
 
-    ctx.reset();
     let mut out: Vec<Option<BatchItem>> = (0..n).map(|_| None).collect();
     for &(_, i) in &order {
-        ctx.next_query();
+        ctx.reset();
         let i = i as usize;
         let answer = match req {
             BatchRequest::Incident(v) => BatchAnswer::Segs(index.find_incident(v[i], ctx)),
@@ -193,6 +182,9 @@ mod tests {
         // Must not trip interleave's 16-bit debug assertion.
         let _ = morton_key(Point::new(-5, i32::MAX));
         let _ = morton_key(Point::new(i32::MIN, 70000));
+        // A window's centre is taken without overflow at any extent.
+        let full = BatchRequest::Window(vec![Rect::new(i32::MIN, i32::MIN, i32::MAX, i32::MAX)]);
+        assert_eq!(full.query_point(0), Point::new(-1, -1));
     }
 
     #[test]

@@ -58,6 +58,18 @@ impl LocId {
 /// ([`SpatialIndex::insert`], [`SpatialIndex::remove`]) remain exclusive
 /// (`&mut self`) and charge the pools' internal counters instead.
 ///
+/// # Query points lie in the world
+///
+/// Every point a query is asked at — [`SpatialIndex::find_incident`],
+/// [`SpatialIndex::probe_point`], [`SpatialIndex::nearest`],
+/// [`SpatialIndex::nearest_k`], and the compositions in [`crate::queries`]
+/// built on them — must lie in [`lsdb_geom::world_rect`], as every indexed
+/// segment does. The PMR quadtree locates points by their Morton code
+/// within the world, and the distance arithmetic is exact only near it,
+/// so an answer outside the world is undefined (debug builds may panic).
+/// The server refuses such points with `BadArgument`. A window
+/// ([`SpatialIndex::window`]) may have any extent.
+///
 /// `Send + Sync` are supertraits so a `&dyn SpatialIndex` can be handed to
 /// query worker threads directly; every disk-resident implementor is
 /// already thread-safe through its sharded buffer pool.
@@ -201,11 +213,11 @@ pub trait SpatialIndex: Send + Sync {
         self.seg_table_mut().attach_budget(budget);
     }
 
-    /// Budget enforcement hook: physically shed up to `target_bytes` of
-    /// cold page bytes across this structure's pools, returning the bytes
-    /// freed. Logical residency — and therefore every per-query paper
-    /// counter — is unaffected. Overridden to cover the index pool too.
-    fn shed_cache(&self, target_bytes: u64) -> std::io::Result<u64> {
+    /// Budget enforcement hook: shed up to `target_bytes` of cold frames
+    /// across this structure's pools, returning the bytes freed. Logical
+    /// residency — and therefore every per-query paper counter — is
+    /// unaffected. Overridden to cover the index pool too.
+    fn shed_cache(&self, target_bytes: u64) -> u64 {
         self.seg_table().shed_cache(target_bytes)
     }
 

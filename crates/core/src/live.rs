@@ -745,7 +745,7 @@ mod tests {
                                 assert_eq!(s.a.y, 0);
                             }
                         });
-                        ctx.next_query();
+                        ctx.reset();
                     }
                 });
             }

@@ -51,7 +51,7 @@ use crate::scan::{self, EntryScan};
 use crate::traverse::{DfsSink, NnSink, NodeAccess};
 use crate::{LocId, QueryCtx, SegId, SegmentTable};
 use lsdb_geom::{Dist2, Point, Rect};
-use lsdb_pager::{MemPool, PageId};
+use lsdb_pager::{BufferPool, PageId};
 
 /// Node header bytes: tag (1) + format version (1) + count (2) +
 /// reserved (20).
@@ -222,7 +222,7 @@ pub struct RectRef {
 /// traversal, including the counter accounting (one bbox computation per
 /// entry on every page read), is identical, so one cursor serves both.
 pub struct RectTreeAccess<'a> {
-    pub pool: &'a MemPool,
+    pub pool: &'a BufferPool,
     pub table: &'a SegmentTable,
     pub root: PageId,
     /// Level of the root; leaves are level 1.
@@ -263,10 +263,7 @@ impl NodeAccess for RectTreeAccess<'_> {
         ctx: &mut QueryCtx,
         sink: &mut DfsSink<RectRef>,
     ) {
-        let QueryCtx {
-            index, bbox_comps, ..
-        } = ctx;
-        let buf = self.pool.read_page_pinned(n.pid, index);
+        let buf = self.pool.read_page(n.pid, &mut ctx.index);
         let entries = EntryScan::of_node(buf);
         // One bbox computation per entry scanned — the kernels report the
         // scanned count, which is the full node occupancy regardless of
@@ -275,13 +272,13 @@ impl NodeAccess for RectTreeAccess<'_> {
         if n.level == 1 {
             sink.arrive(LocId(n.pid.0 as u64));
             if probe_only {
-                *bbox_comps += entries.len() as u64;
+                ctx.bbox_comps += entries.len() as u64;
             } else {
-                *bbox_comps +=
+                ctx.bbox_comps +=
                     scan::scan_containing_point(&entries, p, |e| sink.entry(SegId(e.child))) as u64;
             }
         } else {
-            *bbox_comps += scan::scan_containing_point(&entries, p, |e| {
+            ctx.bbox_comps += scan::scan_containing_point(&entries, p, |e| {
                 sink.node(RectRef {
                     pid: PageId(e.child),
                     level: n.level - 1,
@@ -295,16 +292,13 @@ impl NodeAccess for RectTreeAccess<'_> {
     }
 
     fn expand_window(&self, n: RectRef, w: Rect, ctx: &mut QueryCtx, sink: &mut DfsSink<RectRef>) {
-        let QueryCtx {
-            index, bbox_comps, ..
-        } = ctx;
-        let buf = self.pool.read_page_pinned(n.pid, index);
+        let buf = self.pool.read_page(n.pid, &mut ctx.index);
         let entries = EntryScan::of_node(buf);
         if n.level == 1 {
-            *bbox_comps +=
+            ctx.bbox_comps +=
                 scan::scan_intersecting(&entries, &w, |e| sink.entry(SegId(e.child))) as u64;
         } else {
-            *bbox_comps += scan::scan_intersecting(&entries, &w, |e| {
+            ctx.bbox_comps += scan::scan_intersecting(&entries, &w, |e| {
                 sink.node(RectRef {
                     pid: PageId(e.child),
                     level: n.level - 1,
@@ -318,39 +312,24 @@ impl NodeAccess for RectTreeAccess<'_> {
     }
 
     fn expand_nearest(&self, n: RectRef, p: Point, ctx: &mut QueryCtx, sink: &mut NnSink<RectRef>) {
+        let buf = self.pool.read_page(n.pid, &mut ctx.index);
+        let entries = EntryScan::of_node(buf);
         if n.level == 1 {
-            // Pinned-borrow leaf expansion: one page access charges the
-            // node (and one bbox per entry, as every traversal of this
-            // family does), then the entry walk and the segment fetches
-            // proceed over the borrowed bytes — the split-borrow `get_with`
-            // keeps the usual per-fetch charges while the index-page slice
-            // stays alive.
-            let QueryCtx {
-                index,
-                seg,
-                seg_comps,
-                bbox_comps,
-                seg_cache,
-                ..
-            } = ctx;
-            let buf = self.pool.read_page_pinned(n.pid, index);
-            let entries = EntryScan::of_node(buf);
-            *bbox_comps += entries.len() as u64;
+            // One page access charges the node (and one bbox per entry, as
+            // every traversal of this family does); the segment fetches
+            // then proceed over the borrowed bytes with their usual
+            // per-fetch charges.
+            ctx.bbox_comps += entries.len() as u64;
             for e in entries.iter() {
                 let id = SegId(e.child);
-                let s = self.table.get_with(id, seg, seg_comps, seg_cache);
+                let s = self.table.get(id, ctx);
                 sink.exact(id, s.dist2_point(p));
             }
         } else {
-            let QueryCtx {
-                index, bbox_comps, ..
-            } = ctx;
-            let buf = self.pool.read_page_pinned(n.pid, index);
-            let entries = EntryScan::of_node(buf);
             // No pruning against the best-so-far: the queue's global
             // ordering prunes for us (a node never pops after the k-th
             // result's distance).
-            *bbox_comps += scan::scan_min_dist2(&entries, p, |e, d| {
+            ctx.bbox_comps += scan::scan_min_dist2(&entries, p, |e, d| {
                 sink.node(
                     RectRef {
                         pid: PageId(e.child),

@@ -1,6 +1,6 @@
 use crate::QueryCtx;
 use lsdb_geom::{Point, Segment};
-use lsdb_pager::{MemPool, PageId, PoolCtx};
+use lsdb_pager::{BufferPool, PageId};
 
 /// Identifier of a segment in a [`SegmentTable`]. Densely allocated from 0.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -15,15 +15,14 @@ impl SegId {
 const RECORD_BYTES: usize = 16; // x1, y1, x2, y2 as i32
 
 /// Slots in the per-context segment mini-cache. Power of two so the
-/// direct-mapped slot index is a mask; 1024 × 28 bytes ≈ 28 KB per
-/// context — still small next to its page pins, and wide enough that a
-/// whole polygon boundary (a few hundred segments, each re-compared
-/// several times per walk) stays resident instead of aliasing itself out
-/// of a narrower table.
+/// direct-mapped slot index is a mask; 1024 × 20 bytes ≈ 20 KB per
+/// context, wide enough that a whole polygon boundary (a few hundred
+/// segments, each re-compared several times per walk) stays resident
+/// instead of aliasing itself out of a narrower table.
 const SEG_CACHE_SLOTS: usize = 1024;
 
 /// A small direct-mapped cache of decoded segment records, owned by a
-/// [`QueryCtx`].
+/// [`QueryCtx`] and living for exactly one query.
 ///
 /// Polygon traversals (query 2/4 compositions) fetch the same few dozen
 /// segments repeatedly; each fetch is a paper-metric *segment
@@ -32,21 +31,13 @@ const SEG_CACHE_SLOTS: usize = 1024;
 /// leaving every counter untouched:
 ///
 /// * `seg_comps` is charged per [`SegmentTable::get`] call, hit or miss;
-/// * a hit can never hide a disk charge, because a hit is only served
-///   for free when its slot was filled *in the current query epoch* —
-///   i.e. the miss that filled it pinned the record's page in this very
-///   query, so the skipped page access was free anyway. A slot filled by
-///   an earlier query of the same batch (stale epoch, see
-///   [`QueryCtx::next_query`]) still serves the cached decode, but only
-///   after re-pinning the record's page so the page charge is replayed
-///   exactly as a cold fetch would charge it. Both cache and pins are
-///   dropped by [`QueryCtx::reset`] and invalidated when the context
-///   wanders to a table backed by a different pool.
+/// * a hit can never hide a disk charge: the miss that filled its slot
+///   touched the record's page in this very query, so the skipped page
+///   access was free anyway. [`QueryCtx::reset`] empties the cache with
+///   the touched-page sets, and a context that wanders to a table backed
+///   by a different pool empties it too.
 ///
 /// (The table is append-only, so a cached decode can never go stale.)
-/// Slots in the per-page replay memo (see [`SegCache::page_tags`]).
-const PAGE_MEMO_SLOTS: usize = 64;
-
 pub(crate) struct SegCache {
     /// Identity of the pool the cached records came from
     /// ([`lsdb_pager::BufferPool::pool_id`]); `None` = empty.
@@ -55,22 +46,7 @@ pub(crate) struct SegCache {
     /// the table caps out well below, and PMR uses it as its own
     /// sentinel for "no segment").
     tags: [u32; SEG_CACHE_SLOTS],
-    /// The segment-pool epoch ([`lsdb_pager::PoolCtx::epoch`]) each slot
-    /// was last charged in. A hit with a stale epoch must replay its page
-    /// charge before being served.
-    epochs: [u64; SEG_CACHE_SLOTS],
     segs: [Segment; SEG_CACHE_SLOTS],
-    /// Direct-mapped memo of segment-table pages whose charge has already
-    /// been replayed (or paid cold) *in the current epoch*: `page_tags`
-    /// holds the raw page id (`u32::MAX` = vacant), `page_epochs` the
-    /// epoch it was paid in. Entries are written only immediately after a
-    /// `read_page` call on that page, so a memo hit can skip the repeat
-    /// `read_page` — the repeat is charge-idempotent within one epoch, so
-    /// skipping it cannot change any counter. A polygon walk re-touching
-    /// a few hundred warm records per query turns into a handful of pin
-    /// lookups per page instead of one per record.
-    page_tags: [u32; PAGE_MEMO_SLOTS],
-    page_epochs: [u64; PAGE_MEMO_SLOTS],
 }
 
 impl Default for SegCache {
@@ -79,10 +55,7 @@ impl Default for SegCache {
         SegCache {
             owner: None,
             tags: [u32::MAX; SEG_CACHE_SLOTS],
-            epochs: [0; SEG_CACHE_SLOTS],
             segs: [zero; SEG_CACHE_SLOTS],
-            page_tags: [u32::MAX; PAGE_MEMO_SLOTS],
-            page_epochs: [0; PAGE_MEMO_SLOTS],
         }
     }
 }
@@ -110,7 +83,7 @@ impl SegCache {
 /// from an *index* does not recycle its table slot, mirroring the paper's
 /// shared-table setup).
 pub struct SegmentTable {
-    pool: MemPool,
+    pool: BufferPool,
     pages: Vec<PageId>,
     per_page: usize,
     /// `(shift, mask)` when `per_page` is a power of two (it is for every
@@ -126,7 +99,7 @@ impl SegmentTable {
         assert!(page_size >= RECORD_BYTES);
         let per_page = page_size / RECORD_BYTES;
         SegmentTable {
-            pool: MemPool::in_memory(page_size, pool_pages),
+            pool: BufferPool::new(page_size, pool_pages),
             pages: Vec::new(),
             per_page,
             pow2: per_page
@@ -176,7 +149,7 @@ impl SegmentTable {
 
     /// Fetch a segment's endpoints on the query path: counts one segment
     /// comparison and charges any page access to the context's segment-pool
-    /// pin handle. Shared — any number of queries may fetch concurrently.
+    /// handle. Shared — any number of queries may fetch concurrently.
     ///
     /// Served from the context's segment mini-cache when possible; the
     /// comparison is charged either way (it is a paper metric — only the
@@ -185,72 +158,27 @@ impl SegmentTable {
         let QueryCtx {
             seg,
             seg_comps,
-            seg_cache,
+            seg_cache: cache,
             ..
         } = ctx;
-        self.get_with(id, seg, seg_comps, seg_cache)
-    }
-
-    /// Split-borrow form of [`SegmentTable::get`], for callers that hold
-    /// other pieces of the [`QueryCtx`] borrowed (e.g. a pinned index-page
-    /// slice from the context's index pool).
-    pub(crate) fn get_with(
-        &self,
-        id: SegId,
-        seg: &mut PoolCtx,
-        seg_comps: &mut u64,
-        cache: &mut SegCache,
-    ) -> Segment {
         *seg_comps += 1;
         let pool_id = self.pool.pool_id();
         if cache.owner != Some(pool_id) {
             // First fetch since reset, or the context wandered to a table
             // backed by a different pool: (re)bind and clear the slots.
             cache.tags = [u32::MAX; SEG_CACHE_SLOTS];
-            cache.page_tags = [u32::MAX; PAGE_MEMO_SLOTS];
             cache.owner = Some(pool_id);
         }
         let slot = id.index() & (SEG_CACHE_SLOTS - 1);
         if cache.tags[slot] == id.0 {
-            if cache.epochs[slot] == seg.epoch() {
-                return cache.segs[slot];
-            }
-            // Filled by an earlier query of this batch: the decode is
-            // still valid (the table is append-only), but the page charge
-            // belongs to this query — re-pin the record's page so the
-            // counters match a cold fetch exactly (skipped when the page
-            // memo proves this epoch already paid the page).
-            let (page, _) = self.locate(id.index());
-            let pid = self.pages[page];
-            let pslot = pid.0 as usize & (PAGE_MEMO_SLOTS - 1);
-            if cache.page_tags[pslot] != pid.0 || cache.page_epochs[pslot] != seg.epoch() {
-                self.pool.read_page(pid, seg, |_| {});
-                cache.page_tags[pslot] = pid.0;
-                cache.page_epochs[pslot] = seg.epoch();
-            }
-            cache.epochs[slot] = seg.epoch();
             return cache.segs[slot];
         }
         assert!(id.0 < self.len, "segment {id:?} out of range");
         let (page, page_slot) = self.locate(id.index());
-        let pid = self.pages[page];
-        let record = self.pool.read_page(pid, seg, |buf| decode(buf, page_slot));
-        let pslot = pid.0 as usize & (PAGE_MEMO_SLOTS - 1);
-        cache.page_tags[pslot] = pid.0;
-        cache.page_epochs[pslot] = seg.epoch();
+        let record = decode(self.pool.read_page(self.pages[page], seg), page_slot);
         cache.tags[slot] = id.0;
-        cache.epochs[slot] = seg.epoch();
         cache.segs[slot] = record;
         record
-    }
-
-    /// Query-path fetch against a bare pool context (no comparison
-    /// charged); building block for [`SegmentTable::get`].
-    pub fn read(&self, id: SegId, ctx: &mut PoolCtx) -> Segment {
-        assert!(id.0 < self.len, "segment {id:?} out of range");
-        let (page, slot) = self.locate(id.index());
-        let pid = self.pages[page];
-        self.pool.read_page(pid, ctx, |buf| decode(buf, slot))
     }
 
     /// Build-path fetch: goes through the pool's LRU (charging its internal
@@ -302,9 +230,9 @@ impl SegmentTable {
         self.pool.attach_budget(budget);
     }
 
-    /// Physically shed up to `target_bytes` of cold frame bytes (budget
-    /// enforcement; invisible to per-query paper counters).
-    pub fn shed_cache(&self, target_bytes: u64) -> std::io::Result<u64> {
+    /// Shed up to `target_bytes` of cold frames (budget enforcement;
+    /// invisible to per-query paper counters).
+    pub fn shed_cache(&self, target_bytes: u64) -> u64 {
         self.pool.shed(target_bytes)
     }
 
@@ -379,7 +307,7 @@ mod tests {
         // 8 strided records hit 8 distinct cold pages.
         assert_eq!(ctx.seg.stats.reads, 8);
         assert_eq!(ctx.seg_comps, 8);
-        // Repeating the scan within the same context is free (pinned).
+        // Repeating the scan within the same query is free.
         for i in (0..64).step_by(8) {
             t.get(SegId(i), &mut ctx);
         }
@@ -440,44 +368,12 @@ mod tests {
         }
         assert_eq!(ctx.seg_comps, 10, "every get is a comparison, hit or miss");
         assert_eq!(ctx.seg.stats.reads, 2, "one cold read per distinct page");
-        // Reset invalidates the cache together with the pins: the next
+        // Reset empties the cache with the touched-page sets: the next
         // fetch recharges the page exactly as an uncached context would.
         ctx.reset();
         t.get(SegId(2), &mut ctx);
         assert_eq!(ctx.seg_comps, 1);
-        assert_eq!(ctx.seg.stats.reads, 1, "cache does not outlive the pins");
-    }
-
-    #[test]
-    fn mini_cache_survives_next_query_but_replays_page_charges() {
-        // 64-byte pages hold 4 records. A batch boundary (next_query)
-        // keeps the cached decodes, but a stale-epoch hit must charge the
-        // page exactly as a cold context would.
-        let mut t = SegmentTable::new(64, 2);
-        for i in 0..8 {
-            t.push(seg(i, 0, i, 1));
-        }
-        t.clear_cache();
-        let mut ctx = QueryCtx::new();
-        t.get(SegId(2), &mut ctx);
-        t.get(SegId(6), &mut ctx);
-        assert_eq!(ctx.seg.stats.reads, 2);
-
-        ctx.next_query();
-        assert_eq!(ctx.stats(), crate::QueryStats::default());
-        // Stale-epoch hits: decode served from cache, charges replayed.
-        assert_eq!(t.get(SegId(2), &mut ctx), seg(2, 0, 2, 1));
-        assert_eq!(t.get(SegId(2), &mut ctx), seg(2, 0, 2, 1));
-        assert_eq!(t.get(SegId(6), &mut ctx), seg(6, 0, 6, 1));
-        assert_eq!(ctx.seg_comps, 3, "comparisons recount per query");
-        assert_eq!(ctx.seg.stats.reads, 2, "page charges replayed per query");
-
-        // Identical to what a fresh context reports for the same query.
-        let mut fresh = QueryCtx::new();
-        t.get(SegId(2), &mut fresh);
-        t.get(SegId(2), &mut fresh);
-        t.get(SegId(6), &mut fresh);
-        assert_eq!(ctx.stats(), fresh.stats());
+        assert_eq!(ctx.seg.stats.reads, 1, "cache does not outlive the query");
     }
 
     #[test]

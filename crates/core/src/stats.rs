@@ -47,16 +47,17 @@ impl QueryStats {
 /// [`crate::SpatialIndex`] threads one of these through and charges all of
 /// its metric counting here instead of mutating the index.
 ///
-/// The context owns two page-pin handles ([`PoolCtx`]) — one against the
+/// The context owns two page contexts ([`PoolCtx`]) — one against the
 /// index-node pool, one against the segment-table pool — plus the two pure
 /// counters. Because a query's counters live entirely in its context, the
 /// totals of a query batch are a plain sum of per-query values: identical
-/// whether the batch ran on one thread or sixteen.
+/// whether the batch ran on one thread or sixteen. [`QueryCtx::reset`]
+/// starts each query.
 #[derive(Default)]
 pub struct QueryCtx {
-    /// Pin handle + disk counters for index-structure pages.
+    /// Touched pages + disk counters for index-structure pages.
     pub index: PoolCtx,
-    /// Pin handle + disk counters for segment-table pages.
+    /// Touched pages + disk counters for segment-table pages.
     pub seg: PoolCtx,
     /// Segment comparisons (segment-table record fetches).
     pub seg_comps: u64,
@@ -68,9 +69,9 @@ pub struct QueryCtx {
     scratch: Option<Box<dyn Any + Send>>,
     /// Direct-mapped cache of decoded segment records, consulted by
     /// [`crate::SegmentTable::get`]. Invalidated by [`QueryCtx::reset`]
-    /// alongside the pins (its correctness argument depends on that — see
-    /// `SegCache`); its storage is inline, so like `scratch` it costs the
-    /// allocator nothing across queries.
+    /// alongside the touched-page sets (its correctness argument depends
+    /// on that — see `SegCache`); its storage is inline, so like `scratch`
+    /// it costs the allocator nothing across queries.
     pub(crate) seg_cache: SegCache,
 }
 
@@ -79,34 +80,14 @@ impl QueryCtx {
         QueryCtx::default()
     }
 
-    /// Drop pins and zero every counter, readying the context for the next
-    /// query without reallocating its pin tables.
+    /// Forget the touched pages and zero every counter, readying the
+    /// context for the next query without reallocating its tables.
     pub fn reset(&mut self) {
         self.index.reset();
         self.seg.reset();
         self.seg_comps = 0;
         self.bbox_comps = 0;
         self.seg_cache.invalidate();
-    }
-
-    /// Move to the next query of a *batch* without dropping warmth: retire
-    /// both pin sets (advancing their epochs, zeroing disk counters) and
-    /// zero the comparison counters, but keep the pinned page bytes and
-    /// the segment mini-cache contents.
-    ///
-    /// Counters stay byte-identical to a [`QueryCtx::reset`] context
-    /// because warm pins replay their recorded charge on first touch in
-    /// the new epoch (see [`PoolCtx::retire_pins`]) and the mini-cache
-    /// re-pins a record's page before serving a stale-epoch hit. Only
-    /// valid while the underlying pools are in a read-only phase; any
-    /// build-path mutation in between requires [`QueryCtx::reset`].
-    pub fn next_query(&mut self) {
-        self.index.retire_pins();
-        self.seg.retire_pins();
-        self.seg_comps = 0;
-        self.bbox_comps = 0;
-        // seg_cache deliberately survives: its per-slot epochs are checked
-        // against the segment pool's epoch on every hit.
     }
 
     /// Take the cached traversal scratch, if any (engine-internal).

@@ -127,6 +127,14 @@ impl Rect {
         dx * dx + dy * dy
     }
 
+    /// Center of the rectangle, rounded toward `min`: `min + (max - min) / 2`
+    /// per axis, evaluated in `i64` so that no extent overflows. The
+    /// result lies between the corners, so it always fits in `i32`.
+    pub fn center(&self) -> Point {
+        let mid = |lo: i32, hi: i32| (lo as i64 + (hi as i64 - lo as i64) / 2) as i32;
+        Point::new(mid(self.min.x, self.max.x), mid(self.min.y, self.max.y))
+    }
+
     /// Center of the rectangle in doubled coordinates (exact midpoint
     /// without rounding): returns `(2*cx, 2*cy)`.
     pub fn center2(&self) -> (i64, i64) {
@@ -247,6 +255,14 @@ mod tests {
         assert!(!a.intersects_segment(&Segment::new(Point::new(7, 7), Point::new(9, 9))));
         // Collinear with an edge, overlapping it.
         assert!(a.intersects_segment(&Segment::new(Point::new(0, 2), Point::new(10, 2))));
+    }
+
+    #[test]
+    fn center_rounds_toward_min_and_never_overflows() {
+        assert_eq!(Rect::new(0, 0, 9, 5).center(), Point::new(4, 2));
+        assert_eq!(Rect::new(-50, 90, 150, 4000).center(), Point::new(50, 2045));
+        let full = Rect::new(i32::MIN, i32::MIN, i32::MAX, i32::MAX);
+        assert_eq!(full.center(), Point::new(-1, -1));
     }
 
     #[test]

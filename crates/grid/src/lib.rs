@@ -22,13 +22,13 @@ use lsdb_core::{
     SpatialIndex,
 };
 use lsdb_geom::{Dist2, Point, Rect, Segment, WORLD_SIZE};
-use lsdb_pager::{MemPool, PageId, PoolCtx};
+use lsdb_pager::{BufferPool, PageId, PoolCtx};
 
 const HDR: usize = 8; // count u16 at 0, next page u32 at 4 (u32::MAX = none)
 
 /// A disk-resident uniform grid over line segments.
 pub struct UniformGrid {
-    pool: MemPool,
+    pool: BufferPool,
     table: SegmentTable,
     /// Cells per side.
     g: i32,
@@ -45,7 +45,7 @@ impl UniformGrid {
     /// `g` cells per side (the world side must be divisible by `g`).
     pub fn new(table: SegmentTable, cfg: IndexConfig, g: i32) -> Self {
         assert!(g >= 1 && WORLD_SIZE % g == 0, "grid must divide the world");
-        let pool = MemPool::in_memory(cfg.page_size, cfg.pool_pages);
+        let pool = BufferPool::new(cfg.page_size, cfg.pool_pages);
         let ids_per_page = (cfg.page_size - HDR) / 4;
         assert!(ids_per_page >= 1);
         UniformGrid {
@@ -131,14 +131,14 @@ impl UniformGrid {
 
     /// Walk a cell's page chain on the shared read path, streaming each
     /// stored id into `f` (no intermediate collection). Pages are walked
-    /// in place via the pinned-borrow read and the shared id-scan kernel.
+    /// in place over the borrowed page bytes with the shared id-scan kernel.
     fn for_each_cell_id(&self, cx: i32, cy: i32, index: &mut PoolCtx, f: &mut dyn FnMut(SegId)) {
         let Some((first, _)) = self.chains[self.cell_index(cx, cy)] else {
             return;
         };
         let mut page = Some(first);
         while let Some(pid) = page {
-            let buf = self.pool.read_page_pinned(pid, index);
+            let buf = self.pool.read_page(pid, index);
             let count = u16::from_le_bytes([buf[0], buf[1]]) as usize;
             let next = u32::from_le_bytes(buf[4..8].try_into().unwrap());
             scan::scan_ids(&buf[HDR..HDR + count * 4], |id| f(SegId(id)));
@@ -445,9 +445,9 @@ impl SpatialIndex for UniformGrid {
         self.table.attach_budget(budget);
     }
 
-    fn shed_cache(&self, target_bytes: u64) -> std::io::Result<u64> {
-        let freed = self.pool.shed(target_bytes)?;
-        Ok(freed + self.table.shed_cache(target_bytes.saturating_sub(freed))?)
+    fn shed_cache(&self, target_bytes: u64) -> u64 {
+        let freed = self.pool.shed(target_bytes);
+        freed + self.table.shed_cache(target_bytes.saturating_sub(freed))
     }
 
     fn cache_stats(&self) -> lsdb_pager::CacheStats {

@@ -2,21 +2,23 @@
 //!
 //! One server process hosting many maps owns many pools (one index pool
 //! plus one segment-table pool per map). Each pool still has its own
-//! frames, shards, and LRU state, but the *bytes* those frames hold are
-//! accounted against one shared [`BufferBudget`]: the build path charges
-//! unconditionally (a build must be able to proceed, so the budget can be
-//! transiently overcommitted), an external enforcer brings the total back
-//! under the line by physically shedding frame bytes from cold pools
-//! ([`crate::BufferPool::shed`]), and the query path re-admits shed pages
-//! only when the budget has headroom ([`BufferBudget::try_admit`]).
+//! frames, shards, and LRU state, but the frames the simulated buffers
+//! hold are metered, `page_size` bytes each, against one shared
+//! [`BufferBudget`]: the build path charges unconditionally (a build must
+//! be able to proceed, so the budget can be transiently overcommitted), an
+//! external enforcer brings the total back under the line by shedding
+//! frames from cold pools ([`crate::BufferPool::shed`]), and the query
+//! path re-admits shed pages only when the budget has headroom
+//! ([`BufferBudget::try_admit`]).
 //!
-//! Crucially the budget governs *physical* residency only — whether a
-//! frame currently holds its page bytes. *Logical* residency (the
-//! per-shard resident map and LRU metadata) is untouched by shedding, and
-//! logical residency is the only thing the query path's charge decision
-//! consults. Per-query paper counters are therefore byte-identical
-//! whether or not the budget ever sheds a page, under any eviction
-//! pattern — the property the cross-map isolation suite pins down.
+//! The budget meters frames, not byte copies: pages live once in their
+//! pool whatever it holds. Shedding releases a frame's charge but leaves
+//! *logical* residency (the per-shard resident map and LRU metadata)
+//! untouched, and logical residency is the only thing the query path's
+//! charge decision consults. Per-query paper counters are therefore
+//! byte-identical whether or not the budget ever sheds a page, under any
+//! eviction pattern — the property the cross-map isolation suite pins
+//! down.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,7 +31,7 @@ pub struct BufferBudget {
     /// Bytes the attached pools may hold in total. `u64::MAX` means
     /// unlimited (the default every pool starts with).
     total: AtomicU64,
-    /// Bytes currently held in pool frames across all attached pools.
+    /// Bytes of held frames across all attached pools.
     used: AtomicU64,
     /// Read-path re-admissions granted ([`BufferBudget::try_admit`]).
     admissions: AtomicU64,
@@ -82,8 +84,8 @@ impl BufferBudget {
     }
 
     /// Unconditionally account `bytes` as held. Build paths use this:
-    /// a build must be able to materialize the frames it mutates, so the
-    /// budget may transiently overcommit; enforcement sheds later.
+    /// a build must be able to hold the frames it mutates, so the budget
+    /// may transiently overcommit; enforcement sheds later.
     ///
     /// Public so other residency-shaped consumers (the server's reply
     /// cache charges its entry bytes here, next to page residency) can
@@ -92,8 +94,8 @@ impl BufferBudget {
         self.used.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Return `bytes` to the budget (frame bytes dropped, pool dropped,
-    /// or a cached reply evicted).
+    /// Return `bytes` to the budget (a frame shed, a pool dropped, or a
+    /// cached reply evicted).
     pub fn release(&self, bytes: u64) {
         let prev = self.used.fetch_sub(bytes, Ordering::Relaxed);
         debug_assert!(prev >= bytes, "budget release of bytes never charged");

@@ -10,19 +10,17 @@
 //! * a **read** whenever a page is fetched and is not resident, and
 //! * a **write** whenever a dirty page is evicted or flushed.
 //!
-//! The backing "disk" is abstracted by the [`Storage`] trait with an
-//! in-memory implementation ([`MemStorage`], used by tests and benchmarks —
-//! deterministic and fast) and a real file-backed implementation
-//! ([`FileStorage`]) proving the layout is genuinely persistable.
+//! The pool owns its pages: each lives once, in memory, and the frames
+//! only simulate which pages the buffer holds (see [`BufferPool`]). The
+//! pool is lock-striped into shards and exposes a shared (`&self`) query
+//! path, [`BufferPool::read_page`], which borrows page bytes and charges
+//! a per-query [`PoolCtx`] — the substrate of the concurrent query engine
+//! in the index crates.
 //!
-//! The pool is lock-striped into shards (see [`BufferPool`]) and exposes a
-//! shared (`&self`) query path, [`BufferPool::read_page`], whose accounting
-//! lives in a per-query [`PoolCtx`] — the substrate of the concurrent query
-//! engine in the index crates.
-
-//!
-//! Durability lives one layer up: [`wal`] defines the redo-only log record
-//! codec and the append-only [`wal::LogDevice`] sinks, [`recovery`] scans a
+//! Durability is a separate layer: the [`Storage`] trait abstracts a
+//! page-granular disk, in memory ([`MemStorage`]) or in a file
+//! ([`FileStorage`]); [`wal`] defines the redo-only log record codec and
+//! the append-only [`wal::LogDevice`] sinks, [`recovery`] scans a
 //! (possibly torn) log back into committed state, and [`DurableStorage`]
 //! composes them over any [`Storage`] to provide atomic group commit,
 //! checkpointing, and crash recovery. [`fault`] holds the fault-injection
@@ -38,7 +36,7 @@ pub mod wal;
 
 pub use budget::BufferBudget;
 pub use durable::DurableStorage;
-pub use pool::{BufferPool, CacheStats, DiskStats, MemPool, PoolCtx, DEFAULT_SHARDS};
+pub use pool::{BufferPool, CacheStats, DiskStats, PoolCtx, DEFAULT_SHARDS};
 pub use recovery::{LogTail, RecoveryReport};
 pub use storage::{FileStorage, MemStorage, Storage};
 pub use wal::{FileLog, LogDevice, Lsn, MemLog};

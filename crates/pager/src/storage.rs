@@ -5,20 +5,16 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::RwLock;
 
-/// A page-granular disk. Implementations never cache: every read/write is a
-/// (simulated) disk transfer. Caching and access counting live in the
-/// [`crate::BufferPool`].
+/// A page-granular disk: the backing of the durability layer
+/// ([`crate::DurableStorage`], the op log of `lsdb-core`'s live maps).
+/// Implementations never cache: every read/write is a disk transfer.
 ///
-/// Reads and writes take `&self` so a pool shared between query threads can
-/// reach storage without serializing on one big lock; implementations use
-/// interior mutability ([`MemStorage`]) or positioned I/O ([`FileStorage`]).
-/// Only [`Storage::grow`] is exclusive — new pages are minted by the
-/// allocator, which already holds `&mut` access. The `Sync` bound is what
-/// lets `&BufferPool` cross threads.
+/// Reads and writes take `&self`; implementations use interior mutability
+/// ([`MemStorage`]) or positioned I/O ([`FileStorage`]). Only
+/// [`Storage::grow`] is exclusive.
 ///
 /// All transfers are fallible: a corrupt or truncated store file surfaces
-/// as an [`io::Error`] that the pool propagates to its caller (via the
-/// `try_*` API) instead of aborting the process.
+/// as an [`io::Error`] to the caller instead of aborting the process.
 pub trait Storage: Sync {
     /// Fixed page size in bytes.
     fn page_size(&self) -> usize;
@@ -53,8 +49,8 @@ fn out_of_range(op: &str, pid: PageId, num_pages: u32) -> io::Error {
 }
 
 /// An in-memory "disk": a vector of pages. Deterministic and allocation-
-/// cheap; the default backing for experiments. Its transfers never fail
-/// (beyond out-of-range page ids).
+/// cheap; the backing of volatile live maps and of tests. Its transfers
+/// never fail (beyond out-of-range page ids).
 pub struct MemStorage {
     page_size: usize,
     pages: RwLock<Vec<Box<[u8]>>>,
@@ -266,8 +262,8 @@ impl Storage for FileStorage {
     }
 }
 
-/// Boxed storages forward every operation, so pools and durability layers
-/// can be built over `Box<dyn Storage + Send>` when the backing is chosen
+/// Boxed storages forward every operation, so durability layers can be
+/// built over `Box<dyn Storage + Send>` when the backing is chosen
 /// at runtime (memory for experiments, a file for a served store).
 impl<S: Storage + ?Sized> Storage for Box<S> {
     fn page_size(&self) -> usize {

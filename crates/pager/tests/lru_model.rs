@@ -5,7 +5,7 @@
 //! miss count exactly and must never lose written data. Deterministic:
 //! cases are drawn from a fixed-seed [`lsdb_rng::StdRng`] stream.
 
-use lsdb_pager::{BufferPool, MemStorage, PageId};
+use lsdb_pager::{BufferPool, PageId};
 use lsdb_rng::StdRng;
 use std::collections::{HashMap, VecDeque};
 
@@ -58,7 +58,7 @@ fn pool_matches_model() {
         let capacity = 1 + case % 5;
         // A single shard, so the whole pool is one global LRU — exactly
         // what the reference model simulates.
-        let mut pool = BufferPool::with_shards(MemStorage::new(PAGE), capacity, 1);
+        let mut pool = BufferPool::with_shards(PAGE, capacity, 1);
         let mut model = LruModel::new(capacity);
         // Last value written to byte 3 of every live page.
         let mut shadow: HashMap<PageId, u8> = HashMap::new();

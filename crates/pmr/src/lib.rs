@@ -28,15 +28,15 @@
 //! encoding of the decomposition; the overhead is a few hundred tuples per
 //! 50k-segment county.
 
-use lsdb_btree::{BTree, MemBTree};
+use lsdb_btree::BTree;
 use lsdb_core::traverse::{DfsSink, NnSink, NodeAccess};
 use lsdb_core::{
     traverse, IndexConfig, LocId, PolygonalMap, PoolCtx, QueryCtx, QueryStats, SegId, SegmentTable,
     SpatialIndex,
 };
 use lsdb_geom::morton::Block;
-use lsdb_geom::{Dist2, Point, Rect, Segment, MAX_DEPTH};
-use lsdb_pager::MemPool;
+use lsdb_geom::{world_rect, Dist2, Point, Rect, Segment, MAX_DEPTH};
+use lsdb_pager::BufferPool;
 use std::cmp::Reverse;
 use std::collections::HashSet;
 use std::ops::ControlFlow;
@@ -82,7 +82,7 @@ fn payload_of_key(k: u64) -> u32 {
 
 /// A disk-resident PMR quadtree over line segments.
 pub struct PmrQuadtree {
-    btree: MemBTree,
+    btree: BTree,
     table: SegmentTable,
     threshold: usize,
     max_depth: u8,
@@ -94,10 +94,7 @@ impl PmrQuadtree {
     pub fn new(table: SegmentTable, cfg: PmrConfig) -> Self {
         assert!(cfg.threshold >= 1);
         assert!(cfg.max_depth <= MAX_DEPTH);
-        let mut btree = BTree::new(MemPool::in_memory(
-            cfg.index.page_size,
-            cfg.index.pool_pages,
-        ));
+        let mut btree = BTree::new(BufferPool::new(cfg.index.page_size, cfg.index.pool_pages));
         btree.insert(key(Block::ROOT, EMPTY));
         PmrQuadtree {
             btree,
@@ -512,11 +509,14 @@ impl NodeAccess for PmrQuadtree {
     }
 
     fn seed_window(&self, w: Rect, ctx: &mut QueryCtx, sink: &mut DfsSink<Block>) {
-        // Seed from the window centre's bucket; only ancestor children
-        // that actually overlap the window are traversed further.
+        // Seed from the bucket of the window centre, clamped into the
+        // world (a window may reach past it); only ancestor children that
+        // actually overlap the window are traversed further.
+        let c = w.center();
+        let world = world_rect();
         let center = Point::new(
-            w.min.x + (w.max.x - w.min.x) / 2,
-            w.min.y + (w.max.y - w.min.y) / 2,
+            c.x.clamp(world.min.x, world.max.x),
+            c.y.clamp(world.min.y, world.max.y),
         );
         let QueryCtx {
             index, bbox_comps, ..
@@ -711,9 +711,9 @@ impl SpatialIndex for PmrQuadtree {
         self.table.attach_budget(budget);
     }
 
-    fn shed_cache(&self, target_bytes: u64) -> std::io::Result<u64> {
-        let freed = self.btree.pool().shed(target_bytes)?;
-        Ok(freed + self.table.shed_cache(target_bytes.saturating_sub(freed))?)
+    fn shed_cache(&self, target_bytes: u64) -> u64 {
+        let freed = self.btree.pool().shed(target_bytes);
+        freed + self.table.shed_cache(target_bytes.saturating_sub(freed))
     }
 
     fn cache_stats(&self) -> lsdb_pager::CacheStats {

@@ -29,7 +29,7 @@ use lsdb_core::{
     IndexConfig, PolygonalMap, QueryCtx, QueryStats, SegId, SegmentTable, SpatialIndex,
 };
 use lsdb_geom::{Dist2, Point, Rect, Segment, WORLD_SIZE};
-use lsdb_pager::{MemPool, PageId};
+use lsdb_pager::{BufferPool, PageId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -37,7 +37,7 @@ const HDR: usize = 8; // count u16 at 0, next page u32 at 4
 
 /// A uniform 4-d grid over segment representative points.
 pub struct ReprGrid {
-    pool: MemPool,
+    pool: BufferPool,
     table: SegmentTable,
     /// Cells per axis (total cells = g⁴).
     g: i32,
@@ -55,7 +55,7 @@ impl ReprGrid {
     pub fn new(table: SegmentTable, cfg: IndexConfig, g: i32) -> Self {
         assert!((2..=16).contains(&g), "g^4 buckets: keep g in 2..=16");
         assert!(WORLD_SIZE % g == 0);
-        let pool = MemPool::in_memory(cfg.page_size, cfg.pool_pages);
+        let pool = BufferPool::new(cfg.page_size, cfg.pool_pages);
         let ids_per_page = (cfg.page_size - HDR) / 4;
         ReprGrid {
             pool,
@@ -128,7 +128,7 @@ impl ReprGrid {
 
     fn append(&mut self, flat: usize, id: SegId) {
         let per = self.ids_per_page;
-        let new_page = |pool: &mut MemPool, id: SegId| -> PageId {
+        let new_page = |pool: &mut BufferPool, id: SegId| -> PageId {
             let pid = pool.allocate();
             pool.with_page_mut(pid, |buf| {
                 buf[0..2].copy_from_slice(&1u16.to_le_bytes());
@@ -176,17 +176,16 @@ impl ReprGrid {
         };
         let mut page = Some(first);
         while let Some(pid) = page {
-            page = self.pool.read_page(pid, &mut ctx.index, |buf| {
-                let count = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-                for i in 0..count {
-                    let at = HDR + i * 4;
-                    out.push(SegId(u32::from_le_bytes(
-                        buf[at..at + 4].try_into().unwrap(),
-                    )));
-                }
-                let next = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-                (next != u32::MAX).then_some(PageId(next))
-            });
+            let buf = self.pool.read_page(pid, &mut ctx.index);
+            let count = u16::from_le_bytes([buf[0], buf[1]]) as usize;
+            for i in 0..count {
+                let at = HDR + i * 4;
+                out.push(SegId(u32::from_le_bytes(
+                    buf[at..at + 4].try_into().unwrap(),
+                )));
+            }
+            let next = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+            page = (next != u32::MAX).then_some(PageId(next));
         }
         out
     }
@@ -437,9 +436,9 @@ impl SpatialIndex for ReprGrid {
         self.table.attach_budget(budget);
     }
 
-    fn shed_cache(&self, target_bytes: u64) -> std::io::Result<u64> {
-        let freed = self.pool.shed(target_bytes)?;
-        Ok(freed + self.table.shed_cache(target_bytes.saturating_sub(freed))?)
+    fn shed_cache(&self, target_bytes: u64) -> u64 {
+        let freed = self.pool.shed(target_bytes);
+        freed + self.table.shed_cache(target_bytes.saturating_sub(freed))
     }
 
     fn cache_stats(&self) -> lsdb_pager::CacheStats {

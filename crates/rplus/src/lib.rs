@@ -43,7 +43,7 @@ use lsdb_core::{
     SpatialIndex,
 };
 use lsdb_geom::{world_rect, Point, Rect, Segment};
-use lsdb_pager::{MemPool, PageId};
+use lsdb_pager::{BufferPool, PageId};
 use std::cmp::Reverse;
 
 /// Which axis a region is cut along.
@@ -55,7 +55,7 @@ enum Axis {
 
 /// A disk-resident hybrid R+-tree over line segments.
 pub struct RPlusTree {
-    pool: MemPool,
+    pool: BufferPool,
     table: SegmentTable,
     root: PageId,
     /// Level of the root; leaves are level 1. The root region is the world.
@@ -69,7 +69,7 @@ impl RPlusTree {
         // Pool-open time is when the scan ISA is decided: warm the cached
         // selection so the first query pays a plain atomic load.
         lsdb_core::scan::active_isa();
-        let mut pool = MemPool::in_memory(cfg.page_size, cfg.pool_pages);
+        let mut pool = BufferPool::new(cfg.page_size, cfg.pool_pages);
         let m_max = RectNode::capacity(cfg.page_size);
         assert!(m_max >= 4, "page too small for an R+-tree node");
         let root = pool.allocate();
@@ -742,9 +742,9 @@ impl SpatialIndex for RPlusTree {
         self.table.attach_budget(budget);
     }
 
-    fn shed_cache(&self, target_bytes: u64) -> std::io::Result<u64> {
-        let freed = self.pool.shed(target_bytes)?;
-        Ok(freed + self.table.shed_cache(target_bytes.saturating_sub(freed))?)
+    fn shed_cache(&self, target_bytes: u64) -> u64 {
+        let freed = self.pool.shed(target_bytes);
+        freed + self.table.shed_cache(target_bytes.saturating_sub(freed))
     }
 
     fn cache_stats(&self) -> lsdb_pager::CacheStats {

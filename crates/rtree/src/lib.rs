@@ -25,7 +25,7 @@ use lsdb_core::{
     SpatialIndex,
 };
 use lsdb_geom::{Point, Rect};
-use lsdb_pager::{MemPool, PageId};
+use lsdb_pager::{BufferPool, PageId};
 use std::cmp::Reverse;
 
 /// Fraction of entries force-reinserted on the first overflow of a level
@@ -34,7 +34,7 @@ const REINSERT_FRACTION: f64 = 0.3;
 
 /// A disk-resident R-tree over line segments.
 pub struct RTree {
-    pool: MemPool,
+    pool: BufferPool,
     table: SegmentTable,
     kind: RTreeKind,
     root: PageId,
@@ -52,7 +52,7 @@ impl RTree {
         // Pool-open time is when the scan ISA is decided: warm the cached
         // selection so the first query pays a plain atomic load.
         lsdb_core::scan::active_isa();
-        let mut pool = MemPool::in_memory(cfg.page_size, cfg.pool_pages);
+        let mut pool = BufferPool::new(cfg.page_size, cfg.pool_pages);
         let m_max = RectNode::capacity(cfg.page_size);
         assert!(m_max >= 4, "page too small for an R-tree node");
         let m_min = ((m_max as f64 * 0.4).ceil() as usize).max(2);
@@ -572,9 +572,9 @@ impl SpatialIndex for RTree {
         self.table.attach_budget(budget);
     }
 
-    fn shed_cache(&self, target_bytes: u64) -> std::io::Result<u64> {
-        let freed = self.pool.shed(target_bytes)?;
-        Ok(freed + self.table.shed_cache(target_bytes.saturating_sub(freed))?)
+    fn shed_cache(&self, target_bytes: u64) -> u64 {
+        let freed = self.pool.shed(target_bytes);
+        freed + self.table.shed_cache(target_bytes.saturating_sub(freed))
     }
 
     fn cache_stats(&self) -> lsdb_pager::CacheStats {

@@ -453,9 +453,7 @@ impl Catalog {
             let overage = self.budget.over_budget();
             let state = slot.read_state();
             if let Some(live) = state.as_ref() {
-                // Shed write-backs are plain I/O errors at worst; a map
-                // that cannot shed is simply skipped this lap.
-                let _ = live.with_read(|index| index.shed_cache(overage));
+                live.with_read(|index| index.shed_cache(overage));
             }
         }
     }

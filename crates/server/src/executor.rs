@@ -12,7 +12,7 @@ use crate::catalog::Catalog;
 use crate::protocol::{ErrorCode, Reply, Request, MAX_BATCH_ITEMS};
 use crate::server::Shared;
 use lsdb_core::{execute_batch, queries, BatchAnswer, BatchRequest, QueryCtx};
-use lsdb_geom::world_rect;
+use lsdb_geom::{world_rect, Point};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -56,8 +56,8 @@ impl Outcome {
 
 /// Run `job` on `ctx` and envelope its reply. A panic stays inside its
 /// own request: it is answered `Internal` with the panic message, and
-/// `ctx` is replaced by a fresh context (the old one may hold half-done
-/// pins).
+/// `ctx` is replaced by a fresh context (the old one may hold a half-done
+/// query's state).
 pub(crate) fn execute(job: &Job, shared: &Shared, ctx: &mut QueryCtx) -> Vec<u8> {
     let run = AssertUnwindSafe(|| match &job.work {
         Work::Single(req) => run_single(job.map, req, shared, ctx),
@@ -82,6 +82,29 @@ pub(crate) fn execute(job: &Job, shared: &Shared, ctx: &mut QueryCtx) -> Vec<u8>
     }
 }
 
+/// The point a query is asked at, if it has one. A window has an extent
+/// instead, and any extent is legal.
+fn query_point(req: &Request) -> Option<Point> {
+    match *req {
+        Request::Incident(p) | Request::Nearest(p) => Some(p),
+        Request::Second { at, .. } | Request::Knn { at, .. } | Request::Polygon { at, .. } => {
+            Some(at)
+        }
+        _ => None,
+    }
+}
+
+/// `BadArgument` for a query point outside the world — the precondition
+/// of `SpatialIndex`'s point queries, which `INSERT` keeps for segments.
+fn refuse_out_of_world(req: &Request) -> Option<Reply> {
+    let p = query_point(req)?;
+    let world = world_rect();
+    (!world.contains_point(p)).then(|| Reply::Error {
+        code: ErrorCode::BadArgument,
+        message: format!("query point {p:?} lies outside the world {world:?}"),
+    })
+}
+
 /// A mutation the live index refused (WAL append/commit failure). The op
 /// was not applied and nothing was acknowledged.
 fn wal_failed(what: &str, e: &std::io::Error) -> Reply {
@@ -101,7 +124,8 @@ fn wal_failed(what: &str, e: &std::io::Error) -> Reply {
 /// refused before the commit unless both endpoints lie inside the 16K
 /// world and differ: no structure can place anything else, the queries'
 /// angle geometry needs a nonzero direction, and a committed op that
-/// cannot be applied would fail its replay too.
+/// cannot be applied would fail its replay too. A query point outside
+/// the world is refused the same way, before the reply cache is probed.
 ///
 /// Queries probe the slot's reply cache first: a hit returns the stored
 /// body (bit-for-bit what execution would encode) and folds the
@@ -112,6 +136,9 @@ fn wal_failed(what: &str, e: &std::io::Error) -> Reply {
 /// the epoch while holding the write guard, so that epoch exactly
 /// identifies the index state the reply was computed from.
 fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> Outcome {
+    if let Some(refusal) = refuse_out_of_world(req) {
+        return Outcome::Fresh(refusal);
+    }
     let result = shared.catalog.with_live(map, |slot, live| {
         match *req {
             Request::Insert(seg) => {
@@ -230,7 +257,8 @@ fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> O
     result.unwrap_or_else(|e| Outcome::Fresh(e.to_reply()))
 }
 
-/// Execute one batch against map `map`: validate, run Morton-sorted,
+/// Execute one batch against map `map`: validate (a batch is refused
+/// whole if any item would be), run Morton-sorted,
 /// fold each item's counters into the slot and the aggregate (so
 /// `STATS` sees one entry per query, not per batch), and nest the
 /// per-item replies in submission order.
@@ -252,6 +280,9 @@ fn run_batch(map: u32, req: &BatchRequest, shared: &Shared, ctx: &mut QueryCtx) 
                 req.len()
             ),
         };
+    }
+    if let Some(refusal) = (0..req.len()).find_map(|i| refuse_out_of_world(&item_request(req, i))) {
+        return refusal;
     }
     let result = shared.catalog.with_live(map, |slot, live| {
         // The whole batch runs under one read guard: a concurrent writer

@@ -5,8 +5,9 @@
 
 use lsdb_core::pointgen::{EndpointGen, UniformGen, WindowGen};
 use lsdb_core::{
-    queries, IndexConfig, LiveIndex, PolygonalMap, QueryCtx, QueryStats, SpatialIndex,
+    brute, queries, IndexConfig, LiveIndex, PolygonalMap, QueryCtx, QueryStats, SegId, SpatialIndex,
 };
+use lsdb_geom::{Point, Rect, Segment};
 use lsdb_server::protocol::{
     decode_reply, read_frame, write_frame, FrameEvent, MAX_REPLY_FRAME, MAX_REQUEST_FRAME,
     V3_MARKER,
@@ -623,6 +624,117 @@ fn out_of_world_and_degenerate_inserts_are_refused_before_the_wal() {
     assert_eq!(client.open_map("default").unwrap(), (0, base));
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+/// The error code of a refused call, `None` if it was answered.
+fn refusal<T>(result: std::io::Result<T>) -> Option<ErrorCode> {
+    let err = result.err()?;
+    err.get_ref()?
+        .downcast_ref::<ServerError>()
+        .map(|se| se.code)
+}
+
+/// A 7×7 lattice of 2000-unit blocks: 84 axis-parallel segments that
+/// meet only at their endpoints.
+fn lattice_map() -> PolygonalMap {
+    let at = |i: i32| 1000 + 2000 * i;
+    let mut segments = Vec::new();
+    for i in 0..7 {
+        for j in 0..6 {
+            segments.push(Segment::new(
+                Point::new(at(j), at(i)),
+                Point::new(at(j + 1), at(i)),
+            ));
+            segments.push(Segment::new(
+                Point::new(at(i), at(j)),
+                Point::new(at(i), at(j + 1)),
+            ));
+        }
+    }
+    PolygonalMap::new("lattice", segments)
+}
+
+#[test]
+fn out_of_world_query_points_are_refused_and_any_window_is_exact() {
+    // A query point must lie in the world, as an inserted segment must:
+    // the PMR quadtree cannot locate anything else, and the distance
+    // arithmetic is exact only near the world. Every structure refuses
+    // such a point in each point query, singly and inside a batch. A
+    // window may have any extent and answers exactly what brute force
+    // answers.
+    let map = lattice_map();
+    let cfg = IndexConfig::default();
+    let structures: [Box<dyn SpatialIndex>; 4] = [
+        Box::new(lsdb_rtree::RTree::build(
+            &map,
+            cfg,
+            lsdb_rtree::RTreeKind::RStar,
+        )),
+        Box::new(lsdb_rplus::RPlusTree::build(&map, cfg)),
+        Box::new(lsdb_pmr::PmrQuadtree::build(
+            &map,
+            lsdb_pmr::PmrConfig {
+                index: cfg,
+                ..Default::default()
+            },
+        )),
+        Box::new(lsdb_grid::UniformGrid::build(&map, cfg, 64)),
+    ];
+    let edge = lsdb_geom::WORLD_SIZE;
+    let outside = [
+        Point::new(-5, 50),
+        Point::new(20000, 20000),
+        Point::new(i32::MIN, i32::MAX),
+        Point::new(edge, 0),
+    ];
+    let windows = [
+        Rect::new(-100, -100, -1, -1),
+        Rect::new(i32::MIN, i32::MIN, i32::MAX, i32::MAX),
+        Rect::new(20000, 20000, 30000, 30000),
+        Rect::new(-50, 90, 150, 4000),
+    ];
+    for index in structures {
+        let name = index.name();
+        let (addr, handle) = start_live(LiveIndex::volatile(index), 1);
+        let mut client = Client::connect(addr).unwrap();
+        for p in outside {
+            for req in [
+                Request::Incident(p),
+                Request::Second {
+                    id: SegId(0),
+                    at: p,
+                },
+                Request::Nearest(p),
+                Request::Knn { at: p, k: 3 },
+                Request::Polygon {
+                    at: p,
+                    max_steps: MAX_STEPS,
+                },
+            ] {
+                let got = refusal(client.call(&req));
+                assert_eq!(got, Some(ErrorCode::BadArgument), "{name}: {req:?}");
+            }
+            let batch = BatchRequest::Nearest(vec![Point::new(5000, 5000), p]);
+            let got = refusal(client.call_batch(&batch));
+            assert_eq!(got, Some(ErrorCode::BadArgument), "{name}: batch at {p:?}");
+        }
+        for w in windows {
+            let want = brute::sorted(brute::window(&map, w));
+            match client.call(&Request::Window(w)).unwrap() {
+                Reply::Segs { ids, .. } => assert_eq!(brute::sorted(ids), want, "{name}: {w:?}"),
+                other => panic!("{name}: unexpected reply {other:?}"),
+            }
+        }
+        // An in-world point on the same connection is still answered.
+        let p = Point::new(1000, 1000);
+        let want = brute::sorted(brute::incident(&map, p));
+        match client.call(&Request::Incident(p)).unwrap() {
+            Reply::Segs { ids, .. } => assert_eq!(brute::sorted(ids), want, "{name}"),
+            other => panic!("{name}: unexpected reply {other:?}"),
+        }
+        client.shutdown().unwrap();
+        handle.join().unwrap();
+    }
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Steady-state queries allocate nothing.
 //!
 //! The traversal engines in `lsdb_core::traverse` keep their stacks,
-//! priority queue, and dedup set inside [`QueryCtx`], and the buffer pool
-//! recycles retired pin buffers, so after a warm-up pass every further
+//! priority queue, and dedup set inside [`QueryCtx`], and each page
+//! context keeps its touched-page set across resets, so after a warm-up
+//! pass every further
 //! `probe_point` / `nearest` / `window_visit` runs without touching the
 //! allocator. This file holds exactly one test so the process-global
 //! allocation counter sees only its own thread.
@@ -45,8 +46,8 @@ fn steady_state_queries_do_not_allocate() {
     let map = lsdb::tiger::generate(&spec);
     // A pool large enough to keep every page resident: the steady state
     // under test is the query path, not cache replacement (faulting
-    // queries also reach zero allocation once the pin-buffer spare list
-    // is primed, but residency makes the assertion independent of the
+    // queries also reach zero allocation once the touched-page sets have
+    // grown, but residency makes the assertion independent of the
     // replacement schedule).
     let cfg = IndexConfig {
         page_size: 1024,
