@@ -45,6 +45,15 @@ pub struct BTree {
     stats: NodeStats,
 }
 
+/// What [`BTree::last_run_rec_ctx`] found: the predecessor key, its run,
+/// and the leaf holding it if the run's scan would stay on the descent's
+/// path.
+struct RunFound<'p> {
+    key: u64,
+    run: (u64, u64),
+    leaf: Option<&'p [u8]>,
+}
+
 enum Insert {
     Done(bool),
     Split { sep: u64, right: PageId },
@@ -291,6 +300,104 @@ impl BTree {
             return None;
         }
         self.last_rec_ctx(self.root, self.height, lo, hi, ctx)
+    }
+
+    /// Predecessor search fused with a scan of the run it lands in:
+    /// finds `k = last_in_range_ctx(lo, hi)`, then visits every key of
+    /// `[run_lo, run_hi] = run(k)` ascending, exactly as
+    /// [`BTree::scan_range_ctx`] would. When the run's bounds route to the
+    /// predecessor's child at every level of its descent, that scan would
+    /// re-read only the descent's own pages, so the run is read from the
+    /// leaf in hand; otherwise the scan runs as a second descent. Either
+    /// way the touched pages, the charges and the visited keys are those of
+    /// the two separate calls. Returns `k`; nothing is scanned if there is
+    /// no predecessor.
+    pub fn last_then_scan_ctx(
+        &self,
+        lo: u64,
+        hi: u64,
+        run: impl Fn(u64) -> (u64, u64),
+        ctx: &mut PoolCtx,
+        f: &mut impl FnMut(u64) -> ControlFlow<()>,
+    ) -> Option<u64> {
+        self.last_then_scan_inner(lo, hi, run, ctx, f)
+            .map(|(k, _)| k)
+    }
+
+    /// [`BTree::last_then_scan_ctx`], also reporting whether the run was
+    /// read from the predecessor's leaf (`true`) or by a second descent.
+    fn last_then_scan_inner(
+        &self,
+        lo: u64,
+        hi: u64,
+        run: impl Fn(u64) -> (u64, u64),
+        ctx: &mut PoolCtx,
+        f: &mut impl FnMut(u64) -> ControlFlow<()>,
+    ) -> Option<(u64, bool)> {
+        if lo > hi {
+            return None;
+        }
+        let found = self.last_run_rec_ctx(self.root, self.height, lo, hi, &run, ctx)?;
+        let (run_lo, run_hi) = found.run;
+        match found.leaf {
+            Some(leaf) if run_lo <= run_hi => {
+                let start = LeafView::search(leaf, run_lo).unwrap_or_else(|i| i);
+                let count = LeafView::count(leaf);
+                let keys = LeafView::key_bytes(leaf, start, count);
+                let _ = lsdb_core::scan::scan_keys_le(keys, run_hi, f);
+            }
+            Some(_) => {}
+            None => {
+                let _ = self.scan_range_ctx(run_lo, run_hi, ctx, f);
+            }
+        }
+        Some((found.key, found.leaf.is_some()))
+    }
+
+    /// [`BTree::last_rec_ctx`] that also computes the found key's run and
+    /// keeps the leaf it was found in while the run routes to the same
+    /// child as the descent at every level below `pid`.
+    fn last_run_rec_ctx<'p>(
+        &'p self,
+        pid: PageId,
+        level: u32,
+        lo: u64,
+        hi: u64,
+        run: &impl Fn(u64) -> (u64, u64),
+        ctx: &mut PoolCtx,
+    ) -> Option<RunFound<'p>> {
+        let buf = self.pool.read_page(pid, ctx);
+        if level == 1 {
+            let end = match LeafView::search(buf, hi) {
+                Ok(i) => i + 1,
+                Err(i) => i,
+            };
+            if end == 0 {
+                return None;
+            }
+            let key = LeafView::key_at(buf, end - 1);
+            return (key >= lo).then(|| RunFound {
+                key,
+                run: run(key),
+                leaf: Some(buf),
+            });
+        }
+        let count = InternalView::count(buf);
+        let start = InternalView::child_index_for(buf, lo);
+        let end = InternalView::child_index_for(buf, hi).min(count);
+        (start..=end).rev().find_map(|i| {
+            let child = InternalView::child_at(buf, i);
+            let mut found = self.last_run_rec_ctx(child, level - 1, lo, hi, run, ctx)?;
+            let (run_lo, run_hi) = found.run;
+            // `scan_rec_ctx` visits children `child_index_for(run_lo)` to
+            // `child_index_for(run_hi)` here: just child `i`, or more.
+            if InternalView::child_index_for(buf, run_lo) != i
+                || InternalView::child_index_for(buf, run_hi).min(count) != i
+            {
+                found.leaf = None;
+            }
+            Some(found)
+        })
     }
 
     fn scan_rec_ctx(
@@ -1009,6 +1116,83 @@ mod tests {
         let before = ctx.stats.reads;
         assert!(t.contains_ctx(250, &mut ctx));
         assert_eq!(ctx.stats.reads, before);
+    }
+
+    /// The fused predecessor-plus-run read against the two calls it
+    /// replaces, on random trees of runs (`key >> 16` names the run) at
+    /// small page sizes: runs straddle leaves, and deletions leave
+    /// separators between a run's last key and the probe.
+    #[test]
+    fn fused_probe_matches_last_then_scan() {
+        use lsdb_rng::StdRng;
+        let run = |k: u64| (k & !0xFFFF, k | 0xFFFF);
+        let (mut fused, mut fallback) = (0, 0);
+        for (seed, page) in [(1u64, 64usize), (2, 64), (3, 96), (4, 128)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut t = BTree::new(BufferPool::new(page, 6));
+            for r in 0..300u64 {
+                let keys = rng.gen_range(1..=12u64);
+                for j in 0..keys {
+                    t.insert(((r * 4) << 16) | (j * 7));
+                }
+            }
+            let keys = t.collect_range(0, u64::MAX);
+            for &k in &keys {
+                if rng.gen_bool(0.3) {
+                    t.remove(k);
+                }
+            }
+            t.check_invariants();
+            let keys = t.collect_range(0, u64::MAX);
+            for cold in [false, true] {
+                if cold {
+                    t.pool_mut().clear();
+                }
+                for _ in 0..400 {
+                    let k = keys[rng.gen_range(0..keys.len())];
+                    let hi = match rng.gen_range(0..4u32) {
+                        0 => k,
+                        1 => k | 0xFFFF,
+                        2 => (k | 0xFFFF) + rng.gen_range(1..0x40000u64),
+                        _ => rng.gen_range(0..=((300u64 * 4) << 16)),
+                    };
+                    let lo = match rng.gen_range(0..4u32) {
+                        0 => hi.saturating_sub(rng.gen_range(0..0x40000u64)),
+                        1 => hi + 1,
+                        _ => 0,
+                    };
+                    let mut seq = PoolCtx::new();
+                    let mut seq_keys = Vec::new();
+                    let seq_k = t.last_in_range_ctx(lo, hi, &mut seq);
+                    if let Some(k) = seq_k {
+                        let (rlo, rhi) = run(k);
+                        let _ = t.scan_range_ctx(rlo, rhi, &mut seq, &mut |k| {
+                            seq_keys.push(k);
+                            ControlFlow::Continue(())
+                        });
+                    }
+                    let mut one = PoolCtx::new();
+                    let mut one_keys = Vec::new();
+                    let got = t.last_then_scan_inner(lo, hi, run, &mut one, &mut |k| {
+                        one_keys.push(k);
+                        ControlFlow::Continue(())
+                    });
+                    assert_eq!(got.map(|(k, _)| k), seq_k, "lo {lo:#x} hi {hi:#x}");
+                    assert_eq!(one_keys, seq_keys, "lo {lo:#x} hi {hi:#x}");
+                    assert_eq!(one.pages_touched(), seq.pages_touched());
+                    assert_eq!(one.stats, seq.stats);
+                    match got {
+                        Some((_, true)) => fused += 1,
+                        Some((_, false)) => fallback += 1,
+                        None => {}
+                    }
+                }
+            }
+        }
+        assert!(
+            fused > 0 && fallback > 0,
+            "fused {fused}, fallback {fallback}"
+        );
     }
 
     #[test]

@@ -1,3 +1,4 @@
+use crate::queries::{self, PolygonWalk};
 use crate::{QueryCtx, QueryStats, SegId, SegmentTable};
 use lsdb_geom::{Point, Rect};
 
@@ -46,7 +47,9 @@ impl LocId {
 ///
 /// Query 2 (segments at the *other* endpoint) and query 4 (minimal
 /// enclosing polygon) are structure-independent compositions of these and
-/// are implemented once in [`crate::queries`].
+/// are implemented once in [`crate::queries`]. Query 4 is also a trait
+/// method, [`SpatialIndex::enclosing_polygon`], so that the structures on
+/// the shared traversal engines can run its walk inside the engine.
 ///
 /// # Shared-read queries
 ///
@@ -187,6 +190,20 @@ pub trait SpatialIndex: Send + Sync {
         for id in self.window(w, ctx) {
             f(id);
         }
+    }
+
+    /// Query 4: walk the boundary of the face containing `p` (see
+    /// [`crate::queries::enclosing_polygon`], which calls this). The
+    /// default composes the trait queries; structures on the shared
+    /// engines override it with [`crate::traverse::polygon_walk`]. Same
+    /// boundary, `closed` flag and counters either way.
+    fn enclosing_polygon(
+        &self,
+        p: Point,
+        max_steps: usize,
+        ctx: &mut QueryCtx,
+    ) -> Option<PolygonWalk> {
+        queries::compose_enclosing_polygon(self, p, max_steps, ctx)
     }
 
     /// Snapshot of the build-path metric counters (the pools' internal

@@ -15,12 +15,18 @@
 //!   the reversed incoming direction, which walks the face containing the
 //!   query point.
 //!
-//! Both compositions take `&I` plus a [`QueryCtx`], like the trait queries
-//! they are built from, so they run concurrently against a shared index.
+//! Both take `&I` plus a [`QueryCtx`], like the trait queries they are
+//! built from, so they run concurrently against a shared index. Query 4
+//! runs through [`SpatialIndex::enclosing_polygon`]: the R\*-tree,
+//! R+-tree, PMR quadtree and grid run the walk inside the traversal
+//! engine ([`crate::traverse::polygon_walk`]), where each step's probe
+//! hands the walk the incident records it already fetched; any other
+//! index composes the trait queries as described above. Both share one
+//! walk loop (`walk_face`), and give the same boundary and counters.
 
 use crate::{QueryCtx, SegId, SpatialIndex};
 use lsdb_geom::angle::{first_clockwise_from, Dir};
-use lsdb_geom::{orient, Point};
+use lsdb_geom::{orient, Point, Segment};
 
 /// Result of an enclosing-polygon traversal.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,15 +88,53 @@ pub fn second_endpoint<I: SpatialIndex + ?Sized>(
 ///
 /// Returns `None` if the index is empty. `max_steps` bounds the traversal
 /// (the outer face of a 50k-segment map can be long); a typical limit is
-/// `4 * n`.
+/// `4 * n`. Runs [`SpatialIndex::enclosing_polygon`]: the traversal engine
+/// for the structures built on it, the composition over the trait queries
+/// otherwise — the same walk, the same counters.
 pub fn enclosing_polygon<I: SpatialIndex + ?Sized>(
     index: &I,
     p: Point,
     max_steps: usize,
     ctx: &mut QueryCtx,
 ) -> Option<PolygonWalk> {
+    index.enclosing_polygon(p, max_steps, ctx)
+}
+
+/// Query 4 composed from the trait queries, the default of
+/// [`SpatialIndex::enclosing_polygon`]: the start edge from
+/// [`SpatialIndex::nearest`], then per boundary vertex one
+/// [`SpatialIndex::find_incident_visit`] and one segment-table fetch per
+/// incident segment.
+pub(crate) fn compose_enclosing_polygon<I: SpatialIndex + ?Sized>(
+    index: &I,
+    p: Point,
+    max_steps: usize,
+    ctx: &mut QueryCtx,
+) -> Option<PolygonWalk> {
     let e0 = index.nearest(p, ctx)?;
-    let s0 = index.seg_table().get(e0, ctx);
+    let start = (e0, index.seg_table().get(e0, ctx));
+    let mut ids = Vec::new();
+    walk_face(start, p, max_steps, ctx, |v, ctx, incident| {
+        ids.clear();
+        index.find_incident_visit(v, ctx, &mut |id| ids.push(id));
+        incident.extend(ids.iter().map(|&id| (id, index.seg_table().get(id, ctx))));
+    })
+}
+
+/// The boundary walk of query 4 from the start edge `start`, nearest to
+/// `p`. `incident_at(v, ctx, out)` fills `out` with the records of every
+/// segment incident at `v`, charging what reading them costs; the walk
+/// picks the clockwise-first one from the reversed incoming direction.
+/// Returns `None` if a vertex has no incident segment (an index that lost
+/// the current edge).
+pub(crate) fn walk_face(
+    start: (SegId, Segment),
+    p: Point,
+    max_steps: usize,
+    ctx: &mut QueryCtx,
+    mut incident_at: impl FnMut(Point, &mut QueryCtx, &mut Vec<(SegId, Segment)>),
+) -> Option<PolygonWalk> {
+    let (e0, s0) = start;
     // Walk the face on p's side: orient the starting edge u->v so that p
     // lies to its left. If p is exactly on the segment's supporting line,
     // either face is "the" enclosing polygon; take a->b.
@@ -108,33 +152,25 @@ pub fn enclosing_polygon<I: SpatialIndex + ?Sized>(
     // The walk fires one incidence query per boundary vertex — hundreds
     // on rural faces — so the per-step working vectors live outside the
     // loop and are refilled in place.
-    let mut incident: Vec<SegId> = Vec::new();
+    let mut incident: Vec<(SegId, Segment)> = Vec::new();
     let mut dirs: Vec<Dir> = Vec::new();
-    let mut far: Vec<Point> = Vec::new();
     for _ in 0..max_steps {
-        // Query 2 at v: segments incident at the far end of the current
-        // edge, then select the clockwise-first one from the reversed
-        // incoming direction.
         incident.clear();
-        index.find_incident_visit(v, ctx, &mut |id| incident.push(id));
+        incident_at(v, ctx, &mut incident);
         debug_assert!(
-            incident.contains(&current),
+            incident.iter().any(|&(id, _)| id == current),
             "index lost the current boundary edge at {v:?}"
         );
         let d_in = Dir::between(v, u);
         dirs.clear();
-        far.clear();
-        for &cand in &incident {
-            let s = index.seg_table().get(cand, ctx);
-            let w = s.other_endpoint(v);
-            far.push(w);
-            dirs.push(Dir::between(v, w));
-        }
-        let next_idx = first_clockwise_from(d_in, &dirs)?;
-        let next_id = incident[next_idx];
-        let w = far[next_idx];
+        dirs.extend(
+            incident
+                .iter()
+                .map(|(_, s)| Dir::between(v, s.other_endpoint(v))),
+        );
+        let (next_id, next) = incident[first_clockwise_from(d_in, &dirs)?];
         u = v;
-        v = w;
+        v = next.other_endpoint(u);
         current = next_id;
         if (u, v) == start {
             walk.closed = true;

@@ -10,15 +10,24 @@
 //! entries, charging the right counters" — and the engines here own the
 //! search loops, the priority queue, the dedup sets and the result
 //! ordering. A structure crate contains no recursion and no heap of its
-//! own.
+//! own. The polygon walk of query 4 runs here too ([`polygon_walk`]): the
+//! same walk as [`crate::queries::enclosing_polygon`]'s composition over
+//! the trait queries, with each step's incidence probe run as the point
+//! DFS directly.
 //!
 //! # Counter-charging contract
 //!
-//! The engines charge exactly two things themselves:
+//! The engines charge exactly three things themselves:
 //!
 //! * one `seg_comps` (plus segment-pool disk) per segment record fetched
 //!   through [`SegmentTable::get`] — for DFS entries that survive dedup,
 //!   and for every nearest-neighbor candidate popped from the queue;
+//! * in [`polygon_walk`], one `seg_comps` per incident record a step
+//!   returns, for the walk's own read of it. The record is the one the
+//!   step's probe just fetched, so no second lookup is made: that fetch
+//!   touched the record's page in this query, so the re-read could not
+//!   charge a disk access (the segment mini-cache's argument). The
+//!   composition's `get` per incident segment charges exactly this;
 //! * nothing else. All `bbox_comps` and index-pool disk charges are made
 //!   by the structure inside its seed/expand callbacks (one bbox per
 //!   R-tree entry scanned, one per PMR bucket located-or-scanned, one per
@@ -44,13 +53,14 @@
 //! # Scratch-buffer reuse
 //!
 //! Every engine borrows a `Scratch` (stacks, sinks, priority queue,
-//! dedup set) cached inside the [`QueryCtx`]; buffers are cleared, never
-//! dropped, between queries, and the buffer-pool pin path recycles page
-//! boxes the same way — so a warmed-up context runs probes, window scans
-//! and nearest-neighbor queries without allocating.
+//! dedup set, point hits) cached inside the [`QueryCtx`], once per query
+//! — a polygon walk takes it once for all its steps; buffers are cleared,
+//! never dropped, between queries, so a warmed-up context runs probes,
+//! window scans and nearest-neighbor queries without allocating.
 
+use crate::queries::{self, PolygonWalk};
 use crate::{LocId, QueryCtx, SegId, SegmentTable};
-use lsdb_geom::{Dist2, Point, Rect};
+use lsdb_geom::{Dist2, Point, Rect, Segment};
 use std::any::Any;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, HashSet};
@@ -286,7 +296,10 @@ struct Scratch<N> {
     stack: Vec<N>,
     sink: DfsSink<N>,
     nn: NnSink<N>,
+    /// Window and nearest-neighbor dedup: ids already fetched or reported.
     seen: HashSet<SegId>,
+    /// Point-query hits: the incident records emitted so far.
+    hits: Vec<(SegId, Segment)>,
 }
 
 impl<N> Default for Scratch<N> {
@@ -296,6 +309,7 @@ impl<N> Default for Scratch<N> {
             sink: DfsSink::default(),
             nn: NnSink::default(),
             seen: HashSet::new(),
+            hits: Vec::new(),
         }
     }
 }
@@ -312,33 +326,39 @@ fn put_scratch<N: Copy + Send + 'static>(ctx: &mut QueryCtx, s: Box<Scratch<N>>)
     ctx.put_scratch_slot(s as Box<dyn Any + Send>);
 }
 
-/// Which DFS query is running (decides prefilter, dedup policy and the
-/// segment predicate).
+/// Run `f` on the context's scratch, taken once and put back after.
+fn with_scratch<N: Copy + Send + 'static, R>(
+    ctx: &mut QueryCtx,
+    f: impl FnOnce(&mut Scratch<N>, &mut QueryCtx) -> R,
+) -> R {
+    let mut s = take_scratch::<N>(ctx);
+    let r = f(&mut s, ctx);
+    put_scratch(ctx, s);
+    r
+}
+
+/// Which DFS query is running (decides the seed and expand callbacks).
+#[derive(Clone, Copy)]
 enum DfsQuery {
-    /// Incidence/probe at a point. Dedup marks ids on *emission* (a record
-    /// seen in one leaf and rejected is re-fetched from another — the
-    /// historical multi-leaf accounting of the R+-tree).
     Point { p: Point, probe_only: bool },
-    /// Window scan. Dedup marks ids on first *encounter*: a record fetched
-    /// once is never fetched again, match or not.
     Window { w: Rect },
 }
 
-/// The depth-first engine under `find_incident`, `probe_point`, `window`
-/// and `window_visit`. Returns the first leaf/bucket arrival.
-fn dfs_visit<A: NodeAccess>(
+/// The depth-first loop under every point and window query: seed, then
+/// visit emitted nodes in emission order, handing each emitted leaf entry
+/// to `resolve` as soon as the emitting expansion returns. Returns the
+/// first leaf/bucket arrival.
+#[inline]
+fn dfs<A: NodeAccess>(
     acc: &A,
     q: DfsQuery,
+    stack: &mut Vec<A::Node>,
+    sink: &mut DfsSink<A::Node>,
     ctx: &mut QueryCtx,
-    emit: &mut dyn FnMut(SegId),
+    mut resolve: impl FnMut(SegId, &mut QueryCtx),
 ) -> LocId {
-    let mut s = take_scratch::<A::Node>(ctx);
-    let Scratch {
-        stack, sink, seen, ..
-    } = &mut *s;
     stack.clear();
     sink.clear();
-    seen.clear();
     let mut loc = LocId::NONE;
     match q {
         DfsQuery::Point { p, probe_only } => acc.seed_point(p, probe_only, ctx, sink),
@@ -351,27 +371,7 @@ fn dfs_visit<A: NodeAccess>(
             }
         }
         for &id in &sink.entries {
-            match q {
-                DfsQuery::Point { p, .. } => {
-                    if seen.contains(&id) {
-                        continue;
-                    }
-                    let seg = acc.table().get(id, ctx);
-                    if seg.has_endpoint(p) {
-                        seen.insert(id);
-                        emit(id);
-                    }
-                }
-                DfsQuery::Window { w } => {
-                    if !seen.insert(id) {
-                        continue;
-                    }
-                    let seg = acc.table().get(id, ctx);
-                    if w.intersects_segment(&seg) {
-                        emit(id);
-                    }
-                }
-            }
+            resolve(id, ctx);
         }
         sink.entries.clear();
         // Visit emitted nodes in emission order: push the block reversed,
@@ -385,56 +385,96 @@ fn dfs_visit<A: NodeAccess>(
             DfsQuery::Window { w } => acc.expand_window(n, w, ctx, sink),
         }
     }
-    put_scratch(ctx, s);
+    loc
+}
+
+/// The point DFS: collects into `hits` every record with an endpoint at
+/// `p`, in emission order. Dedup marks ids on *emission* (a record seen in
+/// one leaf and rejected is re-fetched from another — the historical
+/// multi-leaf accounting of the R+-tree), so the dedup set is `hits`
+/// itself: a handful of ids, scanned linearly.
+fn point_records<A: NodeAccess>(
+    acc: &A,
+    p: Point,
+    probe_only: bool,
+    s: &mut Scratch<A::Node>,
+    hits: &mut Vec<(SegId, Segment)>,
+    ctx: &mut QueryCtx,
+) -> LocId {
+    hits.clear();
+    let table = acc.table();
+    let q = DfsQuery::Point { p, probe_only };
+    dfs(acc, q, &mut s.stack, &mut s.sink, ctx, |id, ctx| {
+        if hits.iter().any(|&(h, _)| h == id) {
+            return;
+        }
+        let seg = table.get(id, ctx);
+        if seg.has_endpoint(p) {
+            hits.push((id, seg));
+        }
+    })
+}
+
+/// [`point_records`] into the scratch's own hit list.
+fn point_hits<A: NodeAccess>(
+    acc: &A,
+    p: Point,
+    probe_only: bool,
+    s: &mut Scratch<A::Node>,
+    ctx: &mut QueryCtx,
+) -> LocId {
+    let mut hits = std::mem::take(&mut s.hits);
+    let loc = point_records(acc, p, probe_only, s, &mut hits, ctx);
+    s.hits = hits;
     loc
 }
 
 /// Query 1 engine: all segments with an endpoint exactly at `p`.
 pub fn find_incident<A: NodeAccess>(acc: &A, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
-    let mut out = Vec::new();
-    incident_visit(acc, p, ctx, &mut |id| out.push(id));
-    out
+    with_scratch(ctx, |s, ctx| {
+        point_hits(acc, p, false, s, ctx);
+        s.hits.iter().map(|&(id, _)| id).collect()
+    })
 }
 
 /// Query 1 engine, streaming: like [`find_incident`] but emitting into a
-/// caller-owned sink, so repeated callers (the polygon walk fires one
-/// incidence query per boundary vertex) reuse one buffer instead of
-/// allocating a fresh `Vec` per call. Identical traversal, identical
-/// counters.
+/// caller-owned sink. Identical traversal, identical counters.
 pub fn incident_visit<A: NodeAccess>(
     acc: &A,
     p: Point,
     ctx: &mut QueryCtx,
     f: &mut dyn FnMut(SegId),
 ) {
-    dfs_visit(
-        acc,
-        DfsQuery::Point {
-            p,
-            probe_only: false,
-        },
-        ctx,
-        f,
-    );
+    with_scratch(ctx, |s, ctx| {
+        point_hits(acc, p, false, s, ctx);
+        for &(id, _) in &s.hits {
+            f(id);
+        }
+    })
 }
 
 /// Point-location engine: visit the same index pages as a point query,
 /// fetch no segment records, report the first leaf/bucket reached.
 pub fn probe_point<A: NodeAccess>(acc: &A, p: Point, ctx: &mut QueryCtx) -> LocId {
-    dfs_visit(
-        acc,
-        DfsQuery::Point {
-            p,
-            probe_only: true,
-        },
-        ctx,
-        &mut |_| {},
-    )
+    with_scratch(ctx, |s, ctx| point_hits(acc, p, true, s, ctx))
 }
 
-/// Query 5 engine, streaming: every segment meeting `w`, once each.
+/// Query 5 engine, streaming: every segment meeting `w`, once each. Dedup
+/// marks ids on first *encounter*: a record fetched once is never fetched
+/// again, match or not.
 pub fn window_visit<A: NodeAccess>(acc: &A, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
-    dfs_visit(acc, DfsQuery::Window { w }, ctx, f);
+    with_scratch(ctx, |s: &mut Scratch<A::Node>, ctx| {
+        let Scratch {
+            stack, sink, seen, ..
+        } = s;
+        seen.clear();
+        let table = acc.table();
+        dfs(acc, DfsQuery::Window { w }, stack, sink, ctx, |id, ctx| {
+            if seen.insert(id) && w.intersects_segment(&table.get(id, ctx)) {
+                f(id);
+            }
+        });
+    })
 }
 
 /// Query 5 engine, materializing.
@@ -444,21 +484,21 @@ pub fn window<A: NodeAccess>(acc: &A, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId>
     out
 }
 
-/// The incremental best-first loop under both nearest-neighbor entry
-/// points: emits the first `k` distinct segments in `(distance, SegId)`
+/// The incremental best-first loop under every nearest-neighbor entry
+/// point: emits the first `k` distinct segments in `(distance, SegId)`
 /// order.
-fn best_first_drive<A: NodeAccess>(
+fn best_first<A: NodeAccess>(
     acc: &A,
     p: Point,
     k: usize,
+    s: &mut Scratch<A::Node>,
     ctx: &mut QueryCtx,
-    emit: &mut dyn FnMut(SegId),
+    mut emit: impl FnMut(SegId),
 ) {
     if k == 0 {
         return;
     }
-    let mut s = take_scratch::<A::Node>(ctx);
-    let Scratch { nn, seen, .. } = &mut *s;
+    let Scratch { nn, seen, .. } = s;
     nn.clear();
     seen.clear();
     acc.seed_nearest(p, ctx, nn);
@@ -483,15 +523,16 @@ fn best_first_drive<A: NodeAccess>(
             NnItem::Node(n) => acc.expand_nearest(n, p, ctx, nn),
         }
     }
-    put_scratch(ctx, s);
 }
 
 /// Query 3 engine: a segment at minimal distance from `p` (smallest
 /// `SegId` among equidistant ones).
 pub fn best_first_nearest<A: NodeAccess>(acc: &A, p: Point, ctx: &mut QueryCtx) -> Option<SegId> {
-    let mut found = None;
-    best_first_drive(acc, p, 1, ctx, &mut |id| found = Some(id));
-    found
+    with_scratch(ctx, |s, ctx| {
+        let mut found = None;
+        best_first(acc, p, 1, s, ctx, |id| found = Some(id));
+        found
+    })
 }
 
 /// Ranked-retrieval engine: the `k` nearest segments in
@@ -502,9 +543,37 @@ pub fn best_first_nearest_k<A: NodeAccess>(
     k: usize,
     ctx: &mut QueryCtx,
 ) -> Vec<SegId> {
-    let mut out = Vec::new();
-    best_first_drive(acc, p, k, ctx, &mut |id| out.push(id));
-    out
+    with_scratch(ctx, |s, ctx| {
+        let mut out = Vec::new();
+        best_first(acc, p, k, s, ctx, |id| out.push(id));
+        out
+    })
+}
+
+/// Query 4 engine: the walk of [`crate::queries::enclosing_polygon`] run
+/// inside the engine. The scratch is taken once per walk, the start edge
+/// comes from the best-first loop, and each step's incidence probe is the
+/// point DFS handing the walk the records it already fetched. The walk's
+/// own read of each returned record is charged as one `seg_comps` without
+/// a second table lookup: the probe touched that record's page in this
+/// query, so the re-read could never charge a disk access. Same boundary
+/// and counters as the composition over the trait queries.
+pub fn polygon_walk<A: NodeAccess>(
+    acc: &A,
+    p: Point,
+    max_steps: usize,
+    ctx: &mut QueryCtx,
+) -> Option<PolygonWalk> {
+    with_scratch(ctx, |s: &mut Scratch<A::Node>, ctx| {
+        let mut e0 = None;
+        best_first(acc, p, 1, s, ctx, |id| e0 = Some(id));
+        let e0 = e0?;
+        let start = (e0, acc.table().get(e0, ctx));
+        queries::walk_face(start, p, max_steps, ctx, |v, ctx, incident| {
+            point_records(acc, v, false, s, incident, ctx);
+            ctx.seg_comps += incident.len() as u64;
+        })
+    })
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@
 //! through [`lsdb_pager::BufferPool::read_page`] and all counting is
 //! charged to the caller's [`QueryCtx`].
 
+use lsdb_core::queries::PolygonWalk;
 use lsdb_core::scan;
 use lsdb_core::traverse::{DfsSink, NnSink, NodeAccess};
 use lsdb_core::{
@@ -407,6 +408,18 @@ impl SpatialIndex for UniformGrid {
             return Vec::new();
         }
         traverse::best_first_nearest_k(self, p, k, ctx)
+    }
+
+    fn enclosing_polygon(
+        &self,
+        p: Point,
+        max_steps: usize,
+        ctx: &mut QueryCtx,
+    ) -> Option<PolygonWalk> {
+        if self.len == 0 {
+            return None;
+        }
+        traverse::polygon_walk(self, p, max_steps, ctx)
     }
 
     fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {

@@ -29,6 +29,7 @@
 //! 50k-segment county.
 
 use lsdb_btree::BTree;
+use lsdb_core::queries::PolygonWalk;
 use lsdb_core::traverse::{DfsSink, NnSink, NodeAccess};
 use lsdb_core::{
     traverse, IndexConfig, LocId, PolygonalMap, PoolCtx, QueryCtx, QueryStats, SegId, SegmentTable,
@@ -208,6 +209,38 @@ impl PmrQuadtree {
         let k = self
             .btree
             .last_in_range_ctx(0, probe, index)
+            .expect("decomposition covers the world");
+        let b = block_of_key(k);
+        debug_assert!(
+            b.rect().contains_point(p),
+            "predecessor block must contain p"
+        );
+        b
+    }
+
+    /// [`PmrQuadtree::leaf_containing_ctx`] followed by
+    /// [`PmrQuadtree::scan_block_ctx`] on the leaf it finds, in one B-tree
+    /// descent where the block's tuples sit in the leaf page the locate
+    /// ends on ([`BTree::last_then_scan_ctx`]: same pages, same charges).
+    fn locate_and_scan_ctx(
+        &self,
+        p: Point,
+        index: &mut PoolCtx,
+        f: &mut impl FnMut(SegId),
+    ) -> Block {
+        let probe = key(Block::containing(p, self.max_depth), u32::MAX);
+        let block_run = |k| {
+            let b = block_of_key(k);
+            (key(b, 0), key(b, u32::MAX))
+        };
+        let k = self
+            .btree
+            .last_then_scan_ctx(0, probe, block_run, index, &mut |k| {
+                if payload_of_key(k) != EMPTY {
+                    f(SegId(payload_of_key(k)));
+                }
+                ControlFlow::Continue(())
+            })
             .expect("decomposition covers the world");
         let b = block_of_key(k);
         debug_assert!(
@@ -489,12 +522,13 @@ impl NodeAccess for PmrQuadtree {
             index, bbox_comps, ..
         } = ctx;
         *bbox_comps += 1;
-        let b = self.leaf_containing_ctx(p, index);
+        let b = if probe_only {
+            self.leaf_containing_ctx(p, index)
+        } else {
+            self.locate_and_scan_ctx(p, index, &mut |id| sink.entry(id))
+        };
         // The block's packed locational code: (Morton code, depth).
         sink.arrive(LocId(key(b, 0) >> 32));
-        if !probe_only {
-            self.scan_block_ctx(b, index, &mut |id| sink.entry(id));
-        }
     }
 
     fn expand_point(
@@ -521,9 +555,8 @@ impl NodeAccess for PmrQuadtree {
         let QueryCtx {
             index, bbox_comps, ..
         } = ctx;
-        let leaf = self.leaf_containing_ctx(center, index);
+        let leaf = self.locate_and_scan_ctx(center, index, &mut |id| sink.entry(id));
         *bbox_comps += 1;
-        self.scan_block_ctx(leaf, index, &mut |id| sink.entry(id));
         let mut a = leaf;
         while let Some(parent) = a.parent() {
             for c in parent.children() {
@@ -561,10 +594,9 @@ impl NodeAccess for PmrQuadtree {
         let QueryCtx {
             index, bbox_comps, ..
         } = ctx;
-        let leaf = self.leaf_containing_ctx(p, index);
         *bbox_comps += 1;
-        let leaf_dist = Dist2::from_int(leaf.dist2_point(p));
-        self.scan_block_ctx(leaf, index, &mut |id| sink.candidate(id, leaf_dist));
+        // p lies in its bucket's block: the candidates' lower bound is 0.
+        let leaf = self.locate_and_scan_ctx(p, index, &mut |id| sink.candidate(id, Dist2::ZERO));
         let mut a = leaf;
         while let Some(parent) = a.parent() {
             for c in parent.children() {
@@ -672,6 +704,18 @@ impl SpatialIndex for PmrQuadtree {
             return Vec::new();
         }
         traverse::best_first_nearest_k(self, p, k, ctx)
+    }
+
+    fn enclosing_polygon(
+        &self,
+        p: Point,
+        max_steps: usize,
+        ctx: &mut QueryCtx,
+    ) -> Option<PolygonWalk> {
+        if self.len == 0 {
+            return None;
+        }
+        traverse::polygon_walk(self, p, max_steps, ctx)
     }
 
     fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {

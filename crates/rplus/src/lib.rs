@@ -37,6 +37,7 @@
 
 mod bulk;
 
+use lsdb_core::queries::PolygonWalk;
 use lsdb_core::rectnode::{Entry, RectNode, RectTreeAccess};
 use lsdb_core::{
     traverse, IndexConfig, LocId, PolygonalMap, QueryCtx, QueryStats, SegId, SegmentTable,
@@ -705,6 +706,18 @@ impl SpatialIndex for RPlusTree {
             return Vec::new();
         }
         traverse::best_first_nearest_k(&self.access(), p, k, ctx)
+    }
+
+    fn enclosing_polygon(
+        &self,
+        p: Point,
+        max_steps: usize,
+        ctx: &mut QueryCtx,
+    ) -> Option<PolygonWalk> {
+        if self.len == 0 {
+            return None;
+        }
+        traverse::polygon_walk(&self.access(), p, max_steps, ctx)
     }
 
     fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {

@@ -19,6 +19,7 @@ mod split;
 
 pub use split::RTreeKind;
 
+use lsdb_core::queries::PolygonWalk;
 use lsdb_core::rectnode::{entries_mbr, Entry, RectNode, RectTreeAccess};
 use lsdb_core::{
     traverse, IndexConfig, LocId, PolygonalMap, QueryCtx, QueryStats, SegId, SegmentTable,
@@ -535,6 +536,18 @@ impl SpatialIndex for RTree {
             return Vec::new();
         }
         traverse::best_first_nearest_k(&self.access(), p, k, ctx)
+    }
+
+    fn enclosing_polygon(
+        &self,
+        p: Point,
+        max_steps: usize,
+        ctx: &mut QueryCtx,
+    ) -> Option<PolygonWalk> {
+        if self.len == 0 {
+            return None;
+        }
+        traverse::polygon_walk(&self.access(), p, max_steps, ctx)
     }
 
     fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {

@@ -38,7 +38,7 @@
 //! (Zipf map popularity, per-map counters, budget gauge).
 
 use lsdb::core::{queries, IndexConfig, PolygonalMap, QueryCtx, SegId, SpatialIndex};
-use lsdb::geom::{Point, Rect};
+use lsdb::geom::{world_rect, Point, Rect};
 use lsdb::tiger::{self, io, CountyClass, CountySpec};
 use std::path::Path;
 use std::process::exit;
@@ -390,7 +390,8 @@ fn print_query_stats(idx: &dyn SpatialIndex, ctx: &QueryCtx) {
 }
 
 /// Execute and print one query. Returns false on an unrecognized query
-/// name or arity (reported to stderr).
+/// name or arity, or a query point outside the world (reported to
+/// stderr).
 fn run_query(
     idx: &dyn SpatialIndex,
     map: &PolygonalMap,
@@ -398,6 +399,19 @@ fn run_query(
     coords: &[i32],
     ctx: &mut QueryCtx,
 ) -> bool {
+    // Query points must lie in the world, as the server requires; a window
+    // may have any extent.
+    let point = match (q, coords.len()) {
+        ("incident" | "nearest" | "polygon", 2) | ("knn", 3) => {
+            Some(Point::new(coords[0], coords[1]))
+        }
+        _ => None,
+    };
+    let world = world_rect();
+    if let Some(p) = point.filter(|&p| !world.contains_point(p)) {
+        eprintln!("query point {p:?} lies outside the world {world:?}");
+        return false;
+    }
     let print_segs = |ids: &[SegId], map: &PolygonalMap| {
         for id in ids {
             println!("  {:?}: {:?}", id, map.segments[id.index()]);

@@ -1,6 +1,8 @@
 //! Exit-code contract of `lsdb serve` store handling: an unusable
 //! `--store` must fail fast with a structured message on stderr and a
-//! nonzero exit — before the index build, never as a panic.
+//! nonzero exit — before the index build, never as a panic. Likewise
+//! `lsdb query` refuses a query point outside the world with exit 2 (one
+//! failed line with `--stdin`), while a window may have any extent.
 
 use std::path::Path;
 use std::process::Command;
@@ -101,5 +103,76 @@ fn serve_refuses_an_unknown_superblock_version() {
         !stderr.contains("panicked"),
         "must be an error, not a panic: {stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn query_refuses_points_outside_the_world() {
+    let dir = temp_dir("query");
+    let map = write_map(&dir);
+    for args in [
+        &["incident", "-5", "50"][..],
+        &["nearest", "-5", "50"],
+        &["knn", "50", "16384", "3"],
+        &["polygon", "20000", "50"],
+    ] {
+        let out = lsdb()
+            .arg("query")
+            .arg(&map)
+            .args(["--structure", "pmr"])
+            .args(args)
+            .output()
+            .expect("run lsdb query");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("outside the world") && !stderr.contains("panicked"),
+            "{args:?}: stderr must name the point and the world, got: {stderr}"
+        );
+    }
+    // A window may reach past the world on every side.
+    let out = lsdb()
+        .arg("query")
+        .arg(&map)
+        .args([
+            "--structure",
+            "pmr",
+            "window",
+            "-100",
+            "-100",
+            "20000",
+            "20000",
+        ])
+        .output()
+        .expect("run lsdb query");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+
+    // In --stdin mode the refused point is one failed line; the others run.
+    let mut child = lsdb()
+        .arg("query")
+        .arg(&map)
+        .args(["--structure", "pmr", "--stdin"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn lsdb query --stdin");
+    {
+        use std::io::Write;
+        let mut stdin = child.stdin.take().unwrap();
+        stdin
+            .write_all(b"nearest -5 50\nnearest 8000 8000\nwindow -1 -1 99999 99999\n")
+            .unwrap();
+    }
+    let out = child.wait_with_output().expect("wait for lsdb query");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("outside the world"), "{stderr}");
+    assert!(stderr.contains("1 line(s) failed"), "{stderr}");
+    assert!(stdout.contains("nearest segment"), "{stdout}");
+    assert!(stdout.contains("segments in"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
