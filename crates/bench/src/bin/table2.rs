@@ -86,8 +86,9 @@ fn main() {
         batched_walls_ms.push(wall);
     }
     // Live-mutation rows: each structure fronted by a [`LiveIndex`]
-    // (volatile op log — WAL cost is measured by the pager's own
-    // benches, this row isolates the in-memory maintenance path). The
+    // over a volatile op log (one in-memory 21-byte record per op; a
+    // file-backed store adds one fsync per op, which these rows leave
+    // out to time the index maintenance path). The
     // mixed row interleaves the range stream with inserts 90/10 exactly
     // as a read-mostly server workload would; the insert row then times
     // the pure write path on the already-mutated structure. Mutations

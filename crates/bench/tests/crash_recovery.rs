@@ -1,21 +1,19 @@
-//! Crash-recovery guard: a WAL torn at *any* byte must recover to a
-//! committed prefix of the op history, and an index replayed from that
-//! prefix must be indistinguishable — results **and** paper counters —
-//! from an index that applied the same ops live and never crashed.
+//! Crash-recovery guard: an op log torn at *any* byte must recover to a
+//! prefix of the op history, and an index replayed from that prefix must
+//! be indistinguishable — results **and** paper counters — from an index
+//! that applied the same ops live and never crashed.
 //!
-//! The durability layer below this is structure-agnostic (it journals
-//! `MapOp`s, not pages of any particular tree), so the property is
-//! asserted for all four disk-resident structures: R*-tree, R+-tree,
-//! PMR quadtree, and the uniform-grid baseline. Byte-identity of the
-//! replayed index holds because segment ids are assigned by table
-//! position (append order) and every structure's maintenance path is
-//! deterministic.
+//! The op log is structure-agnostic (it journals `MapOp`s, not pages of
+//! any particular tree), so the property is asserted for all four
+//! disk-resident structures: R*-tree, R+-tree, PMR quadtree, and the
+//! uniform-grid baseline. Byte-identity of the replayed index holds
+//! because segment ids are assigned by table position (append order) and
+//! every structure's maintenance path is deterministic.
 
 use lsdb_bench::workloads::{QueryWorkbench, Workload};
 use lsdb_bench::{build_index, IndexKind};
 use lsdb_core::{
-    DurableMap, FileLog, FileStorage, IndexConfig, MapOp, MemLog, MemStorage, PolygonalMap,
-    QueryCtx, SpatialIndex,
+    DurableMap, IndexConfig, MapOp, MemLog, PolygonalMap, QueryCtx, RecoveryReport, SpatialIndex,
 };
 use lsdb_geom::Rect;
 
@@ -125,25 +123,47 @@ fn assert_byte_identical(
     );
 }
 
-/// Tear the (in-memory) WAL at sampled byte offsets — including 0, 1,
-/// and the exact end — and require every recovery to be a committed
-/// prefix that queries byte-identically to clean application.
+/// Journal `ops` one append at a time into a fresh in-memory log over an
+/// empty base map; return the log's bytes.
+fn journal(ops: &[MapOp]) -> Vec<u8> {
+    let log = MemLog::new();
+    let (mut dmap, _) = DurableMap::open(Box::new(log.clone()), &[]).unwrap();
+    for op in ops {
+        dmap.append(*op).unwrap();
+    }
+    log.bytes()
+}
+
+/// Reopen photographed log bytes over an empty base map, with a handle on
+/// the reopened log.
+fn reopen(bytes: &[u8]) -> (DurableMap, RecoveryReport, MemLog) {
+    let log = MemLog::from_bytes(bytes.to_vec());
+    let (dmap, report) = DurableMap::open(Box::new(log.clone()), &[]).unwrap();
+    (dmap, report, log)
+}
+
+/// Replay `report` into a fresh index of each structure and require it to
+/// answer exactly as one that applied the same ops live.
+fn assert_replay_is_clean(cut: usize, report: &RecoveryReport) {
+    let pm = prefix_map(&report.ops);
+    let wb = (!pm.is_empty()).then(|| QueryWorkbench::new(&pm, 8, 0xC4A5));
+    for kind in four_kinds() {
+        let empty = PolygonalMap::new("recovered", Vec::new());
+        let mut recovered = build_index(kind, &empty, IndexConfig::default());
+        report.replay_into(recovered.as_mut());
+        let clean = apply_clean(kind, &report.ops);
+        assert_byte_identical(kind, cut, recovered.as_ref(), clean.as_ref(), wb.as_ref());
+    }
+}
+
+/// Tear the (in-memory) op log at sampled byte offsets — including 0, 1,
+/// and the exact end — and require every recovery to be a prefix of the
+/// history that queries byte-identically to clean application.
 #[test]
-fn torn_wal_recovers_a_prefix_identical_to_clean_application() {
+fn torn_log_recovers_a_prefix_identical_to_clean_application() {
     let map = small_map();
     let ops = op_history(&map);
-
-    // Journal the whole history in batches of 11 through a shared-buffer
-    // MemLog; the clone is the crash photo source.
-    let log = MemLog::new();
-    let photo = log.clone();
-    let (mut dmap, _) =
-        DurableMap::open(Box::new(MemStorage::new(128)), Box::new(log.clone())).unwrap();
-    for batch in ops.chunks(11) {
-        dmap.append_all(batch).unwrap();
-    }
-    assert_eq!(dmap.len(), ops.len());
-    let full = photo.bytes();
+    let full = journal(&ops);
 
     // ~16 evenly spread interior cuts plus the degenerate edges.
     let mut cuts = vec![0, 1, full.len() - 1, full.len()];
@@ -154,28 +174,18 @@ fn torn_wal_recovers_a_prefix_identical_to_clean_application() {
 
     let mut prefixes_seen = std::collections::BTreeSet::new();
     for cut in cuts {
-        let torn = MemLog::from_bytes(full[..cut].to_vec());
-        let (rec, report) =
-            DurableMap::open(Box::new(MemStorage::new(128)), Box::new(torn)).unwrap();
-        let p = rec.len();
+        let (_, report, _) = reopen(&full[..cut]);
+        let p = report.ops.len();
         assert!(p <= ops.len(), "recovered more ops than were ever written");
         assert_eq!(
-            rec.ops(),
+            report.ops,
             &ops[..p],
             "recovery at byte {cut} is not a prefix of the op history \
-             (report: {report:?})"
+             ({} bytes discarded)",
+            report.discarded
         );
         prefixes_seen.insert(p);
-
-        let pm = prefix_map(&ops[..p]);
-        let wb = (!pm.is_empty()).then(|| QueryWorkbench::new(&pm, 8, 0xC4A5));
-        for kind in four_kinds() {
-            let empty = PolygonalMap::new("recovered", Vec::new());
-            let mut recovered = build_index(kind, &empty, IndexConfig::default());
-            rec.replay_into(recovered.as_mut());
-            let clean = apply_clean(kind, &ops[..p]);
-            assert_byte_identical(kind, cut, recovered.as_ref(), clean.as_ref(), wb.as_ref());
-        }
+        assert_replay_is_clean(cut, &report);
     }
     assert!(
         prefixes_seen.len() > 2,
@@ -186,63 +196,38 @@ fn torn_wal_recovers_a_prefix_identical_to_clean_application() {
     assert_eq!(prefixes_seen.last(), Some(&ops.len()));
 }
 
-/// The same property across a checkpoint: fold half the history into the
-/// base store, keep appending, then crash with a torn tail. Recovery
-/// must see every checkpointed op plus the committed post-checkpoint
-/// prefix.
+/// Two crash generations: tear the log mid-record, reopen (the torn tail
+/// is cut), append the rest of the history, and tear again. Every
+/// recovery must hold the ops of the first generation that survived plus
+/// a prefix of the second, and replay cleanly.
 #[test]
-fn torn_wal_after_a_checkpoint_recovers_on_top_of_the_base_store() {
+fn a_log_torn_twice_recovers_the_ops_of_both_generations() {
     let map = small_map();
     let ops = op_history(&map);
-    let half = ops.len() / 2;
+    let gen1 = journal(&ops[..ops.len() / 2]);
 
-    let dir = std::env::temp_dir().join(format!("lsdb-crash-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let pages = dir.join("ops.pages");
-    let ckpt_pages = dir.join("ops.pages.ckpt");
-    let wal = dir.join("ops.wal");
-
-    let (mut dmap, _) = DurableMap::open(
-        Box::new(FileStorage::create(&pages, 128).unwrap()),
-        Box::new(FileLog::create(&wal).unwrap()),
-    )
-    .unwrap();
-    for batch in ops[..half].chunks(11) {
-        dmap.append_all(batch).unwrap();
+    // First crash: a few bytes short of the first generation's end.
+    let (mut dmap, report, log) = reopen(&gen1[..gen1.len() - 7]);
+    let kept = report.ops.len();
+    assert_eq!(report.ops, &ops[..kept]);
+    assert!(report.discarded > 0, "the first tear falls inside a record");
+    let cut1 = log.bytes().len(); // the first generation's surviving bytes
+    for op in &ops[kept..] {
+        dmap.append(*op).unwrap();
     }
-    dmap.checkpoint().unwrap();
-    // Photograph the base store as the crashed machine's disk holds it:
-    // only checkpoints touch the base, so this copy stays valid for
-    // every post-checkpoint tear below.
-    std::fs::copy(&pages, &ckpt_pages).unwrap();
-    for batch in ops[half..].chunks(11) {
-        dmap.append_all(batch).unwrap();
-    }
-    let full = std::fs::read(&wal).unwrap();
+    let full = log.bytes();
     drop(dmap);
 
-    for cut in [0, 1, full.len() / 2, full.len() - 1, full.len()] {
-        let torn_wal = dir.join(format!("torn-{cut}.wal"));
-        let torn_pages = dir.join(format!("torn-{cut}.pages"));
-        std::fs::write(&torn_wal, &full[..cut]).unwrap();
-        std::fs::copy(&ckpt_pages, &torn_pages).unwrap();
-        let (rec, _) = DurableMap::open(
-            Box::new(FileStorage::open(&torn_pages, 128).unwrap()),
-            Box::new(FileLog::open(&torn_wal).unwrap()),
-        )
-        .unwrap();
-        let p = rec.len();
-        assert!(p >= half, "checkpointed ops lost at cut {cut}");
-        assert_eq!(rec.ops(), &ops[..p]);
-
-        let wb = QueryWorkbench::new(&prefix_map(&ops[..p]), 8, 0xC4A5);
-        for kind in four_kinds() {
-            let empty = PolygonalMap::new("recovered", Vec::new());
-            let mut recovered = build_index(kind, &empty, IndexConfig::default());
-            rec.replay_into(recovered.as_mut());
-            let clean = apply_clean(kind, &ops[..p]);
-            assert_byte_identical(kind, cut, recovered.as_ref(), clean.as_ref(), Some(&wb));
+    // Second crash: anywhere in the second generation.
+    let mid = (cut1 + full.len()) / 2;
+    for cut in [cut1, cut1 + 1, mid, full.len() - 1, full.len()] {
+        let (_, report, _) = reopen(&full[..cut]);
+        let p = report.ops.len();
+        assert!(p >= kept, "first-generation ops lost at cut {cut}");
+        assert_eq!(report.ops, &ops[..p], "cut at {cut}");
+        if cut == full.len() {
+            assert_eq!(p, ops.len(), "nothing may be lost from a whole log");
         }
+        assert_replay_is_clean(cut, &report);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

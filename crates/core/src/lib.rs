@@ -23,7 +23,10 @@
 //! * query-workload generators ([`pointgen`]) covering the paper's
 //!   1-stage (uniform) and 2-stage (block-then-uniform) random points,
 //! * brute-force reference implementations ([`brute`]) used by every
-//!   index's correctness tests.
+//!   index's correctness tests,
+//! * live mutation ([`live`]): the durable op log of inserts and deletes
+//!   (its whole on-disk format, header, records and recovery scan) and the
+//!   concurrently readable [`LiveIndex`] over it.
 
 pub mod batch;
 pub mod brute;
@@ -40,7 +43,7 @@ pub mod traverse;
 
 pub use batch::{execute_batch, BatchAnswer, BatchItem, BatchRequest};
 pub use index::{IndexConfig, LocId, SpatialIndex};
-pub use live::{DurableMap, LiveIndex, MapOp};
+pub use live::{DurableMap, FileLog, LiveIndex, LogDevice, Lsn, MapOp, MemLog, RecoveryReport};
 pub use map::{PlanarityViolation, PolygonalMap};
 pub use seg_table::{SegId, SegmentTable};
 pub use stats::{QueryCtx, QueryStats, SharedStats};
@@ -49,10 +52,3 @@ pub use stats::{QueryCtx, QueryStats, SharedStats};
 // the pool-level context and counters without depending on lsdb-pager
 // directly.
 pub use lsdb_pager::{DiskStats, PoolCtx};
-
-// The durable-storage surface [`DurableMap::open`] is built from: callers
-// (server binaries, crash tests) assemble file- or memory-backed stores
-// without a direct lsdb-pager dependency.
-pub use lsdb_pager::{
-    FileLog, FileStorage, LogDevice, Lsn, MemLog, MemStorage, RecoveryReport, Storage,
-};

@@ -37,10 +37,10 @@
 //! unaligned vector loads, so nothing stronger is required.
 //!
 //! Byte 1 of the header, reserved (always zero) in v1, now carries the
-//! page-format version ([`FORMAT_VERSION`]). In-memory pages are always
-//! current-format; persistent *stores* negotiate their format at open
-//! time instead (see `lsdb_pager::FileStorage` and the `DurableMap`
-//! header), rejecting versions they do not understand.
+//! page-format version ([`FORMAT_VERSION`]). Node pages never leave
+//! memory, so they are always current-format; the one persistent file, a
+//! live map's op log, carries its own format version (see
+//! [`crate::live`]) and is refused at open under any other.
 //!
 //! Entry order within a node is not semantically meaningful (R-tree nodes
 //! are unordered sets), so removal is a swap-remove — this matches the

@@ -17,29 +17,16 @@
 //! a per-query [`PoolCtx`] — the substrate of the concurrent query engine
 //! in the index crates.
 //!
-//! Durability is a separate layer: the [`Storage`] trait abstracts a
-//! page-granular disk, in memory ([`MemStorage`]) or in a file
-//! ([`FileStorage`]); [`wal`] defines the redo-only log record codec and
-//! the append-only [`wal::LogDevice`] sinks, [`recovery`] scans a
-//! (possibly torn) log back into committed state, and [`DurableStorage`]
-//! composes them over any [`Storage`] to provide atomic group commit,
-//! checkpointing, and crash recovery. [`fault`] holds the fault-injection
-//! wrappers the crash tests kill stores with.
+//! That is all this crate is: the paper's simulated disk, its buffer
+//! pool and the [`BufferBudget`] shared pools draw on. The only thing this
+//! repository keeps durable is the op log of live maps, which lives with
+//! the ops it stores (`lsdb_core::live`).
 
 mod budget;
-mod durable;
-pub mod fault;
 mod pool;
-pub mod recovery;
-mod storage;
-pub mod wal;
 
 pub use budget::BufferBudget;
-pub use durable::DurableStorage;
 pub use pool::{BufferPool, CacheStats, DiskStats, PoolCtx, DEFAULT_SHARDS};
-pub use recovery::{LogTail, RecoveryReport};
-pub use storage::{FileStorage, MemStorage, Storage};
-pub use wal::{FileLog, LogDevice, Lsn, MemLog};
 
 /// Page size used throughout the paper's main experiments.
 pub const DEFAULT_PAGE_SIZE: usize = 1024;
@@ -48,7 +35,7 @@ pub const DEFAULT_PAGE_SIZE: usize = 1024;
 /// experiments.
 pub const DEFAULT_POOL_PAGES: usize = 16;
 
-/// Identifier of a page within one storage instance.
+/// Identifier of a page within one buffer pool.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct PageId(pub u32);
 

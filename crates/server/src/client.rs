@@ -187,7 +187,7 @@ impl Client {
     }
 
     /// Durably insert a segment into the served index. Returns the id
-    /// the segment received and the WAL commit LSN; the server only
+    /// the segment received and the op's LSN; the server only
     /// acknowledges after the op is durable.
     pub fn insert(&mut self, seg: Segment) -> io::Result<(SegId, u64)> {
         match self.call(&Request::Insert(seg))? {
@@ -197,7 +197,7 @@ impl Client {
     }
 
     /// Durably delete the segment with `id`. Returns whether it was
-    /// indexed, plus the WAL commit LSN.
+    /// indexed, plus the op's LSN.
     pub fn delete(&mut self, id: SegId) -> io::Result<(bool, u64)> {
         match self.call(&Request::Delete { id })? {
             Reply::Deleted { removed, lsn } => Ok((removed, lsn)),
@@ -205,8 +205,8 @@ impl Client {
         }
     }
 
-    /// Checkpoint the server's op log (fold the WAL into its base store
-    /// and truncate it). Returns the LSN the checkpoint covered.
+    /// Sync the server's op log. Returns the LSN of its last op (every
+    /// acknowledged op was already synced when it was appended).
     pub fn flush(&mut self) -> io::Result<u64> {
         match self.call(&Request::Flush)? {
             Reply::Flushed { lsn } => Ok(lsn),

@@ -105,9 +105,9 @@ fn refuse_out_of_world(req: &Request) -> Option<Reply> {
     })
 }
 
-/// A mutation the live index refused (WAL append/commit failure). The op
-/// was not applied and nothing was acknowledged.
-fn wal_failed(what: &str, e: &std::io::Error) -> Reply {
+/// A mutation the live index refused (an op-log append or sync failed).
+/// The op was not applied and nothing was acknowledged.
+fn log_failed(what: &str, e: &std::io::Error) -> Reply {
     Reply::Error {
         code: ErrorCode::Internal,
         message: format!("{what} not applied: {e}"),
@@ -160,7 +160,7 @@ fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> O
                         slot.mark_mutated();
                         Outcome::Fresh(Reply::Inserted { id, lsn: lsn.0 })
                     }
-                    Err(e) => Outcome::Fresh(wal_failed("insert", &e)),
+                    Err(e) => Outcome::Fresh(log_failed("insert", &e)),
                 };
             }
             Request::Delete { id } => {
@@ -172,13 +172,13 @@ fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> O
                             lsn: lsn.0,
                         })
                     }
-                    Err(e) => Outcome::Fresh(wal_failed("delete", &e)),
+                    Err(e) => Outcome::Fresh(log_failed("delete", &e)),
                 }
             }
             Request::Flush => {
                 return match live.flush() {
                     Ok(lsn) => Outcome::Fresh(Reply::Flushed { lsn: lsn.0 }),
-                    Err(e) => Outcome::Fresh(wal_failed("flush", &e)),
+                    Err(e) => Outcome::Fresh(log_failed("flush", &e)),
                 }
             }
             _ => {}

@@ -24,11 +24,11 @@
 //! keep per-context caches warm.
 //!
 //! The index is live, not frozen: `INSERT`, `DELETE`, and `FLUSH` route
-//! through a [`lsdb_core::LiveIndex`] — each mutation is committed to a
-//! write-ahead log *before* it is applied or acknowledged, concurrent
-//! readers proceed under a shared lock, and `FLUSH` checkpoints the log.
-//! A catalog slot over a durable store replays the op log on restart, so
-//! acknowledged mutations survive a crash.
+//! through a [`lsdb_core::LiveIndex`] — each mutation is appended to an
+//! op log and synced *before* it is applied or acknowledged, concurrent
+//! readers proceed under a shared lock, and `FLUSH` syncs the log and
+//! answers its last LSN. A catalog slot over a durable store replays the
+//! op log on restart, so acknowledged mutations survive a crash.
 //!
 //! * [`protocol`] — frame format, envelope and request/reply codec
 //!   (never panics on malformed bytes),

@@ -59,10 +59,10 @@
 //! [`Reply::Batch`] with one nested reply per item in submission order.
 //!
 //! Three mutation ops round out the protocol: `INSERT` (a segment,
-//! answered with its assigned id and WAL commit LSN), `DELETE` (an id,
-//! answered with whether it was indexed) and `FLUSH` (checkpoint the op
-//! log). Mutations are acknowledged only after the op is durable; see
-//! [`lsdb_core::LiveIndex`].
+//! answered with its assigned id and the op's LSN), `DELETE` (an id,
+//! answered with whether it was indexed) and `FLUSH` (sync the op log,
+//! answered with its last LSN). Mutations are acknowledged only after
+//! the op is durable; see [`lsdb_core::LiveIndex`].
 //!
 //! The opcode + body bytes ([`Request::encode`], [`Reply::encode`]) are
 //! the envelope-free core of every frame: the reply cache keys on the
@@ -180,14 +180,14 @@ pub enum Request {
     /// connections, exit.
     Shutdown,
     /// Durably insert a segment into the live index; answered with
-    /// [`Reply::Inserted`] once the op has committed to the write-ahead
-    /// log *and* been applied.
+    /// [`Reply::Inserted`] once the op has been appended to the op log
+    /// (and synced) *and* applied.
     Insert(Segment),
     /// Durably delete the segment with this id; answered with
     /// [`Reply::Deleted`].
     Delete { id: SegId },
-    /// Checkpoint the op log: fold the WAL into its base store and
-    /// truncate it. Answered with [`Reply::Flushed`].
+    /// Sync the op log. Answered with [`Reply::Flushed`] and the LSN of
+    /// its last op.
     Flush,
     /// Resolve a catalog map name to its id, opening (building or
     /// recovering) its store if cold. Answered with [`Reply::MapOpened`],
@@ -234,20 +234,19 @@ pub enum Reply {
     },
     /// Shutdown acknowledged.
     Bye,
-    /// Insert applied: the id the segment received and the WAL commit
-    /// LSN that made it durable.
+    /// Insert applied: the id the segment received and the op's LSN (its
+    /// 1-based position in the op log).
     Inserted {
         id: SegId,
         lsn: u64,
     },
     /// Delete applied (`removed` is false if the id was valid but not
-    /// currently indexed) and its WAL commit LSN.
+    /// currently indexed) and the op's LSN.
     Deleted {
         removed: bool,
         lsn: u64,
     },
-    /// Checkpoint completed; `lsn` is the last LSN the checkpoint
-    /// covered.
+    /// Op log synced; `lsn` is the LSN of its last op.
     Flushed {
         lsn: u64,
     },

@@ -556,7 +556,7 @@ fn live_mutations_apply_over_the_wire_while_readers_run() {
         };
         let (id, lsn) = writer.insert(seg).unwrap();
         assert_eq!(id, lsdb_core::SegId(base_len));
-        assert!(lsn > 0);
+        assert_eq!(lsn, 1, "a fresh log's first op");
 
         match writer.call(&Request::Incident(seg.a)).unwrap() {
             Reply::Segs { ids, .. } => assert_eq!(ids, vec![id]),
@@ -572,10 +572,12 @@ fn live_mutations_apply_over_the_wire_while_readers_run() {
             other => panic!("unexpected reply {other:?}"),
         }
 
-        // Flush checkpoints the (volatile) op log; the LSN restarts.
-        writer.flush().unwrap();
+        // Flush syncs the (volatile) op log and answers its last LSN;
+        // LSNs keep rising across it.
+        let flushed = writer.flush().unwrap();
+        assert_eq!(flushed, lsn + 2, "two deletes since the insert");
         let (_, lsn) = writer.insert(seg).unwrap();
-        assert!(lsn > 0, "post-checkpoint commits restart the LSN sequence");
+        assert_eq!(lsn, flushed + 1);
 
         stop.store(true, std::sync::atomic::Ordering::Release);
     });
@@ -811,12 +813,12 @@ fn a_panicking_job_is_answered_internal_and_its_loop_keeps_serving() {
 #[test]
 fn acknowledged_wire_mutations_survive_a_server_restart() {
     // Round one: an empty durable store served over TCP; every mutation
-    // acknowledged over the wire. Round two: reopen the same files,
+    // acknowledged over the wire. Round two: reopen the same file,
     // replay, and the queries must answer as if the server never died.
     let dir = std::env::temp_dir().join(format!("lsdb-server-live-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let pages = dir.join("ops.pages");
-    let wal = dir.join("ops.wal");
+    let path = dir.join("ops.log");
+    let _ = std::fs::remove_file(&path);
     let empty = PolygonalMap::new("live", Vec::new());
     let segs: Vec<lsdb_geom::Segment> = (0..40)
         .map(|i| lsdb_geom::Segment {
@@ -824,42 +826,50 @@ fn acknowledged_wire_mutations_survive_a_server_restart() {
             b: lsdb_geom::Point::new(i * 10 + 7, 50),
         })
         .collect();
+    let open = || {
+        let log = lsdb_core::FileLog::open(&path).unwrap();
+        lsdb_core::DurableMap::open(Box::new(log), &empty.segments).unwrap()
+    };
 
     let probe = Request::Window(lsdb_geom::Rect::new(-10, -10, 500, 100));
     let served = {
-        let base = lsdb_core::FileStorage::create(&pages, 1024).unwrap();
-        let log = lsdb_core::FileLog::create(&wal).unwrap();
-        let (dmap, _) = lsdb_core::DurableMap::open(Box::new(base), Box::new(log)).unwrap();
+        let (dmap, _) = open();
         let (addr, handle) = start_live(LiveIndex::new(build(&empty), dmap), 2);
 
         let mut client = Client::connect(addr).unwrap();
         for (i, seg) in segs.iter().enumerate() {
-            let (id, _) = client.insert(*seg).unwrap();
+            let (id, lsn) = client.insert(*seg).unwrap();
             assert_eq!(id.0 as usize, i);
+            assert_eq!(lsn, i as u64 + 1, "an op's lsn is its position in the log");
         }
-        // Mix in deletes, and checkpoint halfway so recovery exercises
-        // both the base-store and the WAL-replay paths.
+        // Mix in deletes around a mid-stream flush: LSNs keep rising
+        // across it.
         client.delete(lsdb_core::SegId(3)).unwrap();
-        client.flush().unwrap();
-        client.delete(lsdb_core::SegId(17)).unwrap();
+        assert_eq!(client.flush().unwrap(), 41);
+        let (_, lsn) = client.delete(lsdb_core::SegId(17)).unwrap();
+        assert_eq!(lsn, 42);
         let reply = client.call(&probe).unwrap();
         client.shutdown().unwrap();
         handle.join().unwrap();
         reply
     };
 
-    // "Restart": recover purely from the files and replay into a fresh
+    // "Restart": recover purely from the file and replay into a fresh
     // empty index of the same structure.
-    let base = lsdb_core::FileStorage::open(&pages, 1024).unwrap();
-    let log = lsdb_core::FileLog::open(&wal).unwrap();
-    let (dmap, report) = lsdb_core::DurableMap::open(Box::new(base), Box::new(log)).unwrap();
-    assert_eq!(dmap.len(), segs.len() + 2, "all acknowledged ops recovered");
+    let (dmap, report) = open();
     assert_eq!(
-        report.batches, 1,
-        "post-checkpoint delete replayed from WAL"
+        report.ops.len(),
+        segs.len() + 2,
+        "all acknowledged ops recovered"
+    );
+    assert_eq!(report.discarded, 0);
+    assert_eq!(
+        dmap.last_lsn(),
+        lsdb_core::Lsn(42),
+        "LSNs continue after a restart"
     );
     let mut index = build(&empty);
-    dmap.replay_into(index.as_mut());
+    report.replay_into(index.as_mut());
     let recovered = run_in_process(index.as_ref(), &probe);
 
     match (&served, &recovered) {

@@ -25,10 +25,11 @@
 //! Every query prints its answer and the paper's three metrics for it.
 //! `serve` exposes the built structure over the lsdb wire protocol as
 //! map 0 of a one-map catalog; with `--store DIR` the server also accepts
-//! `INSERT`/`DELETE`/`FLUSH`, journaling every acknowledged mutation to
-//! `DIR/ops.wal` (checkpointed into `DIR/ops.pages`) and replaying the
-//! log over the freshly built index on restart, so acknowledged writes
-//! survive a crash. With `--continent N` it instead hosts a catalog of N
+//! `INSERT`/`DELETE`/`FLUSH`, appending every acknowledged mutation to
+//! the op log `DIR/ops.log` and replaying the log over the freshly built
+//! index on restart, so acknowledged writes survive a crash. The log is
+//! tied to the map it was created over; serving it over another map is
+//! refused. With `--continent N` it instead hosts a catalog of N
 //! deterministic county maps behind one port — maps open lazily, close
 //! under `--max-open` pressure, and share one `--budget` of page-pool
 //! bytes. `bench-client` is the matching load generator: closed
@@ -474,24 +475,30 @@ fn run_query(
     true
 }
 
-/// Open (or initialize) the durable op log under `dir` and return the
-/// recovered map. `ops.pages` is the checkpointed base store, `ops.wal`
-/// the redo log; both are created on first use.
+/// Open (or initialize) the op log `DIR/ops.log` over the base map
+/// `base` and return it with the recovered ops. A directory holding the
+/// retired paged store (`ops.pages` + `ops.wal`) is refused: no reader
+/// for that layout is kept.
 fn open_store(
     dir: &str,
-    page_size: usize,
+    base: &[lsdb::geom::Segment],
 ) -> std::io::Result<(lsdb::core::DurableMap, lsdb::core::RecoveryReport)> {
-    use lsdb::core::{DurableMap, FileLog, FileStorage};
+    use lsdb::core::{live::FORMAT_VERSION, DurableMap, FileLog};
     std::fs::create_dir_all(dir)?;
-    let pages = Path::new(dir).join("ops.pages");
-    let wal = Path::new(dir).join("ops.wal");
-    let base = if pages.exists() {
-        FileStorage::open(&pages, page_size)?
-    } else {
-        FileStorage::create(&pages, page_size)?
-    };
-    let log = FileLog::open(&wal)?;
-    DurableMap::open(Box::new(base), Box::new(log))
+    let dir = Path::new(dir);
+    for retired in ["ops.pages", "ops.wal"] {
+        if dir.join(retired).exists() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!(
+                    "{retired} belongs to the retired paged store (format version 2), \
+                     which this build does not read; it keeps ops in ops.log \
+                     (format version {FORMAT_VERSION})"
+                ),
+            ));
+        }
+    }
+    DurableMap::open(Box::new(FileLog::open(&dir.join("ops.log"))?), base)
 }
 
 /// Build `name` over `map`, preferring the STR-style bulk loaders when
@@ -649,13 +656,13 @@ fn cmd_serve(rest: &[String]) -> i32 {
         return 2;
     };
     let map = load_map(path);
-    // Open the store *before* the index build: a missing or unreadable
-    // store (wrong superblock version, foreign file, page-size mismatch)
-    // must fail fast with a structured error, not after minutes of
-    // building an index it can never serve.
+    // Open the store *before* the index build: an unreadable store (a
+    // foreign file, another format version, a log over another map) must
+    // fail fast with a structured error, not after minutes of building an
+    // index it can never serve.
     let recovered = match &store {
         Some(dir) => {
-            let (dmap, report) = match open_store(dir, page) {
+            let (dmap, report) = match open_store(dir, &map.segments) {
                 Ok(v) => v,
                 Err(e) => {
                     eprintln!("cannot open store {dir}: {e}");
@@ -664,16 +671,15 @@ fn cmd_serve(rest: &[String]) -> i32 {
             };
             if report.discarded > 0 {
                 eprintln!(
-                    "store {dir}: discarded {} bytes of torn log tail ({:?})",
-                    report.discarded, report.tail
+                    "store {dir}: discarded {} bytes of torn log tail",
+                    report.discarded
                 );
             }
             println!(
-                "store {dir}: {} op(s) recovered ({} from the redo log), replaying",
-                dmap.len(),
-                report.images
+                "store {dir}: {} op(s) recovered, replaying",
+                report.ops.len()
             );
-            Some(dmap)
+            Some((dmap, report))
         }
         None => None,
     };
@@ -692,8 +698,8 @@ fn cmd_serve(rest: &[String]) -> i32 {
     // log recovered above replays over the freshly built index, and the
     // server serves the live (writable) index instead of a read-only one.
     let live = match recovered {
-        Some(dmap) => {
-            dmap.replay_into(idx.as_mut());
+        Some((dmap, report)) => {
+            report.replay_into(idx.as_mut());
             LiveIndex::new(idx, dmap)
         }
         None => LiveIndex::volatile(idx),

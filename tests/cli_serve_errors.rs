@@ -1,11 +1,14 @@
 //! Exit-code contract of `lsdb serve` store handling: an unusable
-//! `--store` must fail fast with a structured message on stderr and a
+//! `--store` (a file in its place, the retired paged layout, a log over
+//! another map) must fail fast with a structured message on stderr and a
 //! nonzero exit — before the index build, never as a panic. Likewise
 //! `lsdb query` refuses a query point outside the world with exit 2 (one
 //! failed line with `--stdin`), while a window may have any extent.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
-use std::process::Command;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 fn lsdb() -> Command {
     Command::new(env!("CARGO_BIN_EXE_lsdb"))
@@ -13,7 +16,12 @@ fn lsdb() -> Command {
 
 /// Write a small map file for serve to load, returning its path.
 fn write_map(dir: &Path) -> std::path::PathBuf {
-    let path = dir.join("tiny.lsdbmap");
+    write_seeded_map(dir, 1)
+}
+
+/// Write the small map generated from `seed`.
+fn write_seeded_map(dir: &Path, seed: u64) -> std::path::PathBuf {
+    let path = dir.join(format!("tiny-{seed}.lsdbmap"));
     let out = lsdb()
         .args([
             "generate",
@@ -22,9 +30,9 @@ fn write_map(dir: &Path) -> std::path::PathBuf {
             "--segments",
             "200",
             "--seed",
-            "1",
-            "-o",
         ])
+        .arg(seed.to_string())
+        .arg("-o")
         .arg(&path)
         .output()
         .expect("run lsdb generate");
@@ -103,6 +111,88 @@ fn serve_refuses_an_unknown_superblock_version() {
         !stderr.contains("panicked"),
         "must be an error, not a panic: {stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A spawned `lsdb serve`, killed on drop so a failed assertion leaves
+/// no server behind.
+struct Serve(Child);
+
+impl Drop for Serve {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn serve_refuses_a_store_created_over_another_map() {
+    let dir = temp_dir("base");
+    let first = write_seeded_map(&dir, 1);
+    let second = write_seeded_map(&dir, 2);
+    let store = dir.join("store");
+    let serve = |map: &Path| {
+        let child = lsdb()
+            .arg("serve")
+            .arg(map)
+            .args(["--structure", "rstar", "--port", "0", "--store"])
+            .arg(&store)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn lsdb serve");
+        Serve(child)
+    };
+
+    // Round one: a fresh store over the first map takes one INSERT over
+    // the wire, then shuts down cleanly.
+    let mut server = serve(&first);
+    let mut stdout = BufReader::new(server.0.stdout.take().unwrap());
+    let addr = loop {
+        let mut line = String::new();
+        assert!(
+            stdout.read_line(&mut line).unwrap() > 0,
+            "serve exited before listening"
+        );
+        if let Some(rest) = line.strip_prefix("serving on ") {
+            break rest.split_whitespace().next().unwrap().to_string();
+        }
+    };
+    let mut client = lsdb::server::Client::connect(addr.as_str()).unwrap();
+    let seg = lsdb::geom::Segment {
+        a: lsdb::geom::Point::new(16_001, 16_003),
+        b: lsdb::geom::Point::new(16_011, 16_003),
+    };
+    let (_, lsn) = client.insert(seg).unwrap();
+    assert_eq!(lsn, 1, "a fresh store's first op");
+    client.shutdown().unwrap();
+    stdout.read_to_string(&mut String::new()).unwrap();
+    assert!(server.0.wait().unwrap().success());
+
+    // Round two: the same store over a map generated from another seed.
+    // Replaying the insert there would give it another id, so serve must
+    // refuse before building, not keep serving.
+    let mut server = serve(&second);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = server.0.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "serve over another map's store kept running"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let mut stderr = String::new();
+    let mut pipe = server.0.stderr.take().unwrap();
+    pipe.read_to_string(&mut stderr).unwrap();
+    assert_eq!(status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cannot open store") && stderr.contains("base map of"),
+        "stderr must name the base map mismatch, got: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
