@@ -11,11 +11,12 @@
 //! batch totals are a plain sum of per-query values — identical on one
 //! thread or sixteen.
 
+use crate::wire::requests_for;
 use lsdb_core::pointgen::{EndpointGen, TwoStageGen, UniformGen, WindowGen};
-use lsdb_core::{execute_batch, queries, BatchRequest};
-use lsdb_core::{PolygonalMap, QueryCtx, QueryStats, SpatialIndex};
+use lsdb_core::{queries, PolygonalMap, QueryCtx, QueryStats, SpatialIndex};
 use lsdb_geom::Rect;
 use lsdb_pmr::{PmrConfig, PmrQuadtree};
+use lsdb_server::answer_in_morton_order;
 
 /// The seven workloads of the paper's evaluation, in Table 2's order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -219,45 +220,22 @@ impl QueryWorkbench {
         }
     }
 
-    /// The workload's whole query stream as one homogeneous
-    /// [`BatchRequest`] — what a batching client would put on the wire.
-    pub fn batch(&self, workload: Workload) -> BatchRequest {
-        let steps = self.max_polygon_steps as u32;
-        match workload {
-            Workload::Point1 => {
-                BatchRequest::Incident(self.endpoints.iter().map(|&(_, p)| p).collect())
-            }
-            Workload::Point2 => BatchRequest::Second(self.endpoints.clone()),
-            Workload::NearestTwoStage => BatchRequest::Nearest(self.two_stage_points.clone()),
-            Workload::NearestOneStage => BatchRequest::Nearest(self.uniform_points.clone()),
-            Workload::PolygonTwoStage => BatchRequest::Polygon {
-                points: self.two_stage_points.clone(),
-                max_steps: steps,
-            },
-            Workload::PolygonOneStage => BatchRequest::Polygon {
-                points: self.uniform_points.clone(),
-                max_steps: steps,
-            },
-            Workload::Range => BatchRequest::Window(self.windows.clone()),
-        }
-    }
-
-    /// Run one workload as a single locality-sorted batch
-    /// ([`execute_batch`]): queries execute in Morton order of query
-    /// point, the context reset per item. The averages are exactly those
-    /// of [`QueryWorkbench::run`] — batching is counter-transparent by
+    /// Run one workload as a single locality-sorted batch: its
+    /// [`requests_for`] stream answered through the server's dispatch in
+    /// Morton order of query point ([`lsdb_server::answer_in_morton_order`]),
+    /// the context reset per item. The averages are exactly those of
+    /// [`QueryWorkbench::run`] — batching is counter-transparent by
     /// construction (and by the counter guard) — only wall time differs.
     pub fn run_batched(&self, workload: Workload, index: &dyn SpatialIndex) -> WorkloadResult {
-        let req = self.batch(workload);
-        let mut ctx = QueryCtx::new();
-        let items = execute_batch(index, &req, &mut ctx);
+        let requests = requests_for(self, workload);
         let mut stats = QueryStats::default();
         let mut result_size = 0usize;
-        for item in &items {
-            stats.add(item.stats);
-            result_size += item.answer.result_size();
-        }
-        let n = items.len();
+        let all = 0..requests.len();
+        answer_in_morton_order(index, &requests, all, &mut QueryCtx::new(), |_, reply| {
+            stats.add(reply.stats().expect("workload queries are answered"));
+            result_size += reply.result_size();
+        });
+        let n = requests.len();
         let nf = n as f64;
         WorkloadResult {
             queries: n,
@@ -399,7 +377,7 @@ mod tests {
                 let seq = wb.run(w, idx.as_ref());
                 let bat = wb.run_batched(w, idx.as_ref());
                 assert_eq!(seq, bat, "{kind:?} {w:?}");
-                assert_eq!(wb.batch(w).len(), seq.queries, "{kind:?} {w:?}");
+                assert_eq!(requests_for(&wb, w).len(), seq.queries, "{kind:?} {w:?}");
             }
         }
     }

@@ -1,17 +1,19 @@
 //! Acceptance check for locality-sorted batch execution: every item of a
 //! Morton-sorted batch must be **byte-identical** — answer and per-query
-//! counter snapshot alike — to running the same query alone on a freshly
-//! reset context, across all four structure families (PMR quadtree,
-//! R+-tree, R*-tree, uniform grid).
+//! counter snapshot alike — to running the same query alone on a fresh
+//! context, across all four structure families (PMR quadtree, R+-tree,
+//! R*-tree, uniform grid).
 //!
 //! The window and polygon workloads are checked per item over 1000
 //! queries combined (500 each): those are the set-oriented workloads the
 //! batch engine exists for, and the ones where state leaking from one
 //! item into the next would be most visible.
 
+use lsdb_bench::wire::requests_for;
 use lsdb_bench::workloads::{QueryWorkbench, Workload};
 use lsdb_bench::{build_index, IndexKind};
-use lsdb_core::{execute_batch, queries, BatchAnswer, BatchRequest, IndexConfig, QueryCtx};
+use lsdb_core::{queries, IndexConfig, QueryCtx, SpatialIndex};
+use lsdb_server::{answer_in_morton_order, Reply, Request};
 
 const QUERIES: usize = 500;
 
@@ -22,6 +24,63 @@ fn four_structures() -> [IndexKind; 4] {
         IndexKind::RStar,
         IndexKind::Grid(16),
     ]
+}
+
+/// The singleton reference, written independently of the server's
+/// dispatch: one fresh context per query, exactly what
+/// `QueryWorkbench::run` does.
+fn singleton(index: &dyn SpatialIndex, req: &Request) -> Reply {
+    let mut ctx = QueryCtx::new();
+    match *req {
+        Request::Incident(p) => Reply::Segs {
+            ids: index.find_incident(p, &mut ctx),
+            stats: ctx.stats(),
+        },
+        Request::Second { id, at } => Reply::Segs {
+            ids: queries::second_endpoint(index, id, at, &mut ctx),
+            stats: ctx.stats(),
+        },
+        Request::Nearest(p) => Reply::Nearest {
+            id: index.nearest(p, &mut ctx),
+            stats: ctx.stats(),
+        },
+        Request::Knn { at, k } => Reply::Segs {
+            ids: index.nearest_k(at, k as usize, &mut ctx),
+            stats: ctx.stats(),
+        },
+        Request::Window(w) => Reply::Segs {
+            ids: index.window(w, &mut ctx),
+            stats: ctx.stats(),
+        },
+        Request::Polygon { at, max_steps } => Reply::Polygon {
+            walk: queries::enclosing_polygon(index, at, max_steps as usize, &mut ctx)
+                .map(|walk| (walk.boundary, walk.closed)),
+            stats: ctx.stats(),
+        },
+        ref other => panic!("not a spatial query: {other:?}"),
+    }
+}
+
+/// Answer `items` as one Morton-sorted batch on one context and check
+/// each reply against its singleton reference.
+fn assert_batch_matches_singletons(index: &dyn SpatialIndex, items: &[Request], what: &str) {
+    let mut replies: Vec<Option<Reply>> = vec![None; items.len()];
+    answer_in_morton_order(
+        index,
+        items,
+        0..items.len(),
+        &mut QueryCtx::new(),
+        |i, reply| {
+            assert!(
+                replies[i].replace(reply).is_none(),
+                "{what}: item {i} twice"
+            );
+        },
+    );
+    for (i, (item, reply)) in items.iter().zip(replies).enumerate() {
+        let reply = reply.unwrap_or_else(|| panic!("{what}: item {i} unanswered"));
+        assert_eq!(reply, singleton(index, item), "{what}: item {i} {item:?}");
+    }
 }
 
 #[test]
@@ -37,29 +96,10 @@ fn window_and_polygon_batches_are_byte_identical_to_singletons() {
 
     for kind in four_structures() {
         let idx = build_index(kind, &map, cfg);
-        let index = idx.as_ref();
         for w in [Workload::Range, Workload::PolygonTwoStage] {
-            let req = wb.batch(w);
-            let mut batch_ctx = QueryCtx::new();
-            let items = execute_batch(index, &req, &mut batch_ctx);
+            let items = requests_for(&wb, w);
             assert_eq!(items.len(), QUERIES, "{kind:?} {w:?}");
-
-            // Singleton reference: one fresh context per query, exactly
-            // what `QueryWorkbench::run` does.
-            let mut ctx = QueryCtx::new();
-            for (i, item) in items.iter().enumerate() {
-                ctx.reset();
-                let answer = match &req {
-                    BatchRequest::Window(v) => BatchAnswer::Segs(index.window(v[i], &mut ctx)),
-                    BatchRequest::Polygon { points, max_steps } => BatchAnswer::Polygon(
-                        queries::enclosing_polygon(index, points[i], *max_steps as usize, &mut ctx)
-                            .map(|walk| (walk.boundary, walk.closed)),
-                    ),
-                    other => panic!("unexpected batch shape {other:?}"),
-                };
-                assert_eq!(item.answer, answer, "{kind:?} {w:?} item {i}: answer");
-                assert_eq!(item.stats, ctx.stats(), "{kind:?} {w:?} item {i}: counters");
-            }
+            assert_batch_matches_singletons(idx.as_ref(), &items, &format!("{kind:?} {w:?}"));
         }
     }
 }
@@ -67,7 +107,8 @@ fn window_and_polygon_batches_are_byte_identical_to_singletons() {
 #[test]
 fn remaining_batch_shapes_are_byte_identical_to_singletons() {
     // The point and nearest shapes (plus knn, which has no workload) get
-    // the same per-item treatment on a smaller stream.
+    // the same per-item treatment on a smaller stream, each alone and all
+    // interleaved in one mixed batch.
     let map = lsdb_tiger::generate(&lsdb_tiger::CountySpec::new(
         "batch-parity-pts",
         lsdb_tiger::CountyClass::Urban,
@@ -76,41 +117,26 @@ fn remaining_batch_shapes_are_byte_identical_to_singletons() {
     ));
     let wb = QueryWorkbench::new(&map, 60, 0x5EED);
     let cfg = IndexConfig::default();
+    let knn: Vec<Request> = wb
+        .uniform_points
+        .iter()
+        .map(|&at| Request::Knn { at, k: 3 })
+        .collect();
+    let shapes = [
+        requests_for(&wb, Workload::Point1),
+        requests_for(&wb, Workload::Point2),
+        requests_for(&wb, Workload::NearestTwoStage),
+        knn,
+    ];
+    let mixed: Vec<Request> = (0..wb.uniform_points.len())
+        .flat_map(|i| shapes.iter().map(move |shape| shape[i].clone()))
+        .collect();
 
     for kind in four_structures() {
         let idx = build_index(kind, &map, cfg);
-        let index = idx.as_ref();
-        let knn = BatchRequest::Knn(wb.uniform_points.iter().map(|&p| (p, 3)).collect());
-        let shapes = [
-            wb.batch(Workload::Point1),
-            wb.batch(Workload::Point2),
-            wb.batch(Workload::NearestTwoStage),
-            knn,
-        ];
-        for req in shapes {
-            let mut batch_ctx = QueryCtx::new();
-            let items = execute_batch(index, &req, &mut batch_ctx);
-            let mut ctx = QueryCtx::new();
-            for (i, item) in items.iter().enumerate() {
-                ctx.reset();
-                let answer = match &req {
-                    BatchRequest::Incident(v) => {
-                        BatchAnswer::Segs(index.find_incident(v[i], &mut ctx))
-                    }
-                    BatchRequest::Second(v) => {
-                        let (id, at) = v[i];
-                        BatchAnswer::Segs(queries::second_endpoint(index, id, at, &mut ctx))
-                    }
-                    BatchRequest::Nearest(v) => BatchAnswer::Nearest(index.nearest(v[i], &mut ctx)),
-                    BatchRequest::Knn(v) => {
-                        let (at, k) = v[i];
-                        BatchAnswer::Segs(index.nearest_k(at, k as usize, &mut ctx))
-                    }
-                    other => panic!("unexpected batch shape {other:?}"),
-                };
-                assert_eq!(item.answer, answer, "{kind:?} item {i}: answer");
-                assert_eq!(item.stats, ctx.stats(), "{kind:?} item {i}: counters");
-            }
+        for (s, items) in shapes.iter().enumerate() {
+            assert_batch_matches_singletons(idx.as_ref(), items, &format!("{kind:?} shape {s}"));
         }
+        assert_batch_matches_singletons(idx.as_ref(), &mixed, &format!("{kind:?} mixed"));
     }
 }

@@ -27,8 +27,11 @@
 //! * live mutation ([`live`]): the durable op log of inserts and deletes
 //!   (its whole on-disk format, header, records and recovery scan) and the
 //!   concurrently readable [`LiveIndex`] over it.
+//!
+//! Query requests, single or batched, are a wire concern: `lsdb-server`
+//! holds them and the one function that turns a request into calls on
+//! this crate's queries.
 
-pub mod batch;
 pub mod brute;
 mod index;
 pub mod live;
@@ -41,7 +44,6 @@ mod seg_table;
 mod stats;
 pub mod traverse;
 
-pub use batch::{execute_batch, BatchAnswer, BatchItem, BatchRequest};
 pub use index::{IndexConfig, LocId, SpatialIndex};
 pub use live::{DurableMap, FileLog, LiveIndex, LogDevice, Lsn, MapOp, MemLog, RecoveryReport};
 pub use map::{PlanarityViolation, PolygonalMap};

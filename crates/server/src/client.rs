@@ -7,8 +7,8 @@
 //! catalog map; ids come from the catalog ops ([`Client::open_map`],
 //! [`Client::list_maps`], [`Client::close_map`], [`Client::stats_v3`]).
 //! [`Client::pipeline`] keeps many requests in flight on one connection
-//! (replies matched by id) and [`Client::call_batch`] sends one `BATCH`
-//! frame for Morton-sorted server-side execution.
+//! (replies matched by id) and [`Client::call_batch`] sends a list of
+//! queries as one `BATCH` frame, which the server answers in one reply.
 //!
 //! Server-side error frames surface as [`std::io::ErrorKind::Other`]
 //! errors carrying the structured code and message.
@@ -17,7 +17,7 @@ use crate::protocol::{
     decode_reply, read_frame, write_frame, BudgetWire, ErrorCode, FrameError, FrameEvent, MapInfo,
     MapStatsWire, Reply, Request, MAX_REPLY_FRAME, PROTOCOL_VERSION,
 };
-use lsdb_core::{BatchRequest, QueryStats, SegId};
+use lsdb_core::{QueryStats, SegId};
 use lsdb_geom::Segment;
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
@@ -135,11 +135,10 @@ impl Client {
         }
     }
 
-    /// Execute a homogeneous batch on map `0` server-side (one `BATCH`
-    /// frame, Morton-sorted execution) and return the per-item replies
-    /// in submission order.
-    pub fn call_batch(&mut self, batch: &BatchRequest) -> io::Result<Vec<Reply>> {
-        match self.call(&Request::Batch(batch.clone()))? {
+    /// Send `items` (spatial queries, any mix) to map `0` as one `BATCH`
+    /// frame and return the per-item replies in submission order.
+    pub fn call_batch(&mut self, items: &[Request]) -> io::Result<Vec<Reply>> {
+        match self.call(&Request::Batch(items.to_vec()))? {
             Reply::Batch(items) => Ok(items),
             other => Err(unexpected(&other)),
         }

@@ -21,7 +21,7 @@
 //! exits when its connections have flushed what they are owed.
 
 use crate::conn::Conn;
-use crate::executor::{self, Job, Work};
+use crate::executor::{self, Job};
 use crate::protocol::{
     decode_request, ErrorCode, Reply, Request, MAX_REQUEST_FRAME, PROTOCOL_VERSION,
 };
@@ -343,21 +343,13 @@ impl Loop<'_> {
                 queue_reply(conn, frame.corr, Reply::Bye);
                 conn.close_after_flush = true;
             }
-            req => {
-                let work = match req {
-                    Request::Batch(b) => Work::Batch(b),
-                    Request::OpenMap { .. }
-                    | Request::ListMaps
-                    | Request::CloseMap { .. }
-                    | Request::Stats => Work::Admin(req),
-                    other => Work::Single(other),
-                };
+            request => {
                 conn.inflight += 1;
                 self.jobs.push(Job {
                     conn: id,
                     corr: frame.corr,
                     map: frame.map,
-                    work,
+                    request,
                 });
             }
         }

@@ -1,5 +1,6 @@
 //! Job execution: the spatial and admin work an event loop runs on its
-//! own warm [`QueryCtx`], one job at a time.
+//! own warm [`QueryCtx`], one job at a time, and [`answer`], the one
+//! place a query [`Request`] becomes index calls.
 //!
 //! A job names the catalog map it is routed to; the loop resolves it
 //! through [`crate::catalog::Catalog::with_live`], which opens cold maps
@@ -7,25 +8,21 @@
 //! gone. Catalog admin ops (`OPEN_MAP`, `LIST_MAPS`, `CLOSE_MAP`,
 //! `STATS`) are jobs too, because opening a map may build it. A job's
 //! reply leaves already enveloped, so the loop only moves bytes.
+//!
+//! A `BATCH` is a list of query requests. Its items share the singleton
+//! reply-cache keys; the items that miss run through [`answer`] in Morton
+//! order ([`answer_in_morton_order`]) under one read guard.
 
 use crate::catalog::Catalog;
 use crate::protocol::{ErrorCode, Reply, Request, MAX_BATCH_ITEMS};
 use crate::server::Shared;
-use lsdb_core::{execute_batch, queries, BatchAnswer, BatchRequest, QueryCtx};
-use lsdb_geom::{world_rect, Point};
+use lsdb_core::{queries, QueryCtx, SpatialIndex};
+use lsdb_geom::{morton, world_rect, Point};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// The work itself (inline service ops never become jobs).
-pub(crate) enum Work {
-    Single(Request),
-    Batch(BatchRequest),
-    /// A catalog admin op (`OPEN_MAP`/`LIST_MAPS`/`CLOSE_MAP`/`STATS`) —
-    /// queued because opening a map can build it.
-    Admin(Request),
-}
-
-/// One decoded request waiting for its loop to run it.
+/// One decoded request waiting for its loop to run it (inline service
+/// ops never become jobs).
 pub(crate) struct Job {
     /// The loop's id of the connection that sent it.
     pub conn: u64,
@@ -33,7 +30,7 @@ pub(crate) struct Job {
     pub corr: u32,
     /// Catalog id the request is routed to.
     pub map: u32,
-    pub work: Work,
+    pub request: Request,
 }
 
 /// What executing a job produced: a freshly computed [`Reply`], or the
@@ -59,10 +56,15 @@ impl Outcome {
 /// `ctx` is replaced by a fresh context (the old one may hold a half-done
 /// query's state).
 pub(crate) fn execute(job: &Job, shared: &Shared, ctx: &mut QueryCtx) -> Vec<u8> {
-    let run = AssertUnwindSafe(|| match &job.work {
-        Work::Single(req) => run_single(job.map, req, shared, ctx),
-        Work::Batch(req) => Outcome::Fresh(run_batch(job.map, req, shared, ctx)),
-        Work::Admin(req) => Outcome::Fresh(run_admin(req, shared.catalog)),
+    let run = AssertUnwindSafe(|| match &job.request {
+        Request::Batch(items) => Outcome::Fresh(run_batch(job.map, items, shared, ctx)),
+        Request::Insert(_) | Request::Delete { .. } | Request::Flush => {
+            Outcome::Fresh(run_mutation(job.map, &job.request, shared))
+        }
+        Request::OpenMap { .. } | Request::ListMaps | Request::CloseMap { .. } | Request::Stats => {
+            Outcome::Fresh(run_admin(&job.request, shared.catalog))
+        }
+        query => run_query(job.map, query, shared, ctx),
     });
     match catch_unwind(run) {
         Ok(outcome) => outcome.into_payload(job.corr),
@@ -82,6 +84,13 @@ pub(crate) fn execute(job: &Job, shared: &Shared, ctx: &mut QueryCtx) -> Vec<u8>
     }
 }
 
+fn bad_argument(message: String) -> Reply {
+    Reply::Error {
+        code: ErrorCode::BadArgument,
+        message,
+    }
+}
+
 /// The point a query is asked at, if it has one. A window has an extent
 /// instead, and any extent is legal.
 fn query_point(req: &Request) -> Option<Point> {
@@ -94,15 +103,118 @@ fn query_point(req: &Request) -> Option<Point> {
     }
 }
 
-/// `BadArgument` for a query point outside the world — the precondition
-/// of `SpatialIndex`'s point queries, which `INSERT` keeps for segments.
-fn refuse_out_of_world(req: &Request) -> Option<Reply> {
+/// Why no index answers `req`: a query point outside the world — the
+/// precondition of `SpatialIndex`'s point queries, which `INSERT` keeps
+/// for segments. Needs no map, so it is checked before one is opened.
+fn point_refusal(req: &Request) -> Option<String> {
     let p = query_point(req)?;
     let world = world_rect();
-    (!world.contains_point(p)).then(|| Reply::Error {
-        code: ErrorCode::BadArgument,
-        message: format!("query point {p:?} lies outside the world {world:?}"),
+    (!world.contains_point(p))
+        .then(|| format!("query point {p:?} lies outside the world {world:?}"))
+}
+
+/// Why `index` cannot answer `req`: [`point_refusal`], or a `SECOND` id
+/// beyond the map.
+fn refusal(req: &Request, index: &dyn SpatialIndex) -> Option<String> {
+    point_refusal(req).or_else(|| match *req {
+        Request::Second { id, .. } if id.index() >= index.len() => Some(format!(
+            "segment id {} out of range (map has {} segments)",
+            id.0,
+            index.len()
+        )),
+        _ => None,
     })
+}
+
+/// `BadArgument` naming the first item of a batch that `refuse` refuses.
+fn first_refusal(items: &[Request], refuse: impl Fn(&Request) -> Option<String>) -> Option<Reply> {
+    items.iter().enumerate().find_map(|(i, item)| {
+        refuse(item).map(|why| bad_argument(format!("batch item {i}: {why}")))
+    })
+}
+
+/// Answer one spatial query on `index`, on `ctx` reset first: the
+/// answer and the counters it charged. This is the one place a query
+/// [`Request`] becomes index calls; the server's singleton and batch
+/// paths and the in-process batched workloads all answer through it.
+///
+/// A query point outside the world or a `SECOND` id beyond the map is
+/// answered `BadArgument` without an index call, and so is any request
+/// that is not one of the six spatial queries (`Malformed`).
+pub fn answer(index: &dyn SpatialIndex, req: &Request, ctx: &mut QueryCtx) -> Reply {
+    if let Some(why) = refusal(req, index) {
+        return bad_argument(why);
+    }
+    ctx.reset();
+    match *req {
+        Request::Incident(p) => Reply::Segs {
+            ids: index.find_incident(p, ctx),
+            stats: ctx.stats(),
+        },
+        Request::Second { id, at } => Reply::Segs {
+            ids: queries::second_endpoint(index, id, at, ctx),
+            stats: ctx.stats(),
+        },
+        Request::Nearest(p) => Reply::Nearest {
+            id: index.nearest(p, ctx),
+            stats: ctx.stats(),
+        },
+        Request::Knn { at, k } => Reply::Segs {
+            ids: index.nearest_k(at, k as usize, ctx),
+            stats: ctx.stats(),
+        },
+        Request::Window(w) => Reply::Segs {
+            ids: index.window(w, ctx),
+            stats: ctx.stats(),
+        },
+        Request::Polygon { at, max_steps } => {
+            let walk = queries::enclosing_polygon(index, at, max_steps as usize, ctx);
+            Reply::Polygon {
+                walk: walk.map(|w| (w.boundary, w.closed)),
+                stats: ctx.stats(),
+            }
+        }
+        _ => Reply::Error {
+            code: ErrorCode::Malformed,
+            message: "not one of the six spatial queries".into(),
+        },
+    }
+}
+
+/// Morton key of a query's locality — its point, a window's centre —
+/// clamped into the 16-bit-per-axis domain [`morton::interleave`]
+/// accepts (the world is 14 levels deep, so in-world points pass
+/// unclamped).
+fn morton_key(req: &Request) -> u32 {
+    let p = match *req {
+        Request::Window(w) => w.center(),
+        _ => query_point(req).unwrap_or(Point::new(0, 0)),
+    };
+    morton::interleave(p.x.clamp(0, 0xFFFF) as u32, p.y.clamp(0, 0xFFFF) as u32)
+}
+
+/// [`answer`] the items of `items` at the positions `which`, in Morton
+/// (Z-order) order of their query points with ties in submission order,
+/// handing each reply to `each` with its position. Queries in one region
+/// of the world run back to back and touch the same pages while they
+/// are still in the CPU caches; [`answer`] resets the context per item,
+/// so every reply and counter equals the singleton one.
+pub fn answer_in_morton_order(
+    index: &dyn SpatialIndex,
+    items: &[Request],
+    which: impl IntoIterator<Item = usize>,
+    ctx: &mut QueryCtx,
+    mut each: impl FnMut(usize, Reply),
+) {
+    // One key per item, not one per comparison.
+    let mut order: Vec<(u32, usize)> = which
+        .into_iter()
+        .map(|i| (morton_key(&items[i]), i))
+        .collect();
+    order.sort_unstable();
+    for (_, i) in order {
+        each(i, answer(index, &items[i], ctx));
+    }
 }
 
 /// A mutation the live index refused (an op-log append or sync failed).
@@ -114,142 +226,93 @@ fn log_failed(what: &str, e: &std::io::Error) -> Reply {
     }
 }
 
-/// Execute one spatial query or mutation against map `map`; query
-/// counters fold into the map's slot *and* the catalog aggregate,
-/// exactly as the PR-2 blocking server folded its single map. Mutations
-/// route through the [`lsdb_core::LiveIndex`] write path (durable
-/// commit, then apply), pin the slot open (auto-close would lose the
-/// mutation), and are *not* counted as spatial queries — the paper's
-/// aggregates stay comparable under mixed workloads. An insert is
-/// refused before the commit unless both endpoints lie inside the 16K
-/// world and differ: no structure can place anything else, the queries'
-/// angle geometry needs a nonzero direction, and a committed op that
-/// cannot be applied would fail its replay too. A query point outside
-/// the world is refused the same way, before the reply cache is probed.
+/// Apply one mutation to map `map` through the [`lsdb_core::LiveIndex`]
+/// write path (durable commit, then apply). A mutation pins the slot
+/// open (auto-close would lose it) and is *not* counted as a spatial
+/// query — the paper's aggregates stay comparable under mixed
+/// workloads. An insert is refused before the commit unless both
+/// endpoints lie inside the 16K world and differ: no structure can place
+/// anything else, the queries' angle geometry needs a nonzero direction,
+/// and a committed op that cannot be applied would fail its replay too.
+fn run_mutation(map: u32, req: &Request, shared: &Shared) -> Reply {
+    let result = shared.catalog.with_live(map, |slot, live| match *req {
+        Request::Insert(seg) => {
+            let world = world_rect();
+            if !world.contains_point(seg.a) || !world.contains_point(seg.b) {
+                return bad_argument(format!("segment {seg:?} leaves the world {world:?}"));
+            }
+            if seg.is_degenerate() {
+                return bad_argument(format!("segment {seg:?} has zero length"));
+            }
+            match live.insert(seg) {
+                Ok((id, lsn)) => {
+                    slot.mark_mutated();
+                    Reply::Inserted { id, lsn: lsn.0 }
+                }
+                Err(e) => log_failed("insert", &e),
+            }
+        }
+        Request::Delete { id } => match live.remove(id) {
+            Ok((removed, lsn)) => {
+                slot.mark_mutated();
+                Reply::Deleted {
+                    removed,
+                    lsn: lsn.0,
+                }
+            }
+            Err(e) => log_failed("delete", &e),
+        },
+        Request::Flush => match live.flush() {
+            Ok(lsn) => Reply::Flushed { lsn: lsn.0 },
+            Err(e) => log_failed("flush", &e),
+        },
+        _ => Reply::Error {
+            code: ErrorCode::Malformed,
+            message: "non-mutation routed as a mutation".into(),
+        },
+    });
+    result.unwrap_or_else(|e| e.to_reply())
+}
+
+/// Answer one spatial query on map `map`; its counters fold into the
+/// map's slot *and* the catalog aggregate. A query point outside the
+/// world is refused before the map or its reply cache is touched.
 ///
-/// Queries probe the slot's reply cache first: a hit returns the stored
-/// body (bit-for-bit what execution would encode) and folds the
-/// stored counter snapshot exactly as a cold execution folds its
-/// context, so `STATS` aggregates cannot tell the difference. A miss
-/// executes under the read guard and offers the encoded reply for
-/// caching under the epoch observed *inside* the guard — mutations bump
-/// the epoch while holding the write guard, so that epoch exactly
-/// identifies the index state the reply was computed from.
-fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> Outcome {
-    if let Some(refusal) = refuse_out_of_world(req) {
-        return Outcome::Fresh(refusal);
+/// The query probes the slot's reply cache first: a hit returns the
+/// stored body (bit-for-bit what [`answer`] would encode) without taking
+/// the index read lock, and folds the stored counter snapshot exactly as
+/// a cold execution folds its context, so `STATS` aggregates cannot tell
+/// the difference. A miss is answered under the read guard and offers the
+/// encoded reply for caching under the epoch observed *inside* the guard
+/// — mutations bump the epoch while holding the write guard, so that
+/// epoch exactly identifies the index state the reply was computed from.
+fn run_query(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> Outcome {
+    if let Some(why) = point_refusal(req) {
+        return Outcome::Fresh(bad_argument(why));
     }
     let result = shared.catalog.with_live(map, |slot, live| {
-        match *req {
-            Request::Insert(seg) => {
-                let world = world_rect();
-                if !world.contains_point(seg.a) || !world.contains_point(seg.b) {
-                    return Outcome::Fresh(Reply::Error {
-                        code: ErrorCode::BadArgument,
-                        message: format!("segment {seg:?} leaves the world {world:?}"),
-                    });
-                }
-                if seg.is_degenerate() {
-                    return Outcome::Fresh(Reply::Error {
-                        code: ErrorCode::BadArgument,
-                        message: format!("segment {seg:?} has zero length"),
-                    });
-                }
-                return match live.insert(seg) {
-                    Ok((id, lsn)) => {
-                        slot.mark_mutated();
-                        Outcome::Fresh(Reply::Inserted { id, lsn: lsn.0 })
-                    }
-                    Err(e) => Outcome::Fresh(log_failed("insert", &e)),
-                };
-            }
-            Request::Delete { id } => {
-                return match live.remove(id) {
-                    Ok((removed, lsn)) => {
-                        slot.mark_mutated();
-                        Outcome::Fresh(Reply::Deleted {
-                            removed,
-                            lsn: lsn.0,
-                        })
-                    }
-                    Err(e) => Outcome::Fresh(log_failed("delete", &e)),
-                }
-            }
-            Request::Flush => {
-                return match live.flush() {
-                    Ok(lsn) => Outcome::Fresh(Reply::Flushed { lsn: lsn.0 }),
-                    Err(e) => Outcome::Fresh(log_failed("flush", &e)),
-                }
-            }
-            _ => {}
-        }
+        let fold = |stats| {
+            slot.stats().add(stats);
+            shared.catalog.aggregate().add(stats);
+        };
         // The cache key is the request body alone — identical queries
         // share one entry whatever their correlation ids.
         let cache = slot.reply_cache();
         let key = cache.on().then(|| req.encode());
         if let Some(key_bytes) = key.as_deref() {
             if let Some((body, stats)) = cache.probe(live.epoch(), key_bytes) {
-                slot.stats().add(stats);
-                shared.catalog.aggregate().add(stats);
+                fold(stats);
                 return Outcome::Cached(body);
             }
         }
         live.with_read(|index| {
             let epoch = live.epoch();
-            ctx.reset();
-            let reply = match *req {
-                Request::Incident(p) => Reply::Segs {
-                    ids: index.find_incident(p, ctx),
-                    stats: ctx.stats(),
-                },
-                Request::Second { id, at } => {
-                    if id.index() >= index.len() {
-                        return Outcome::Fresh(Reply::Error {
-                            code: ErrorCode::BadArgument,
-                            message: format!(
-                                "segment id {} out of range (map has {} segments)",
-                                id.0,
-                                index.len()
-                            ),
-                        });
-                    }
-                    Reply::Segs {
-                        ids: queries::second_endpoint(index, id, at, ctx),
-                        stats: ctx.stats(),
-                    }
+            let reply = answer(index, req, ctx);
+            if let Some(stats) = reply.stats() {
+                fold(stats);
+                if let Some(key_bytes) = key.as_deref() {
+                    cache.insert(epoch, key_bytes, reply.encode().into(), stats);
                 }
-                Request::Nearest(p) => Reply::Nearest {
-                    id: index.nearest(p, ctx),
-                    stats: ctx.stats(),
-                },
-                Request::Knn { at, k } => Reply::Segs {
-                    ids: index.nearest_k(at, k as usize, ctx),
-                    stats: ctx.stats(),
-                },
-                Request::Window(w) => Reply::Segs {
-                    ids: index.window(w, ctx),
-                    stats: ctx.stats(),
-                },
-                Request::Polygon { at, max_steps } => {
-                    let walk = queries::enclosing_polygon(index, at, max_steps as usize, ctx);
-                    Reply::Polygon {
-                        walk: walk.map(|w| (w.boundary, w.closed)),
-                        stats: ctx.stats(),
-                    }
-                }
-                // Service and admin ops never become Single jobs;
-                // mutations returned above.
-                _ => {
-                    return Outcome::Fresh(Reply::Error {
-                        code: ErrorCode::Malformed,
-                        message: "service op queued as a spatial job".into(),
-                    })
-                }
-            };
-            slot.stats().add(ctx.stats());
-            shared.catalog.aggregate().add(ctx.stats());
-            if let Some(key_bytes) = key.as_deref() {
-                cache.insert(epoch, key_bytes, reply.encode().into(), ctx.stats());
             }
             Outcome::Fresh(reply)
         })
@@ -257,98 +320,62 @@ fn run_single(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> O
     result.unwrap_or_else(|e| Outcome::Fresh(e.to_reply()))
 }
 
-/// Execute one batch against map `map`: validate (a batch is refused
-/// whole if any item would be), run Morton-sorted,
-/// fold each item's counters into the slot and the aggregate (so
-/// `STATS` sees one entry per query, not per batch), and nest the
-/// per-item replies in submission order.
+/// Answer one batch on map `map`: one nested reply per item in
+/// submission order, each item's counters folded into the slot and the
+/// aggregate (so `STATS` sees one entry per query, not per batch).
 ///
-/// Each item probes the reply cache individually (under the batch's one
-/// read guard, so the epoch is exact): hits decode their stored bodies
-/// straight into the nested reply, and only the *misses* travel through
-/// [`execute_batch`]'s Morton sort. `execute_batch` charges each item's
-/// counters byte-identically to executing it alone on a freshly reset
-/// context, so carving misses out of a batch changes no item's stats —
-/// the property the cache-parity suite pins across mixed hit/miss
-/// batches.
-fn run_batch(map: u32, req: &BatchRequest, shared: &Shared, ctx: &mut QueryCtx) -> Reply {
-    if req.len() > MAX_BATCH_ITEMS {
-        return Reply::Error {
-            code: ErrorCode::BadArgument,
-            message: format!(
-                "batch of {} items exceeds the {MAX_BATCH_ITEMS}-item limit",
-                req.len()
-            ),
-        };
+/// A batch is refused whole, naming its first refused item: one with a
+/// query point outside the world before the map is touched, then — under
+/// the read guard, before any item probes the cache — one with a
+/// `SECOND` id beyond the map. Under that one read guard each item probes
+/// the reply cache with its singleton key (a batch item hits what a lone
+/// query cached, and vice versa); hits decode their stored bodies into
+/// the nested reply, and only the misses run, in Morton order
+/// ([`answer_in_morton_order`]), each filling the cache under its key.
+fn run_batch(map: u32, items: &[Request], shared: &Shared, ctx: &mut QueryCtx) -> Reply {
+    if items.len() > MAX_BATCH_ITEMS {
+        return bad_argument(format!(
+            "batch of {} items exceeds the {MAX_BATCH_ITEMS}-item limit",
+            items.len()
+        ));
     }
-    if let Some(refusal) = (0..req.len()).find_map(|i| refuse_out_of_world(&item_request(req, i))) {
-        return refusal;
+    if let Some(refused) = first_refusal(items, point_refusal) {
+        return refused;
     }
     let result = shared.catalog.with_live(map, |slot, live| {
+        let fold = |stats| {
+            slot.stats().add(stats);
+            shared.catalog.aggregate().add(stats);
+        };
         // The whole batch runs under one read guard: a concurrent writer
         // lands either before or after it, never in the middle.
         live.with_read(|index| {
-            if let Some(max) = req.max_seg_id() {
-                if max.index() >= index.len() {
-                    return Reply::Error {
-                        code: ErrorCode::BadArgument,
-                        message: format!(
-                            "segment id {} out of range (map has {} segments)",
-                            max.0,
-                            index.len()
-                        ),
-                    };
-                }
+            if let Some(refused) = first_refusal(items, |item| refusal(item, index)) {
+                return refused;
             }
             let cache = slot.reply_cache();
             let epoch = live.epoch();
-            let n = req.len();
-            let mut replies: Vec<Option<Reply>> = (0..n).map(|_| None).collect();
-            let mut miss_keys: Vec<Option<Vec<u8>>> = (0..n).map(|_| None).collect();
-            let mut misses: Vec<usize> = Vec::with_capacity(n);
-            for i in 0..n {
-                if cache.on() {
-                    // Items share the singleton key space: a batch item
-                    // hits what a lone query cached, and vice versa.
-                    let key_bytes = item_request(req, i).encode();
-                    if let Some((body, stats)) = cache.probe(epoch, &key_bytes) {
-                        slot.stats().add(stats);
-                        shared.catalog.aggregate().add(stats);
-                        let inner = Reply::decode(&body)
+            let mut replies: Vec<Option<Reply>> = vec![None; items.len()];
+            let mut misses = Vec::with_capacity(items.len());
+            for (i, item) in items.iter().enumerate() {
+                match cache.on().then(|| cache.probe(epoch, &item.encode())) {
+                    Some(Some((body, stats))) => {
+                        fold(stats);
+                        let reply = Reply::decode(&body)
                             .expect("cached bodies are valid singleton replies");
-                        replies[i] = Some(inner);
-                        continue;
+                        replies[i] = Some(reply);
                     }
-                    miss_keys[i] = Some(key_bytes);
-                }
-                misses.push(i);
-            }
-            if !misses.is_empty() {
-                let sub = sub_batch(req, &misses);
-                let items = execute_batch(index, &sub, ctx);
-                for (item, &i) in items.into_iter().zip(&misses) {
-                    slot.stats().add(item.stats);
-                    shared.catalog.aggregate().add(item.stats);
-                    let reply = match item.answer {
-                        BatchAnswer::Segs(ids) => Reply::Segs {
-                            ids,
-                            stats: item.stats,
-                        },
-                        BatchAnswer::Nearest(id) => Reply::Nearest {
-                            id,
-                            stats: item.stats,
-                        },
-                        BatchAnswer::Polygon(walk) => Reply::Polygon {
-                            walk,
-                            stats: item.stats,
-                        },
-                    };
-                    if let Some(key_bytes) = &miss_keys[i] {
-                        cache.insert(epoch, key_bytes, reply.encode().into(), item.stats);
-                    }
-                    replies[i] = Some(reply);
+                    _ => misses.push(i),
                 }
             }
+            answer_in_morton_order(index, items, misses, ctx, |i, reply| {
+                let stats = reply.stats().expect("a checked batch item is answered");
+                fold(stats);
+                if cache.on() {
+                    cache.insert(epoch, &items[i].encode(), reply.encode().into(), stats);
+                }
+                replies[i] = Some(reply);
+            });
             Reply::Batch(
                 replies
                     .into_iter()
@@ -358,44 +385,6 @@ fn run_batch(map: u32, req: &BatchRequest, shared: &Shared, ctx: &mut QueryCtx) 
         })
     });
     result.unwrap_or_else(|e| e.to_reply())
-}
-
-/// The singleton [`Request`] equivalent of batch item `i` — the reply
-/// cache's key, shared with the singleton execution path.
-fn item_request(req: &BatchRequest, i: usize) -> Request {
-    match req {
-        BatchRequest::Incident(v) => Request::Incident(v[i]),
-        BatchRequest::Second(v) => {
-            let (id, at) = v[i];
-            Request::Second { id, at }
-        }
-        BatchRequest::Nearest(v) => Request::Nearest(v[i]),
-        BatchRequest::Knn(v) => {
-            let (at, k) = v[i];
-            Request::Knn { at, k }
-        }
-        BatchRequest::Window(v) => Request::Window(v[i]),
-        BatchRequest::Polygon { points, max_steps } => Request::Polygon {
-            at: points[i],
-            max_steps: *max_steps,
-        },
-    }
-}
-
-/// The sub-batch holding exactly the items at `keep` (in order) — what
-/// a mixed hit/miss batch actually executes and Morton-sorts.
-fn sub_batch(req: &BatchRequest, keep: &[usize]) -> BatchRequest {
-    match req {
-        BatchRequest::Incident(v) => BatchRequest::Incident(keep.iter().map(|&i| v[i]).collect()),
-        BatchRequest::Second(v) => BatchRequest::Second(keep.iter().map(|&i| v[i]).collect()),
-        BatchRequest::Nearest(v) => BatchRequest::Nearest(keep.iter().map(|&i| v[i]).collect()),
-        BatchRequest::Knn(v) => BatchRequest::Knn(keep.iter().map(|&i| v[i]).collect()),
-        BatchRequest::Window(v) => BatchRequest::Window(keep.iter().map(|&i| v[i]).collect()),
-        BatchRequest::Polygon { points, max_steps } => BatchRequest::Polygon {
-            points: keep.iter().map(|&i| points[i]).collect(),
-            max_steps: *max_steps,
-        },
-    }
 }
 
 /// Execute one catalog admin op.
@@ -415,5 +404,37 @@ fn run_admin(req: &Request, catalog: &Catalog) -> Reply {
             code: ErrorCode::Malformed,
             message: "non-admin op routed as admin".into(),
         },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lsdb_geom::Rect;
+
+    #[test]
+    fn morton_key_orders_neighbors_together() {
+        // Points in the same quadrant sort adjacent to each other, ahead
+        // of a far-away point that is closer in submission order.
+        let key = |x, y| morton_key(&Request::Nearest(Point::new(x, y)));
+        let (near_a, near_b, far) = (key(10, 10), key(11, 10), key(9000, 9000));
+        assert!(near_a < far && near_b < far);
+        assert!(near_a.abs_diff(near_b) < near_a.abs_diff(far));
+        // A window sorts by its centre.
+        let w = Request::Window(Rect::new(8990, 8990, 9010, 9010));
+        assert_eq!(morton_key(&w), far);
+    }
+
+    #[test]
+    fn morton_key_clamps_out_of_world_points() {
+        // Must not trip interleave's 16-bit debug assertion.
+        let _ = morton_key(&Request::Incident(Point::new(-5, i32::MAX)));
+        let _ = morton_key(&Request::Knn {
+            at: Point::new(i32::MIN, 70000),
+            k: 1,
+        });
+        // A window's centre is taken without overflow at any extent.
+        let full = Request::Window(Rect::new(i32::MIN, i32::MIN, i32::MAX, i32::MAX));
+        assert_eq!(morton_key(&full), 0);
     }
 }

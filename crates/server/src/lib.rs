@@ -20,8 +20,15 @@
 //! clock eviction of cold stores, and a process-global
 //! [`lsdb_pager::BufferBudget`] shared across every map; a single map is
 //! a one-slot catalog ([`Catalog::single`]). A `BATCH` op carries a
-//! homogeneous query vector that the server executes Morton-sorted to
-//! keep per-context caches warm.
+//! list of query requests in any mix, answered item by item in Morton
+//! order to keep per-context caches warm.
+//!
+//! One function, [`answer`], turns a query [`Request`] into index calls
+//! on a reset [`lsdb_core::QueryCtx`], refusing a query point outside
+//! the world or a `SECOND` id beyond the map with
+//! [`ErrorCode::BadArgument`]. Singletons, batch items
+//! ([`answer_in_morton_order`]) and the in-process batched workloads all
+//! answer through it.
 //!
 //! The index is live, not frozen: `INSERT`, `DELETE`, and `FLUSH` route
 //! through a [`lsdb_core::LiveIndex`] — each mutation is appended to an
@@ -53,6 +60,7 @@ mod sys;
 
 pub use catalog::{Catalog, CatalogError, MapBuilder, MapSlot};
 pub use client::{CatalogStats, Client, ServerError};
+pub use executor::{answer, answer_in_morton_order};
 pub use loadgen::{
     run_closed_loop, run_closed_loop_routed, run_open_loop, run_open_loop_routed, LoadReport,
 };
@@ -63,7 +71,3 @@ pub use protocol::{
 };
 pub use reply_cache::{ReplyCache, ReplyCachePool};
 pub use server::{ConfigError, Server, ServerConfig, ServerReport, ShutdownHandle};
-
-// The batch request/answer model is part of the wire surface; re-export
-// so client code does not need a direct lsdb-core dependency for it.
-pub use lsdb_core::{BatchAnswer, BatchItem, BatchRequest};

@@ -55,8 +55,11 @@
 //! and `SHUTDOWN`. Every query reply carries a per-query [`QueryStats`]
 //! block, so a remote caller sees exactly the metrics an in-process
 //! [`lsdb_core::QueryCtx`] would have reported. `BATCH`
-//! ([`Request::Batch`]) carries a homogeneous query vector, answered by
-//! [`Reply::Batch`] with one nested reply per item in submission order.
+//! ([`Request::Batch`]) carries a list of query requests in any mix of
+//! the six query ops: an item count, then each item's opcode + body
+//! behind a `u32` length. [`Reply::Batch`] answers it in the same layout,
+//! one nested reply per item in submission order. A batch item that is
+//! not a query (a nested `BATCH` included) fails to decode.
 //!
 //! Three mutation ops round out the protocol: `INSERT` (a segment,
 //! answered with its assigned id and the op's LSN), `DELETE` (an id,
@@ -72,7 +75,7 @@
 //! the server answers with a structured [`Reply::Error`] frame instead of
 //! dropping the connection.
 
-use lsdb_core::{BatchRequest, DiskStats, QueryStats, SegId};
+use lsdb_core::{DiskStats, QueryStats, SegId};
 use lsdb_geom::{Point, Rect, Segment};
 use std::io::{self, Read, Write};
 
@@ -117,16 +120,6 @@ mod op {
     pub const CLOSE_MAP: u8 = 0x11;
 }
 
-/// Batch kind bytes (second byte of a `BATCH` request).
-mod bk {
-    pub const INCIDENT: u8 = 1;
-    pub const SECOND: u8 = 2;
-    pub const NEAREST: u8 = 3;
-    pub const KNN: u8 = 4;
-    pub const WINDOW: u8 = 5;
-    pub const POLYGON: u8 = 6;
-}
-
 /// Reply opcodes (first payload byte).
 mod rop {
     pub const PONG: u8 = 0x80;
@@ -153,10 +146,11 @@ pub enum Request {
     /// Answered with [`Reply::Hello`] if that is 3 or higher, with
     /// [`ErrorCode::UnsupportedVersion`] otherwise.
     Hello { version: u8 },
-    /// A homogeneous vector of spatial queries, executed Morton-sorted
-    /// against the structure and answered by [`Reply::Batch`] in
-    /// submission order.
-    Batch(BatchRequest),
+    /// Spatial queries in any mix of the six query ops (no other op, no
+    /// nested `BATCH`), answered by [`Reply::Batch`] in submission order.
+    /// The server runs the items that miss its reply cache in Morton
+    /// order of their query points, under one read guard.
+    Batch(Vec<Request>),
     /// Liveness probe; answered with [`Reply::Pong`].
     Ping,
     /// Query 1: all segments incident at the point.
@@ -569,111 +563,45 @@ fn get_ids(c: &mut Cursor) -> Result<Vec<SegId>, ProtoError> {
     Ok(ids)
 }
 
-fn put_batch(buf: &mut Vec<u8>, batch: &BatchRequest) {
-    buf.push(op::BATCH);
-    match batch {
-        BatchRequest::Incident(points) => {
-            buf.push(bk::INCIDENT);
-            buf.extend_from_slice(&(points.len() as u32).to_le_bytes());
-            for &p in points {
-                put_point(buf, p);
-            }
-        }
-        BatchRequest::Second(items) => {
-            buf.push(bk::SECOND);
-            buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for &(id, at) in items {
-                buf.extend_from_slice(&id.0.to_le_bytes());
-                put_point(buf, at);
-            }
-        }
-        BatchRequest::Nearest(points) => {
-            buf.push(bk::NEAREST);
-            buf.extend_from_slice(&(points.len() as u32).to_le_bytes());
-            for &p in points {
-                put_point(buf, p);
-            }
-        }
-        BatchRequest::Knn(items) => {
-            buf.push(bk::KNN);
-            buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
-            for &(at, k) in items {
-                put_point(buf, at);
-                buf.extend_from_slice(&k.to_le_bytes());
-            }
-        }
-        BatchRequest::Window(windows) => {
-            buf.push(bk::WINDOW);
-            buf.extend_from_slice(&(windows.len() as u32).to_le_bytes());
-            for w in windows {
-                put_point(buf, w.min);
-                put_point(buf, w.max);
-            }
-        }
-        BatchRequest::Polygon { points, max_steps } => {
-            buf.push(bk::POLYGON);
-            buf.extend_from_slice(&max_steps.to_le_bytes());
-            buf.extend_from_slice(&(points.len() as u32).to_le_bytes());
-            for &p in points {
-                put_point(buf, p);
-            }
-        }
+/// A `BATCH` body after its opcode: an item count, then each item's
+/// opcode + body behind a `u32` length.
+fn put_items<T>(buf: &mut Vec<u8>, items: &[T], encode: impl Fn(&T, &mut Vec<u8>)) {
+    buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
+    for item in items {
+        let at = buf.len();
+        buf.extend_from_slice(&[0; 4]);
+        encode(item, buf);
+        let len = (buf.len() - at - 4) as u32;
+        buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 }
 
-fn get_batch(c: &mut Cursor) -> Result<BatchRequest, ProtoError> {
-    let kind = c.u8()?;
-    let max_steps = if kind == bk::POLYGON { c.u32()? } else { 0 };
+/// The items of a [`put_items`] body. `decode` sees each item's bytes;
+/// it must refuse a nested `BATCH` by its opcode before decoding it, so
+/// no frame can nest deep enough to exhaust the stack.
+fn get_items<T>(
+    c: &mut Cursor,
+    decode: impl Fn(&[u8]) -> Result<T, ProtoError>,
+) -> Result<Vec<T>, ProtoError> {
     let n = c.u32()? as usize;
-    // Items are fixed-size, so a lying count fails on `take` before the
-    // reserve below could matter; the cap only bounds a hostile reserve.
-    let cap = n.min(1 << 16);
-    Ok(match kind {
-        bk::INCIDENT => {
-            let mut points = Vec::with_capacity(cap);
-            for _ in 0..n {
-                points.push(c.point()?);
-            }
-            BatchRequest::Incident(points)
+    // A lying count fails on the first missing length; the cap only
+    // bounds a hostile reserve.
+    let mut items = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        let len = c.u32()? as usize;
+        items.push(decode(c.bytes(len)?)?);
+    }
+    Ok(items)
+}
+
+/// One `BATCH` request item: one of the six spatial queries.
+fn get_query(bytes: &[u8]) -> Result<Request, ProtoError> {
+    match bytes.first() {
+        Some(&(op::INCIDENT | op::SECOND | op::NEAREST | op::KNN | op::WINDOW | op::POLYGON)) => {
+            Request::decode(bytes)
         }
-        bk::SECOND => {
-            let mut items = Vec::with_capacity(cap);
-            for _ in 0..n {
-                items.push((SegId(c.u32()?), c.point()?));
-            }
-            BatchRequest::Second(items)
-        }
-        bk::NEAREST => {
-            let mut points = Vec::with_capacity(cap);
-            for _ in 0..n {
-                points.push(c.point()?);
-            }
-            BatchRequest::Nearest(points)
-        }
-        bk::KNN => {
-            let mut items = Vec::with_capacity(cap);
-            for _ in 0..n {
-                items.push((c.point()?, c.u32()?));
-            }
-            BatchRequest::Knn(items)
-        }
-        bk::WINDOW => {
-            let mut windows = Vec::with_capacity(cap);
-            for _ in 0..n {
-                let (a, b) = (c.point()?, c.point()?);
-                windows.push(Rect::bounding(a, b));
-            }
-            BatchRequest::Window(windows)
-        }
-        bk::POLYGON => {
-            let mut points = Vec::with_capacity(cap);
-            for _ in 0..n {
-                points.push(c.point()?);
-            }
-            BatchRequest::Polygon { points, max_steps }
-        }
-        _ => return Err(ProtoError::BadField("batch kind")),
-    })
+        _ => Err(ProtoError::BadField("batch item is not a spatial query")),
+    }
 }
 
 impl Request {
@@ -712,7 +640,10 @@ impl Request {
                 put_point(buf, *at);
                 buf.extend_from_slice(&max_steps.to_le_bytes());
             }
-            Request::Batch(batch) => put_batch(buf, batch),
+            Request::Batch(items) => {
+                buf.push(op::BATCH);
+                put_items(buf, items, Request::encode_body);
+            }
             Request::Stats => buf.push(op::STATS),
             Request::Shutdown => buf.push(op::SHUTDOWN),
             Request::Insert(seg) => {
@@ -784,7 +715,7 @@ impl Request {
                 at: c.point()?,
                 max_steps: c.u32()?,
             },
-            op::BATCH => Request::Batch(get_batch(&mut c)?),
+            op::BATCH => Request::Batch(get_items(&mut c, get_query)?),
             op::STATS => Request::Stats,
             op::SHUTDOWN => Request::Shutdown,
             op::INSERT => Request::Insert(Segment {
@@ -866,12 +797,7 @@ impl Reply {
             }
             Reply::Batch(items) => {
                 buf.push(rop::BATCH);
-                buf.extend_from_slice(&(items.len() as u32).to_le_bytes());
-                for item in items {
-                    let inner = item.encode();
-                    buf.extend_from_slice(&(inner.len() as u32).to_le_bytes());
-                    buf.extend_from_slice(&inner);
-                }
+                put_items(buf, items, Reply::encode_body);
             }
             Reply::Segs { ids, stats } => {
                 buf.push(rop::SEGS);
@@ -1156,19 +1082,10 @@ impl Reply {
                 }
             }
             rop::HELLO => Reply::Hello { version: c.u8()? },
-            rop::BATCH => {
-                let n = c.u32()? as usize;
-                let mut items = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    let len = c.u32()? as usize;
-                    let inner = Reply::decode(c.bytes(len)?)?;
-                    if matches!(inner, Reply::Batch(_)) {
-                        return Err(ProtoError::BadField("nested batch reply"));
-                    }
-                    items.push(inner);
-                }
-                Reply::Batch(items)
-            }
+            rop::BATCH => Reply::Batch(get_items(&mut c, |item| match item.first() {
+                Some(&rop::BATCH) => Err(ProtoError::BadField("nested batch reply")),
+                _ => Reply::decode(item),
+            })?),
             rop::ERROR => {
                 let code = ErrorCode::from_u8(c.u8()?).ok_or(ProtoError::BadField("error code"))?;
                 let len = u16::from_le_bytes(c.take::<2>()?) as usize;
@@ -1456,6 +1373,15 @@ mod tests {
                 let _ = decode_reply(&bytes); // must not panic
             }
         }
+        // Every sample request, batches included, with one byte flipped.
+        for bytes in sample_requests().iter().map(Request::encode) {
+            for _ in 0..64 {
+                let mut bad = bytes.clone();
+                let at = next() as usize % bad.len();
+                bad[at] ^= next() | 1;
+                let _ = Request::decode(&bad); // must not panic
+            }
+        }
     }
 
     #[test]
@@ -1511,22 +1437,28 @@ mod tests {
             },
             Request::Stats,
             Request::Shutdown,
-            Request::Batch(BatchRequest::Incident(vec![
-                Point::new(1, 2),
-                Point::new(3, 4),
-            ])),
-            Request::Batch(BatchRequest::Second(vec![(SegId(9), Point::new(5, 6))])),
-            Request::Batch(BatchRequest::Nearest(vec![Point::new(7, 8)])),
-            Request::Batch(BatchRequest::Knn(vec![(Point::new(1, 1), 3)])),
-            Request::Batch(BatchRequest::Window(vec![
-                Rect::new(0, 0, 9, 9),
-                Rect::new(-4, -4, 4, 4),
-            ])),
-            Request::Batch(BatchRequest::Polygon {
-                points: vec![Point::new(2, 3)],
-                max_steps: 777,
-            }),
-            Request::Batch(BatchRequest::Window(vec![])),
+            Request::Batch(vec![]),
+            Request::Batch(vec![
+                Request::Window(Rect::new(0, 0, 9, 9)),
+                Request::Window(Rect::new(-4, -4, 4, 4)),
+            ]),
+            Request::Batch(vec![
+                Request::Incident(Point::new(1, 2)),
+                Request::Second {
+                    id: SegId(9),
+                    at: Point::new(5, 6),
+                },
+                Request::Nearest(Point::new(7, 8)),
+                Request::Knn {
+                    at: Point::new(1, 1),
+                    k: 3,
+                },
+                Request::Window(Rect::new(-4, -4, 4, 4)),
+                Request::Polygon {
+                    at: Point::new(2, 3),
+                    max_steps: 777,
+                },
+            ]),
             Request::Insert(Segment {
                 a: Point::new(1, 2),
                 b: Point::new(3, 4),
@@ -1851,13 +1783,76 @@ mod tests {
     }
 
     #[test]
+    fn batch_requests_hold_only_spatial_queries() {
+        // Each non-query op, a nested batch included, fails to decode
+        // as a batch item — wherever it sits in the batch.
+        let query = Request::Nearest(Point::new(1, 1));
+        for bad in [
+            Request::Ping,
+            Request::Insert(Segment {
+                a: Point::new(1, 2),
+                b: Point::new(3, 4),
+            }),
+            Request::Stats,
+            Request::Batch(vec![query.clone()]),
+        ] {
+            for items in [vec![bad.clone()], vec![query.clone(), bad.clone()]] {
+                assert_eq!(
+                    Request::decode(&Request::Batch(items).encode()),
+                    Err(ProtoError::BadField("batch item is not a spatial query")),
+                    "{bad:?}"
+                );
+            }
+        }
+    }
+
+    /// `depth` batches nested one in another around a single `inner`
+    /// body, each holding one item — a frame no encoder produces.
+    fn nested_batches(opcode: u8, depth: usize, inner: &[u8]) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(9 * depth + inner.len());
+        for level in 1..=depth {
+            bytes.push(opcode);
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            let len = 9 * (depth - level) + inner.len();
+            bytes.extend_from_slice(&(len as u32).to_le_bytes());
+        }
+        bytes.extend_from_slice(inner);
+        bytes
+    }
+
+    #[test]
+    fn deeply_nested_batches_fail_without_recursing() {
+        // 400k levels fit a request frame; decoding them recursively
+        // would overflow the stack.
+        let depth = 400_000;
+        let req = nested_batches(op::BATCH, depth, &Request::Ping.encode());
+        assert!(req.len() <= MAX_REQUEST_FRAME as usize);
+        assert_eq!(
+            Request::decode(&req),
+            Err(ProtoError::BadField("batch item is not a spatial query"))
+        );
+        let reply = nested_batches(rop::BATCH, depth, &Reply::Pong.encode());
+        assert_eq!(
+            Reply::decode(&reply),
+            Err(ProtoError::BadField("nested batch reply"))
+        );
+    }
+
+    #[test]
     fn batch_item_count_mismatch_is_rejected() {
         // Declared count beyond the actual items must error, not panic
         // or over-allocate.
-        let mut bytes = Request::Batch(BatchRequest::Nearest(vec![Point::new(1, 1)])).encode();
-        // Body layout: opcode, kind, count u32, items. Bump the count.
-        bytes[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut bytes = Request::Batch(vec![Request::Nearest(Point::new(1, 1))]).encode();
+        // Body layout: opcode, count u32, items. Bump the count.
+        bytes[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(Request::decode(&bytes).is_err());
+        // An item length beyond the payload is truncation, too.
+        let mut bytes = Request::Batch(vec![Request::Nearest(Point::new(1, 1))]).encode();
+        bytes[5..9].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            Request::decode(&bytes),
+            Err(ProtoError::Truncated { .. })
+        ));
     }
 
     #[test]

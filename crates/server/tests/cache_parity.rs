@@ -13,7 +13,7 @@
 //! pins the epoch protocol the cache keys on.
 
 use lsdb_core::pointgen::{EndpointGen, UniformGen, WindowGen};
-use lsdb_core::{BatchRequest, IndexConfig, LiveIndex, PolygonalMap, SegId, SpatialIndex};
+use lsdb_core::{IndexConfig, LiveIndex, PolygonalMap, SegId, SpatialIndex};
 use lsdb_geom::{Point, Segment};
 use lsdb_grid::UniformGrid;
 use lsdb_pmr::{PmrConfig, PmrQuadtree};
@@ -286,7 +286,7 @@ fn batch_with_mixed_hits_and_misses_is_byte_identical() {
             "prime frame diverged"
         );
     }
-    let batch = Request::Batch(BatchRequest::Nearest(points.clone()));
+    let batch = Request::Batch(points.iter().map(|&p| Request::Nearest(p)).collect());
     let frame = batch.encode_v3(0xBEEF, 0);
     let got = raw_call(&mut cached, &frame);
     let want = raw_call(&mut plain, &frame);
@@ -300,8 +300,18 @@ fn batch_with_mixed_hits_and_misses_is_byte_identical() {
     );
     let mut client = Client::connect(cached_addr).unwrap();
     let stats = client.stats_v3().unwrap();
-    let rc = &stats.maps[0].reply_cache;
+    let rc = stats.maps[0].reply_cache;
     assert_eq!(rc.hits, 12 + points.len() as u64, "12 primed + full replay");
+    // A refused query point, alone or in a batch, leaves the cache as
+    // it was: no probe, no fill.
+    let outside = Request::Nearest(Point::new(points[0].x, -1));
+    for req in [
+        outside.clone(),
+        Request::Batch(vec![Request::Nearest(points[0]), outside]),
+    ] {
+        assert!(client.call(&req).is_err(), "{req:?} must be refused");
+    }
+    assert_eq!(client.stats_v3().unwrap().maps[0].reply_cache, rc);
     client.shutdown().unwrap();
     Client::connect(plain_addr).unwrap().shutdown().unwrap();
     cached_handle.join().unwrap();

@@ -13,7 +13,7 @@ use lsdb_server::protocol::{
     V3_MARKER,
 };
 use lsdb_server::{
-    BatchRequest, Catalog, Client, ErrorCode, Reply, Request, Server, ServerConfig, ServerError,
+    Catalog, Client, ErrorCode, Reply, Request, Server, ServerConfig, ServerError, MAX_BATCH_ITEMS,
 };
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -288,6 +288,24 @@ fn malformed_requests_get_error_frames_not_hangups() {
         .unwrap();
     assert_eq!(server_err.code, ErrorCode::BadArgument);
 
+    // A batch is refused whole for such an item, naming it, and for
+    // holding one item more than the limit; the connection keeps serving.
+    let p = lsdb_geom::Point::new(8000, 8000);
+    let beyond = Request::Second {
+        id: lsdb_core::SegId(map.len() as u32),
+        at: p,
+    };
+    let e = server_error(client.call_batch(&[Request::Nearest(p), beyond]));
+    assert_eq!(e.code, ErrorCode::BadArgument);
+    assert!(e.message.starts_with("batch item 1: segment id"), "{e:?}");
+    let over = vec![Request::Incident(p); MAX_BATCH_ITEMS + 1];
+    let e = server_error(client.call_batch(&over));
+    assert_eq!(e.code, ErrorCode::BadArgument);
+    assert!(e.message.contains("item limit"), "{e:?}");
+    let replies = client.call_batch(&over[..2]).unwrap();
+    assert_eq!(replies.len(), 2);
+    assert_eq!(replies[0], run_in_process(build(&map).as_ref(), &over[0]));
+
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
@@ -443,29 +461,40 @@ fn batched_execution_matches_singleton_counters_over_the_wire() {
     let map = test_map();
     let index = build(&map);
     let mut windows = WindowGen::new(0.0001, 0xB17C4);
-    let rects: Vec<lsdb_geom::Rect> = (0..200).map(|_| windows.next_window()).collect();
-    let batch = BatchRequest::Window(rects.clone());
+    let windows: Vec<Request> = (0..200)
+        .map(|_| Request::Window(windows.next_window()))
+        .collect();
+    // A one-kind batch, then every query kind mixed in one batch.
+    let batches = [windows, mixed_stream(&map, 30, 0xBA7C)];
 
-    // Ground truth: each window as a singleton, fresh context.
-    let expected: Vec<Reply> = rects
+    // Ground truth: each item as a singleton, fresh context.
+    let expected: Vec<Vec<Reply>> = batches
         .iter()
-        .map(|&w| run_in_process(index.as_ref(), &Request::Window(w)))
+        .map(|batch| {
+            batch
+                .iter()
+                .map(|req| run_in_process(index.as_ref(), req))
+                .collect()
+        })
         .collect();
 
     let (addr, handle) = start_server(index);
     let mut client = Client::connect(addr).unwrap();
-    let replies = client.call_batch(&batch).unwrap();
-    assert_eq!(replies.len(), expected.len());
-    for (i, (got, want)) in replies.iter().zip(&expected).enumerate() {
-        assert_eq!(got, want, "batch item {i} must be byte-identical");
+    for (batch, expected) in batches.iter().zip(&expected) {
+        let replies = client.call_batch(batch).unwrap();
+        assert_eq!(replies.len(), expected.len());
+        for (i, (got, want)) in replies.iter().zip(expected).enumerate() {
+            assert_eq!(got, want, "batch item {i} must be byte-identical");
+        }
     }
 
     // STATS counts each batch item as one query, with the same totals a
     // singleton stream would produce.
     let stats = client.stats_v3().unwrap();
-    assert_eq!(stats.queries, rects.len() as u64);
+    let expected: Vec<&Reply> = expected.iter().flatten().collect();
+    assert_eq!(stats.queries, expected.len() as u64);
     let mut expected_totals = QueryStats::default();
-    for r in &expected {
+    for r in expected {
         expected_totals.add(r.stats().unwrap());
     }
     assert_eq!(stats.totals, expected_totals);
@@ -628,6 +657,15 @@ fn out_of_world_and_degenerate_inserts_are_refused_before_the_wal() {
     handle.join().unwrap();
 }
 
+/// The server's error frame behind a refused call.
+fn server_error<T: std::fmt::Debug>(result: std::io::Result<T>) -> ServerError {
+    let err = result.expect_err("the call must be refused");
+    err.get_ref()
+        .and_then(|e| e.downcast_ref::<ServerError>())
+        .unwrap_or_else(|| panic!("not a server error: {err}"))
+        .clone()
+}
+
 /// The error code of a refused call, `None` if it was answered.
 fn refusal<T>(result: std::io::Result<T>) -> Option<ErrorCode> {
     let err = result.err()?;
@@ -716,7 +754,10 @@ fn out_of_world_query_points_are_refused_and_any_window_is_exact() {
                 let got = refusal(client.call(&req));
                 assert_eq!(got, Some(ErrorCode::BadArgument), "{name}: {req:?}");
             }
-            let batch = BatchRequest::Nearest(vec![Point::new(5000, 5000), p]);
+            let batch = [
+                Request::Nearest(Point::new(5000, 5000)),
+                Request::Nearest(p),
+            ];
             let got = refusal(client.call_batch(&batch));
             assert_eq!(got, Some(ErrorCode::BadArgument), "{name}: batch at {p:?}");
         }
@@ -753,7 +794,7 @@ fn a_panicking_job_is_answered_internal_and_its_loop_keeps_serving() {
         .collect();
     let mut catalog = Catalog::new(0, 4);
     let live = catalog.add_live("live", LiveIndex::volatile(index));
-    catalog.add_map("boom", Box::new(|| panic!("builder exploded")));
+    let boom = catalog.add_map("boom", Box::new(|| panic!("builder exploded")));
     let config = ServerConfig {
         workers: 1,
         read_timeout: Duration::from_millis(100),
@@ -777,6 +818,18 @@ fn a_panicking_job_is_answered_internal_and_its_loop_keeps_serving() {
     };
     let mut client = Client::connect(addr).unwrap();
     builder_panicked(client.open_map("boom").unwrap_err());
+    // A refused query point never opens a cold map, singly or in a
+    // batch: the builder would answer `Internal`.
+    let outside = Request::Nearest(Point::new(-1, 5));
+    let inside = Request::Nearest(Point::new(5, 5));
+    for req in [
+        outside.clone(),
+        Request::Batch(vec![inside.clone(), outside]),
+    ] {
+        let refused = refusal(client.call_on(boom, &req));
+        assert_eq!(refused, Some(ErrorCode::BadArgument), "{req:?}");
+    }
+    builder_panicked(client.call_on(boom, &inside).unwrap_err());
 
     // The same connection answers the live map exactly as in-process
     // execution does, on the loop's fresh context.

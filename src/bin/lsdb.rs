@@ -38,11 +38,26 @@
 //! frame with `--batch`, or the multi-map mode with `--multimap K`
 //! (Zipf map popularity, per-map counters, budget gauge).
 
-use lsdb::core::{queries, IndexConfig, PolygonalMap, QueryCtx, SegId, SpatialIndex};
-use lsdb::geom::{world_rect, Point, Rect};
+use lsdb::core::queries::PolygonWalk;
+use lsdb::core::{IndexConfig, PolygonalMap, QueryCtx, SegId, SpatialIndex};
+use lsdb::geom::{Point, Rect};
+use lsdb::server::{answer, Reply, Request};
 use lsdb::tiger::{self, io, CountyClass, CountySpec};
 use std::path::Path;
 use std::process::exit;
+
+/// `println!` for every line the CLI prints, except that once stdout's
+/// reader has gone (`lsdb info MAP | head -1`) the process ends quietly
+/// with status 0 instead of panicking on the broken pipe: the reader
+/// took what it wanted.
+macro_rules! outln {
+    ($($arg:tt)*) => {{
+        use std::io::Write as _;
+        if writeln!(std::io::stdout(), $($arg)*).is_err() {
+            std::process::exit(0);
+        }
+    }};
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -175,7 +190,7 @@ fn cmd_generate(rest: &[String]) -> i32 {
         eprintln!("cannot write {out}: {e}");
         return 1;
     }
-    println!("wrote {} ({} segments) to {out}", map.name, map.len());
+    outln!("wrote {} ({} segments) to {out}", map.name, map.len());
     0
 }
 
@@ -192,27 +207,28 @@ fn cmd_info(rest: &[String]) -> i32 {
         return 2;
     };
     let map = load_map(path);
-    println!("name      : {}", map.name);
-    println!("segments  : {}", map.len());
+    outln!("name      : {}", map.name);
+    outln!("segments  : {}", map.len());
     if let Some(b) = map.bbox() {
-        println!("bbox      : {b:?}");
+        outln!("bbox      : {b:?}");
     }
     let inc = map.vertex_incidence();
-    println!("vertices  : {}", inc.len());
+    outln!("vertices  : {}", inc.len());
     let mut hist = [0usize; 8];
     for v in inc.values() {
         hist[v.len().min(7)] += 1;
     }
     for (d, n) in hist.iter().enumerate().skip(1) {
         if *n > 0 {
-            println!("  degree {d}{}: {n}", if d == 7 { "+" } else { " " });
+            outln!("  degree {d}{}: {n}", if d == 7 { "+" } else { " " });
         }
     }
     match map.validate_planar() {
-        Ok(()) => println!("planarity : ok"),
-        Err(v) => println!(
+        Ok(()) => outln!("planarity : ok"),
+        Err(v) => outln!(
             "planarity : VIOLATED by segments {} and {}",
-            v.first, v.second
+            v.first,
+            v.second
         ),
     }
     0
@@ -284,21 +300,21 @@ fn cmd_build(rest: &[String]) -> i32 {
     let secs = start.elapsed().as_secs_f64();
     idx.clear_cache();
     let s = idx.stats();
-    println!("structure     : {}", idx.name());
-    println!("segments      : {}", idx.len());
-    println!(
+    outln!("structure     : {}", idx.name());
+    outln!("segments      : {}", idx.len());
+    outln!(
         "size          : {} KB ({} B pages, {}-page pool)",
         idx.size_bytes() / 1024,
         page,
         pool
     );
-    println!(
+    outln!(
         "build disk    : {} accesses ({} reads, {} writes)",
         s.disk.total(),
         s.disk.reads,
         s.disk.writes
     );
-    println!("build cpu     : {secs:.2} s");
+    outln!("build cpu     : {secs:.2} s");
     0
 }
 
@@ -351,7 +367,6 @@ fn cmd_query(rest: &[String]) -> i32 {
                             }
                         }
                     }
-                    ctx.reset();
                     if bad || !run_query(idx.as_ref(), &map, q, &coords, &mut ctx) {
                         failures += 1;
                         continue;
@@ -381,7 +396,7 @@ fn cmd_query(rest: &[String]) -> i32 {
 
 fn print_query_stats(idx: &dyn SpatialIndex, ctx: &QueryCtx) {
     let s = ctx.stats();
-    println!(
+    outln!(
         "[{}] {} disk accesses, {} segment comps, {} bbox/bucket comps",
         idx.name(),
         s.disk.total(),
@@ -390,9 +405,29 @@ fn print_query_stats(idx: &dyn SpatialIndex, ctx: &QueryCtx) {
     );
 }
 
-/// Execute and print one query. Returns false on an unrecognized query
-/// name or arity, or a query point outside the world (reported to
-/// stderr).
+/// The request a query line names, `None` for an unknown query name or
+/// arity.
+fn parse_query(q: &str, coords: &[i32], map: &PolygonalMap) -> Option<Request> {
+    let p = || Point::new(coords[0], coords[1]);
+    Some(match (q, coords.len()) {
+        ("incident", 2) => Request::Incident(p()),
+        ("nearest", 2) => Request::Nearest(p()),
+        ("knn", 3) => Request::Knn {
+            at: p(),
+            k: coords[2].max(0) as u32,
+        },
+        ("window", 4) => Request::Window(Rect::bounding(p(), Point::new(coords[2], coords[3]))),
+        ("polygon", 2) => Request::Polygon {
+            at: p(),
+            max_steps: (map.len() * 2 + 16) as u32,
+        },
+        _ => return None,
+    })
+}
+
+/// Answer and print one query through the server's dispatch. Returns
+/// false on an unrecognized query name or arity, or a query the
+/// dispatch refuses (a point outside the world), reported to stderr.
 fn run_query(
     idx: &dyn SpatialIndex,
     map: &PolygonalMap,
@@ -400,77 +435,56 @@ fn run_query(
     coords: &[i32],
     ctx: &mut QueryCtx,
 ) -> bool {
-    // Query points must lie in the world, as the server requires; a window
-    // may have any extent.
-    let point = match (q, coords.len()) {
-        ("incident" | "nearest" | "polygon", 2) | ("knn", 3) => {
-            Some(Point::new(coords[0], coords[1]))
-        }
-        _ => None,
-    };
-    let world = world_rect();
-    if let Some(p) = point.filter(|&p| !world.contains_point(p)) {
-        eprintln!("query point {p:?} lies outside the world {world:?}");
+    let Some(req) = parse_query(q, coords, map) else {
+        eprintln!("unknown query `{q}` or wrong number of coordinates");
         return false;
-    }
-    let print_segs = |ids: &[SegId], map: &PolygonalMap| {
+    };
+    let print_segs = |ids: &[SegId]| {
         for id in ids {
-            println!("  {:?}: {:?}", id, map.segments[id.index()]);
+            outln!("  {:?}: {:?}", id, map.segments[id.index()]);
         }
     };
-    match (q, coords.len()) {
-        ("incident", 2) => {
-            let got = idx.find_incident(Point::new(coords[0], coords[1]), ctx);
-            println!("{} incident segments:", got.len());
-            print_segs(&got, map);
-        }
-        ("nearest", 2) => {
-            let p = Point::new(coords[0], coords[1]);
-            match idx.nearest(p, ctx) {
-                Some(id) => {
-                    let d = map.segments[id.index()].dist2_point(p).to_f64().sqrt();
-                    println!("nearest segment (distance {d:.2}):");
-                    print_segs(&[id], map);
-                }
-                None => println!("empty map"),
-            }
-        }
-        ("knn", 3) => {
-            let p = Point::new(coords[0], coords[1]);
-            let got = idx.nearest_k(p, coords[2].max(0) as usize, ctx);
-            println!("{} nearest segments:", got.len());
-            for id in &got {
-                let d = map.segments[id.index()].dist2_point(p).to_f64().sqrt();
-                println!("  {:?} at {d:.2}: {:?}", id, map.segments[id.index()]);
-            }
-        }
-        ("window", 4) => {
-            let w = Rect::bounding(
-                Point::new(coords[0], coords[1]),
-                Point::new(coords[2], coords[3]),
-            );
-            let got = idx.window(w, ctx);
-            println!("{} segments in {w:?}:", got.len());
-            print_segs(&got, map);
-        }
-        ("polygon", 2) => {
-            let p = Point::new(coords[0], coords[1]);
-            match queries::enclosing_polygon(idx, p, map.len() * 2 + 16, ctx) {
-                Some(walk) => {
-                    println!(
-                        "enclosing polygon: {} boundary segments (closed: {}):",
-                        walk.len(),
-                        walk.closed
-                    );
-                    print_segs(&walk.distinct_segments(), map);
-                }
-                None => println!("empty map"),
-            }
-        }
-        _ => {
-            eprintln!("unknown query `{q}` or wrong number of coordinates");
+    let dist = |id: SegId, p: Point| map.segments[id.index()].dist2_point(p).to_f64().sqrt();
+    match (&req, answer(idx, &req, ctx)) {
+        (_, Reply::Error { message, .. }) => {
+            eprintln!("{message}");
             return false;
         }
+        (Request::Incident(_), Reply::Segs { ids, .. }) => {
+            outln!("{} incident segments:", ids.len());
+            print_segs(&ids);
+        }
+        (&Request::Nearest(p), Reply::Nearest { id, .. }) => match id {
+            Some(id) => {
+                outln!("nearest segment (distance {:.2}):", dist(id, p));
+                print_segs(&[id]);
+            }
+            None => outln!("empty map"),
+        },
+        (&Request::Knn { at, .. }, Reply::Segs { ids, .. }) => {
+            outln!("{} nearest segments:", ids.len());
+            for id in ids {
+                let d = dist(id, at);
+                outln!("  {:?} at {d:.2}: {:?}", id, map.segments[id.index()]);
+            }
+        }
+        (Request::Window(w), Reply::Segs { ids, .. }) => {
+            outln!("{} segments in {w:?}:", ids.len());
+            print_segs(&ids);
+        }
+        (Request::Polygon { .. }, Reply::Polygon { walk, .. }) => match walk {
+            Some((boundary, closed)) => {
+                let walk = PolygonWalk { boundary, closed };
+                outln!(
+                    "enclosing polygon: {} boundary segments (closed: {}):",
+                    walk.len(),
+                    walk.closed
+                );
+                print_segs(&walk.distinct_segments());
+            }
+            None => outln!("empty map"),
+        },
+        (req, reply) => unreachable!("{req:?} answered {reply:?}"),
     }
     true
 }
@@ -626,7 +640,7 @@ fn cmd_serve(rest: &[String]) -> i32 {
             );
         }
         catalog.set_reply_cache_bytes(cache_bytes);
-        println!(
+        outln!(
             "catalog: {counties} county maps x {county_segments} segments ({structure}, \
              bulk={bulk}), budget {}, max-open {}, reply cache {}",
             if budget == 0 {
@@ -675,7 +689,7 @@ fn cmd_serve(rest: &[String]) -> i32 {
                     report.discarded
                 );
             }
-            println!(
+            outln!(
                 "store {dir}: {} op(s) recovered, replaying",
                 report.ops.len()
             );
@@ -687,7 +701,7 @@ fn cmd_serve(rest: &[String]) -> i32 {
     let Some(mut idx) = build_structure_maybe_bulk(&structure, &map, cfg, bulk) else {
         return 2;
     };
-    println!(
+    outln!(
         "built {} over {} ({} segments) in {:.2}s",
         idx.name(),
         map.name,
@@ -707,7 +721,7 @@ fn cmd_serve(rest: &[String]) -> i32 {
     let catalog = Catalog::single(live);
     catalog.set_reply_cache_bytes(cache_bytes);
     if cache_bytes > 0 {
-        println!("reply cache: {cache_bytes} bytes");
+        outln!("reply cache: {cache_bytes} bytes");
     }
     let server = match Server::bind_catalog((host.as_str(), port), catalog, config) {
         Ok(s) => s,
@@ -723,17 +737,18 @@ fn cmd_serve(rest: &[String]) -> i32 {
 fn run_server(server: lsdb::server::Server, host: &str, port: u16, workers: usize) -> i32 {
     match server.local_addr() {
         Ok(addr) => {
-            println!("serving on {addr} with {workers} event loop(s); a SHUTDOWN request stops it")
+            outln!("serving on {addr} with {workers} event loop(s); a SHUTDOWN request stops it")
         }
-        Err(_) => println!("serving on {host}:{port}"),
+        Err(_) => outln!("serving on {host}:{port}"),
     }
     match server.run() {
         Ok(report) => {
-            println!(
+            outln!(
                 "served {} queries over {} connection(s)",
-                report.queries, report.connections
+                report.queries,
+                report.connections
             );
-            println!(
+            outln!(
                 "totals: {} disk accesses, {} segment comps, {} bbox/bucket comps",
                 report.totals.disk.total(),
                 report.totals.seg_comps,
@@ -874,14 +889,14 @@ fn cmd_bench_client(rest: &[String]) -> i32 {
     };
     let map = load_map(path);
     let wb = QueryWorkbench::new(&map, queries, seed);
+    let requests = requests_for(&wb, workload);
 
     if batch_mode {
         // One BATCH frame carrying the whole workload: the server
-        // executes it Morton-sorted over a warm context.
-        let batch = wb.batch(workload);
-        println!(
+        // answers its cache misses in Morton order.
+        outln!(
             "1 batch of {} x {} against {addr}",
-            batch.len(),
+            requests.len(),
             workload.label()
         );
         let mut client = match Client::connect(addr) {
@@ -892,7 +907,7 @@ fn cmd_bench_client(rest: &[String]) -> i32 {
             }
         };
         let t0 = std::time::Instant::now();
-        let items = match client.call_batch(&batch) {
+        let items = match client.call_batch(&requests) {
             Ok(items) => items,
             Err(e) => {
                 eprintln!("batch call failed: {e}");
@@ -909,13 +924,13 @@ fn cmd_bench_client(rest: &[String]) -> i32 {
             result_items += item.result_size() as u64;
         }
         let n = items.len().max(1) as f64;
-        println!(
+        outln!(
             "throughput : {:.0} queries/s ({} queries in {:.3}s, one round trip)",
             n / wall.as_secs_f64().max(1e-9),
             items.len(),
             wall.as_secs_f64()
         );
-        println!(
+        outln!(
             "per query  : {:.2} disk accesses, {:.2} segment comps, {:.2} bbox/bucket comps, {:.2} results",
             totals.disk.total() as f64 / n,
             totals.seg_comps as f64 / n,
@@ -925,15 +940,14 @@ fn cmd_bench_client(rest: &[String]) -> i32 {
         return finish(addr, report_cache, send_shutdown);
     }
 
-    let requests = requests_for(&wb, workload);
     match open_loop_qps {
-        Some(qps) => println!(
+        Some(qps) => outln!(
             "{} x {} against {addr}, {} connection(s), open loop at {qps} queries/s",
             requests.len(),
             workload.label(),
             connections.max(1)
         ),
-        None => println!(
+        None => outln!(
             "{} x {} against {addr}, {} connection(s)",
             requests.len(),
             workload.label(),
@@ -952,13 +966,13 @@ fn cmd_bench_client(rest: &[String]) -> i32 {
         }
     };
     let n = report.queries.max(1) as f64;
-    println!(
+    outln!(
         "throughput : {:.0} queries/s ({} queries in {:.3}s)",
         report.throughput_qps(),
         report.queries,
         report.wall.as_secs_f64()
     );
-    println!(
+    outln!(
         "latency    : p50 {:.0} us, p95 {:.0} us, p99 {:.0} us, p999 {:.0} us, max {:.0} us",
         report.p50().as_secs_f64() * 1e6,
         report.p95().as_secs_f64() * 1e6,
@@ -966,7 +980,7 @@ fn cmd_bench_client(rest: &[String]) -> i32 {
         report.p999().as_secs_f64() * 1e6,
         report.max_latency().as_secs_f64() * 1e6
     );
-    println!(
+    outln!(
         "per query  : {:.2} disk accesses, {:.2} segment comps, {:.2} bbox/bucket comps, {:.2} results",
         report.totals.disk.total() as f64 / n,
         report.totals.seg_comps as f64 / n,
@@ -1049,12 +1063,12 @@ fn bench_multimap(
         .collect();
 
     match target_qps {
-        Some(qps) => println!(
+        Some(qps) => outln!(
             "{queries} x {} across {k} maps (Zipf theta {zipf_theta}) against {addr}, \
              {connections} connection(s), open loop at {qps} queries/s",
             workload.label()
         ),
-        None => println!(
+        None => outln!(
             "{queries} x {} across {k} maps (Zipf theta {zipf_theta}) against {addr}, \
              {connections} connection(s), closed loop",
             workload.label()
@@ -1072,20 +1086,20 @@ fn bench_multimap(
         }
     };
     let n = report.queries.max(1) as f64;
-    println!(
+    outln!(
         "throughput : {:.0} queries/s ({} queries in {:.3}s)",
         report.throughput_qps(),
         report.queries,
         report.wall.as_secs_f64()
     );
-    println!(
+    outln!(
         "latency    : p50 {:.0} us, p99 {:.0} us, p999 {:.0} us, max {:.0} us",
         report.p50().as_secs_f64() * 1e6,
         report.p99().as_secs_f64() * 1e6,
         report.p999().as_secs_f64() * 1e6,
         report.max_latency().as_secs_f64() * 1e6
     );
-    println!(
+    outln!(
         "per query  : {:.2} disk accesses, {:.2} segment comps, {:.2} bbox/bucket comps, {:.2} results",
         report.totals.disk.total() as f64 / n,
         report.totals.seg_comps as f64 / n,
@@ -1095,7 +1109,7 @@ fn bench_multimap(
     match client.stats_v3() {
         Ok(stats) => {
             if stats.budget.total != u64::MAX {
-                println!(
+                outln!(
                     "budget     : {} / {} bytes resident, {} admissions, {} denials",
                     stats.budget.used,
                     stats.budget.total,
@@ -1104,7 +1118,7 @@ fn bench_multimap(
                 );
             }
             for m in stats.maps.iter().filter(|m| m.queries > 0) {
-                println!(
+                outln!(
                     "map {:10}: {} queries, {} disk accesses, cache {}h/{}m/{}e",
                     m.name,
                     m.queries,
@@ -1122,7 +1136,7 @@ fn bench_multimap(
     }
     if send_shutdown {
         match client.shutdown() {
-            Ok(()) => println!("server shutdown requested"),
+            Ok(()) => outln!("server shutdown requested"),
             Err(e) => {
                 eprintln!("shutdown failed: {e}");
                 return 1;
@@ -1139,7 +1153,7 @@ fn finish(addr: std::net::SocketAddr, report_cache: bool, send_shutdown: bool) -
         Ok(mut client) => {
             match client.stats_v3() {
                 Ok(stats) => {
-                    println!(
+                    outln!(
                         "server     : {} queries served since start, {} disk accesses total",
                         stats.queries,
                         stats.totals.disk.total()
@@ -1152,7 +1166,7 @@ fn finish(addr: std::net::SocketAddr, report_cache: bool, send_shutdown: bool) -
             }
             if send_shutdown {
                 match client.shutdown() {
-                    Ok(()) => println!("server shutdown requested"),
+                    Ok(()) => outln!("server shutdown requested"),
                     Err(e) => {
                         eprintln!("shutdown failed: {e}");
                         return 1;
@@ -1184,7 +1198,7 @@ fn print_reply_cache_summary(maps: &[lsdb::server::MapStatsWire]) {
         c.rejections += rc.rejections;
     }
     if !c.enabled {
-        println!("reply cache: off");
+        outln!("reply cache: off");
         return;
     }
     let probes = c.hits + c.misses;
@@ -1193,7 +1207,7 @@ fn print_reply_cache_summary(maps: &[lsdb::server::MapStatsWire]) {
     } else {
         100.0 * c.hits as f64 / probes as f64
     };
-    println!(
+    outln!(
         "reply cache: {} hits / {} misses ({rate:.1}% hit rate), {} entries / {} bytes resident, \
          {} insertions, {} evictions, {} invalidations, {} rejections",
         c.hits,

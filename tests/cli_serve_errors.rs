@@ -3,7 +3,8 @@
 //! another map) must fail fast with a structured message on stderr and a
 //! nonzero exit — before the index build, never as a panic. Likewise
 //! `lsdb query` refuses a query point outside the world with exit 2 (one
-//! failed line with `--stdin`), while a window may have any extent.
+//! failed line with `--stdin`), while a window may have any extent, and
+//! no subcommand panics when the reader of its stdout has gone.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
@@ -264,5 +265,65 @@ fn query_refuses_points_outside_the_world() {
     assert!(stderr.contains("1 line(s) failed"), "{stderr}");
     assert!(stdout.contains("nearest segment"), "{stdout}");
     assert!(stdout.contains("segments in"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_closed_stdout_ends_every_subcommand_without_a_panic() {
+    let dir = temp_dir("closed-stdout");
+    let map = write_map(&dir);
+    let map = map.to_str().unwrap();
+    let copy = dir.join("copy.lsdbmap");
+    for args in [
+        vec!["info", map],
+        vec!["build", map, "--structure", "rplus"],
+        vec![
+            "query",
+            map,
+            "--structure",
+            "pmr",
+            "polygon",
+            "8000",
+            "8000",
+        ],
+        vec![
+            "generate",
+            "--class",
+            "rural",
+            "--segments",
+            "100",
+            "--seed",
+            "3",
+        ],
+        vec!["serve", map, "--structure", "rstar", "--port", "0"],
+    ] {
+        let mut command = lsdb();
+        command.args(&args);
+        if args[0] == "generate" {
+            command.arg("-o").arg(&copy);
+        }
+        let mut child = Serve(
+            command
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("spawn lsdb"),
+        );
+        // The reader goes away before the child has written a line.
+        drop(child.0.stdout.take());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.0.try_wait().unwrap() {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "{args:?} kept running");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let mut stderr = String::new();
+        let mut pipe = child.0.stderr.take().unwrap();
+        pipe.read_to_string(&mut stderr).unwrap();
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(status.code(), Some(0), "{args:?}: {stderr}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
