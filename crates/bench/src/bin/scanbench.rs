@@ -7,11 +7,10 @@
 //! no pool), all in the v2 structure-of-arrays lane layout:
 //!
 //! * **soa-scalar** — the portable blocked-scalar kernel ([`Isa::Scalar`]).
-//! * **soa-sse2** / **soa-avx2** — the explicit `std::arch` kernels with
-//!   movemask survivor extraction (4- and 8-wide; rows appear only when
-//!   the host CPU supports the ISA).
+//! * **soa-avx2** — the explicit 8-wide `std::arch` kernels with movemask
+//!   survivor extraction (rows appear only when the host CPU has AVX2).
 //!
-//! Every SIMD arm must reproduce the scalar arm's survivor aggregate —
+//! The AVX2 arm must reproduce the scalar arm's survivor aggregate —
 //! checked here per cell, and proven survivor-by-survivor in the
 //! differential tests of `lsdb-core`. `--json PATH` additionally writes
 //! the matrix as `BENCH_scan.json` rows.
@@ -88,7 +87,7 @@ struct Cell {
 /// Time one predicate on every host ISA, appending one cell per ISA.
 /// `scan` runs the predicate once on the given arm and returns its
 /// survivor aggregate. The scalar arm is always available and comes first
-/// in [`Isa::ALL`], so its aggregate is the reference every SIMD arm must
+/// in [`Isa::ALL`], so its aggregate is the reference the AVX2 arm must
 /// reproduce.
 fn race(
     cells: &mut Vec<Cell>,

@@ -17,6 +17,7 @@ use lsdb_core::{queries, PolygonalMap, QueryCtx, QueryStats, SpatialIndex};
 use lsdb_geom::Rect;
 use lsdb_pmr::{PmrConfig, PmrQuadtree};
 use lsdb_server::answer_in_morton_order;
+use std::ops::ControlFlow;
 
 /// The seven workloads of the paper's evaluation, in Table 2's order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -234,6 +235,7 @@ impl QueryWorkbench {
         answer_in_morton_order(index, &requests, all, &mut QueryCtx::new(), |_, reply| {
             stats.add(reply.stats().expect("workload queries are answered"));
             result_size += reply.result_size();
+            ControlFlow::Continue(())
         });
         let n = requests.len();
         let nf = n as f64;

@@ -14,6 +14,7 @@ use lsdb_bench::workloads::{QueryWorkbench, Workload};
 use lsdb_bench::{build_index, IndexKind};
 use lsdb_core::{queries, IndexConfig, QueryCtx, SpatialIndex};
 use lsdb_server::{answer_in_morton_order, Reply, Request};
+use std::ops::ControlFlow;
 
 const QUERIES: usize = 500;
 
@@ -75,6 +76,7 @@ fn assert_batch_matches_singletons(index: &dyn SpatialIndex, items: &[Request], 
                 replies[i].replace(reply).is_none(),
                 "{what}: item {i} twice"
             );
+            ControlFlow::Continue(())
         },
     );
     for (i, (item, reply)) in items.iter().zip(replies).enumerate() {

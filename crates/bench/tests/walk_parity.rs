@@ -6,8 +6,9 @@
 //! fetch per incident segment).
 //!
 //! The composition is reached through [`Composed`], which forwards every
-//! `SpatialIndex` method to the structure except `enclosing_polygon`, so
-//! the trait's default runs over the structure's own queries. Every other
+//! `SpatialIndex` method to the structure except `enclosing_polygon` (and
+//! the collectors the trait provides over the streaming queries), so the
+//! trait's default runs over the structure's own queries. Every other
 //! parity suite calls `queries::enclosing_polygon` on both sides; this
 //! test and the counter guard are the ones that compare the engine with
 //! something else.
@@ -45,9 +46,6 @@ impl SpatialIndex for Composed {
     fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-    fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
-        self.0.find_incident(p, ctx)
-    }
     fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
         self.0.find_incident_visit(p, ctx, f)
     }
@@ -59,9 +57,6 @@ impl SpatialIndex for Composed {
     }
     fn nearest_k(&self, p: Point, k: usize, ctx: &mut QueryCtx) -> Vec<SegId> {
         self.0.nearest_k(p, k, ctx)
-    }
-    fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
-        self.0.window(w, ctx)
     }
     fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
         self.0.window_visit(w, ctx, f)

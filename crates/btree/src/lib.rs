@@ -196,16 +196,6 @@ impl BTree {
         out
     }
 
-    /// Number of keys in `[lo, hi]`.
-    pub fn count_range(&mut self, lo: u64, hi: u64) -> u64 {
-        let mut n = 0;
-        let _ = self.scan_range(lo, hi, &mut |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        n
-    }
-
     /// Smallest key `>= lo` within `[lo, hi]`, if any.
     pub fn first_in_range(&mut self, lo: u64, hi: u64) -> Option<u64> {
         let mut found = None;
@@ -235,20 +225,6 @@ impl BTree {
     // sum. Build and maintenance stay on the exclusive (&mut) methods.
     // ------------------------------------------------------------------
 
-    /// Exact-key membership test on the shared read path.
-    pub fn contains_ctx(&self, key: u64, ctx: &mut PoolCtx) -> bool {
-        let mut pid = self.root;
-        let mut level = self.height;
-        loop {
-            let buf = self.pool.read_page(pid, ctx);
-            if level == 1 {
-                return LeafView::search(buf, key).is_ok();
-            }
-            pid = InternalView::child_for(buf, key);
-            level -= 1;
-        }
-    }
-
     /// Visit all keys in `[lo, hi]` ascending, on the shared read path.
     pub fn scan_range_ctx(
         &self,
@@ -261,36 +237,6 @@ impl BTree {
             return ControlFlow::Continue(());
         }
         self.scan_rec_ctx(self.root, self.height, lo, hi, ctx, f)
-    }
-
-    /// Collect all keys in `[lo, hi]`, on the shared read path.
-    pub fn collect_range_ctx(&self, lo: u64, hi: u64, ctx: &mut PoolCtx) -> Vec<u64> {
-        let mut out = Vec::new();
-        let _ = self.scan_range_ctx(lo, hi, ctx, &mut |k| {
-            out.push(k);
-            ControlFlow::Continue(())
-        });
-        out
-    }
-
-    /// Number of keys in `[lo, hi]`, on the shared read path.
-    pub fn count_range_ctx(&self, lo: u64, hi: u64, ctx: &mut PoolCtx) -> u64 {
-        let mut n = 0;
-        let _ = self.scan_range_ctx(lo, hi, ctx, &mut |_| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        n
-    }
-
-    /// Smallest key `>= lo` within `[lo, hi]`, on the shared read path.
-    pub fn first_in_range_ctx(&self, lo: u64, hi: u64, ctx: &mut PoolCtx) -> Option<u64> {
-        let mut found = None;
-        let _ = self.scan_range_ctx(lo, hi, ctx, &mut |k| {
-            found = Some(k);
-            ControlFlow::Break(())
-        });
-        found
     }
 
     /// Largest key `<= hi` within `[lo, hi]` (the predecessor search linear
@@ -880,6 +826,16 @@ mod tests {
         BTree::new(BufferPool::new(64, 8))
     }
 
+    /// The keys of `[lo, hi]`, read through [`BTree::scan_range_ctx`].
+    fn keys_ctx(t: &BTree, lo: u64, hi: u64, ctx: &mut PoolCtx) -> Vec<u64> {
+        let mut out = Vec::new();
+        let _ = t.scan_range_ctx(lo, hi, ctx, &mut |k| {
+            out.push(k);
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
     #[test]
     fn empty_tree() {
         let mut t = tiny();
@@ -942,7 +898,7 @@ mod tests {
         assert_eq!(t.collect_range(101, 109), vec![]);
         assert_eq!(t.collect_range(0, 0), vec![0]);
         assert_eq!(t.collect_range(991, u64::MAX), vec![]);
-        assert_eq!(t.count_range(0, 990), 100);
+        assert_eq!(t.collect_range(0, 990).len(), 100);
         assert_eq!(t.first_in_range(55, 1000), Some(60));
         assert_eq!(t.first_in_range(991, u64::MAX), None);
         // Inverted range is empty.
@@ -1070,25 +1026,14 @@ mod tests {
             t.insert(k);
         }
         let mut ctx = PoolCtx::new();
-        for probe in [0, 1, 3, 299 * 3, 900, u64::MAX] {
-            let expect = t.contains(probe);
-            assert_eq!(t.contains_ctx(probe, &mut ctx), expect);
-        }
-        assert_eq!(
-            t.collect_range_ctx(10, 200, &mut ctx),
-            t.collect_range(10, 200)
-        );
-        assert_eq!(t.count_range_ctx(0, u64::MAX, &mut ctx), 300);
-        assert_eq!(
-            t.first_in_range_ctx(100, 200, &mut ctx),
-            t.first_in_range(100, 200)
-        );
+        assert_eq!(keys_ctx(&t, 10, 200, &mut ctx), t.collect_range(10, 200));
+        assert_eq!(keys_ctx(&t, 0, u64::MAX, &mut ctx).len(), 300);
         assert_eq!(
             t.last_in_range_ctx(100, 200, &mut ctx),
             t.last_in_range(100, 200)
         );
         assert_eq!(t.last_in_range_ctx(1, 2, &mut ctx), None);
-        assert_eq!(t.collect_range_ctx(50, 10, &mut ctx), vec![]);
+        assert_eq!(keys_ctx(&t, 50, 10, &mut ctx), vec![]);
     }
 
     #[test]
@@ -1101,7 +1046,7 @@ mod tests {
         t.pool_mut().clear();
         t.pool_mut().reset_stats();
         let mut ctx = PoolCtx::new();
-        assert!(t.contains_ctx(250, &mut ctx));
+        assert_eq!(t.last_in_range_ctx(250, 250, &mut ctx), Some(250));
         assert_eq!(
             ctx.stats.reads as u32,
             t.height(),
@@ -1114,7 +1059,7 @@ mod tests {
         );
         // Re-walking the same path in the same query is free.
         let before = ctx.stats.reads;
-        assert!(t.contains_ctx(250, &mut ctx));
+        assert_eq!(t.last_in_range_ctx(250, 250, &mut ctx), Some(250));
         assert_eq!(ctx.stats.reads, before);
     }
 
@@ -1209,7 +1154,7 @@ mod tests {
                     scope.spawn(move || {
                         let mut ctx = PoolCtx::new();
                         let lo = i * 50;
-                        let keys = t.collect_range_ctx(lo, lo + 99, &mut ctx);
+                        let keys = keys_ctx(t, lo, lo + 99, &mut ctx);
                         assert_eq!(keys, (lo..=lo + 99).collect::<Vec<_>>());
                         assert!(ctx.stats.reads > 0, "cold scan must fault");
                     })

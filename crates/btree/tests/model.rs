@@ -9,6 +9,7 @@ use lsdb_btree::BTree;
 use lsdb_pager::{BufferPool, PoolCtx};
 use lsdb_rng::StdRng;
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -17,7 +18,8 @@ enum Op {
     Contains(u64),
     Range(u64, u64),
     First(u64, u64),
-    Count(u64, u64),
+    /// A shared-path scan that stops after three keys.
+    Scan(u64, u64),
 }
 
 /// Small key domain (0..512) so inserts and removes collide often.
@@ -42,9 +44,19 @@ fn gen_op(rng: &mut StdRng) -> Op {
         }
         _ => {
             let (lo, hi) = span(rng);
-            Op::Count(lo, hi)
+            Op::Scan(lo, hi)
         }
     }
+}
+
+/// The keys of `[lo, hi]` read through [`BTree::scan_range_ctx`].
+fn keys_ctx(tree: &BTree, lo: u64, hi: u64, ctx: &mut PoolCtx) -> Vec<u64> {
+    let mut out = Vec::new();
+    let _ = tree.scan_range_ctx(lo, hi, ctx, &mut |k| {
+        out.push(k);
+        ControlFlow::Continue(())
+    });
+    out
 }
 
 fn run_model(page_size: usize, pool_pages: usize, ops: &[Op]) {
@@ -61,15 +73,13 @@ fn run_model(page_size: usize, pool_pages: usize, ops: &[Op]) {
             }
             Op::Contains(k) => {
                 assert_eq!(tree.contains(k), model.contains(&k), "contains {k}");
-                ctx.reset();
-                assert_eq!(tree.contains_ctx(k, &mut ctx), model.contains(&k));
             }
             Op::Range(lo, hi) => {
                 let got = tree.collect_range(lo, hi);
                 let want: Vec<u64> = model.range(lo..=hi).copied().collect();
                 assert_eq!(got, want, "range {lo}..={hi}");
                 ctx.reset();
-                assert_eq!(tree.collect_range_ctx(lo, hi, &mut ctx), want);
+                assert_eq!(keys_ctx(&tree, lo, hi, &mut ctx), want);
             }
             Op::First(lo, hi) => {
                 let got = tree.first_in_range(lo, hi);
@@ -79,14 +89,22 @@ fn run_model(page_size: usize, pool_pages: usize, ops: &[Op]) {
                 let want_last = model.range(lo..=hi).next_back().copied();
                 assert_eq!(got_last, want_last, "last {lo}..={hi}");
                 ctx.reset();
-                assert_eq!(tree.first_in_range_ctx(lo, hi, &mut ctx), want);
                 assert_eq!(tree.last_in_range_ctx(lo, hi, &mut ctx), want_last);
             }
-            Op::Count(lo, hi) => {
-                let want = model.range(lo..=hi).count() as u64;
-                assert_eq!(tree.count_range(lo, hi), want);
+            Op::Scan(lo, hi) => {
+                let want: Vec<u64> = model.range(lo..=hi).take(3).copied().collect();
+                let mut got = Vec::new();
                 ctx.reset();
-                assert_eq!(tree.count_range_ctx(lo, hi, &mut ctx), want);
+                let flow = tree.scan_range_ctx(lo, hi, &mut ctx, &mut |k| {
+                    got.push(k);
+                    if got.len() == 3 {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                });
+                assert_eq!(got, want, "scan {lo}..={hi}, stop after 3");
+                assert_eq!(flow.is_break(), want.len() == 3);
             }
         }
         assert_eq!(tree.len(), model.len() as u64);

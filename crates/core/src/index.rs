@@ -99,19 +99,18 @@ pub trait SpatialIndex: Send + Sync {
         self.len() == 0
     }
 
-    /// Query 1: all segments with an endpoint exactly at `p`.
-    fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId>;
+    /// Query 1, streaming: invoke `f` once per segment with an endpoint
+    /// exactly at `p`. Compositions that fire many incidence queries in a
+    /// row (the polygon walk of query 4) call this with a reused buffer.
+    fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId));
 
-    /// Streaming query 1: invoke `f` once per incident segment instead of
-    /// materializing a result vector. Compositions that fire many
-    /// incidence queries in a row (the polygon walk of query 4) call this
-    /// with a reused buffer. Structures with a native traversal override
-    /// it; the default delegates to [`SpatialIndex::find_incident`].
-    /// Identical result set, order and counters either way.
-    fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
-        for id in self.find_incident(p, ctx) {
-            f(id);
-        }
+    /// Query 1: all segments with an endpoint exactly at `p`, collected
+    /// from [`SpatialIndex::find_incident_visit`] (same order, same
+    /// counters).
+    fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
+        let mut out = Vec::new();
+        self.find_incident_visit(p, ctx, &mut |id| out.push(id));
+        out
     }
 
     /// Locate the leaf (or bucket) containing `p` without fetching any
@@ -177,19 +176,18 @@ pub trait SpatialIndex: Send + Sync {
         }
     }
 
-    /// Query 5: all segments intersecting the closed window `w`, without
-    /// duplicates.
-    fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId>;
-
-    /// Streaming query 5: invoke `f` once per matching segment instead of
-    /// materializing a result vector. Structures with a native traversal
-    /// override this to avoid the allocation; the default delegates to
-    /// [`SpatialIndex::window`]. Visit order is structure-defined but
+    /// Query 5, streaming: invoke `f` once per segment intersecting the
+    /// closed window `w`. Visit order is structure-defined but
     /// deterministic; no segment is visited twice.
-    fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
-        for id in self.window(w, ctx) {
-            f(id);
-        }
+    fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId));
+
+    /// Query 5: all segments intersecting the closed window `w`, without
+    /// duplicates, collected from [`SpatialIndex::window_visit`] (same
+    /// order, same counters).
+    fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
+        let mut out = Vec::new();
+        self.window_visit(w, ctx, &mut |id| out.push(id));
+        out
     }
 
     /// Query 4: walk the boundary of the face containing `p` (see

@@ -767,12 +767,12 @@ mod tests {
         fn len(&self) -> usize {
             self.alive.len()
         }
-        fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
+        fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
             self.alive
                 .iter()
                 .copied()
                 .filter(|&id| self.table.get(id, ctx).has_endpoint(p))
-                .collect()
+                .for_each(f);
         }
         fn nearest(&self, p: Point, ctx: &mut QueryCtx) -> Option<SegId> {
             self.alive
@@ -782,12 +782,12 @@ mod tests {
                 .min()
                 .map(|(_, id)| id)
         }
-        fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
+        fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
             self.alive
                 .iter()
                 .copied()
                 .filter(|&id| w.intersects_segment(&self.table.get(id, ctx)))
-                .collect()
+                .for_each(f);
         }
         fn stats(&self) -> QueryStats {
             QueryStats::default()

@@ -221,14 +221,14 @@ mod tests {
         fn len(&self) -> usize {
             self.map.len()
         }
-        fn find_incident(&self, p: Point, _ctx: &mut QueryCtx) -> Vec<SegId> {
-            brute::incident(&self.map, p)
+        fn find_incident_visit(&self, p: Point, _ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
+            brute::incident(&self.map, p).into_iter().for_each(f);
         }
         fn nearest(&self, p: Point, _ctx: &mut QueryCtx) -> Option<SegId> {
             brute::nearest(&self.map, p).map(|(id, _)| id)
         }
-        fn window(&self, w: Rect, _ctx: &mut QueryCtx) -> Vec<SegId> {
-            brute::window(&self.map, w)
+        fn window_visit(&self, w: Rect, _ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
+            brute::window(&self.map, w).into_iter().for_each(f);
         }
         fn stats(&self) -> QueryStats {
             QueryStats::default()

@@ -11,24 +11,22 @@
 //! * read the page bytes **in place** through an [`EntryScan`] view over
 //!   the v2 lane layout of [`RectNode`] pages (no intermediate
 //!   `Vec<Entry>`), and
-//! * evaluate the rectangle predicate with explicit `std::arch` x86-64
-//!   intrinsics: 8 entries per step with AVX2, 4 with SSE2, each step one
-//!   vector compare per lane followed by **movemask survivor
-//!   extraction** — the surviving entries drop out of a single scalar
-//!   bit-walk over the mask, in storage order. This is the SIMD-ified
-//!   R-tree scanning design: a structure-of-arrays node layout turns each
-//!   predicate operand into one contiguous vector load, where the old
-//!   interleaved layout needed a gather.
+//! * evaluate the rectangle predicate with explicit `std::arch` AVX2
+//!   intrinsics: 8 entries per step, each step one vector compare per
+//!   lane followed by **movemask survivor extraction** — the surviving
+//!   entries drop out of a single scalar bit-walk over the mask, in
+//!   storage order. This is the SIMD-ified R-tree scanning design: a
+//!   structure-of-arrays node layout turns each predicate operand into one
+//!   contiguous vector load, where the old interleaved layout needed a
+//!   gather.
 //!
-//! The instruction set is picked once per process ([`active_isa`]) via
-//! `is_x86_feature_detected!` — eagerly warmed at pool-open time by the
-//! index constructors — with the portable scalar blocks kept as the
-//! fallback for non-x86-64 targets and for the `LSDB_FORCE_SCALAR=1`
-//! override (set it to pin the scalar path regardless of CPU; CI runs the
-//! differential suite and the counter guard under both arms). Every ISA
-//! arm emits identical survivors in identical order and returns identical
-//! scan counts; `tests/kernel_differential.rs` in this crate proves it
-//! exhaustively.
+//! Each kernel runs on AVX2 exactly when the CPU has it
+//! ([`active_isa`], std's cached `is_x86_feature_detected!`); the portable
+//! blocked-scalar arm is the only one on other targets and CPUs, and the
+//! reference the AVX2 arm is checked against. Both arms emit identical
+//! survivors in identical order and return identical scan counts;
+//! `tests/kernel_differential.rs` in this crate proves it exhaustively,
+//! so replies and counters do not depend on the arm.
 //!
 //! The kernels are *counter-transparent*: each returns the number of
 //! entries scanned, which is exactly the `bbox_comps` charge the caller
@@ -45,11 +43,10 @@
 use crate::rectnode::{Entry, RectNode, HDR};
 use lsdb_geom::{Point, Rect};
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Widest kernel batch: 8 × i32 lanes per AVX2 step (SSE2 runs 4, the
-/// scalar fallback blocks by 8 for auto-vectorization). Differential
-/// tests straddle this width to cover ragged tails.
+/// Kernel batch: 8 × i32 lanes per AVX2 step (the scalar arm blocks by 8
+/// for auto-vectorization). Differential tests straddle this width to
+/// cover ragged tails.
 pub const LANES: usize = 8;
 
 /// A zero-copy view of one [`RectNode`] page's entry lanes.
@@ -135,19 +132,16 @@ impl<'a> EntryScan<'a> {
 pub enum Isa {
     /// Portable blocked-scalar fallback (also what LLVM auto-vectorizes).
     Scalar,
-    /// 4-wide `std::arch` x86-64 SSE2 intrinsics.
-    Sse2,
     /// 8-wide `std::arch` x86-64 AVX2 intrinsics.
     Avx2,
 }
 
 impl Isa {
-    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Sse2, Isa::Avx2];
+    pub const ALL: [Isa; 2] = [Isa::Scalar, Isa::Avx2];
 
     pub fn label(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
         }
     }
@@ -157,50 +151,18 @@ impl Isa {
         match self {
             Isa::Scalar => true,
             #[cfg(target_arch = "x86_64")]
-            Isa::Sse2 => true, // baseline on x86-64
-            #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
-            _ => false,
+            Isa::Avx2 => false,
         }
     }
 }
 
-/// Cached process-wide selection: 0 = undecided, else `Isa` + 1.
-static ACTIVE_ISA: AtomicU8 = AtomicU8::new(0);
-
-/// The ISA the dispatching kernels use. Decided once per process — the
-/// index constructors call this at pool-open time, so by the time a query
-/// runs the answer is a cached atomic load. Honors the
-/// `LSDB_FORCE_SCALAR=1` environment override (any value other than `0`
-/// forces the scalar arm); otherwise picks the widest ISA
-/// `is_x86_feature_detected!` reports.
+/// The ISA the dispatching kernels use: AVX2 exactly when the CPU has it
+/// (std caches the feature probe, so this is a load and a test).
 pub fn active_isa() -> Isa {
-    match ACTIVE_ISA.load(Ordering::Relaxed) {
-        1 => Isa::Scalar,
-        2 => Isa::Sse2,
-        3 => Isa::Avx2,
-        _ => {
-            let isa = select_isa();
-            let code = match isa {
-                Isa::Scalar => 1,
-                Isa::Sse2 => 2,
-                Isa::Avx2 => 3,
-            };
-            ACTIVE_ISA.store(code, Ordering::Relaxed);
-            isa
-        }
-    }
-}
-
-fn select_isa() -> Isa {
-    if std::env::var_os("LSDB_FORCE_SCALAR").is_some_and(|v| v != *"0") {
-        return Isa::Scalar;
-    }
     if Isa::Avx2.available() {
         Isa::Avx2
-    } else if Isa::Sse2.available() {
-        Isa::Sse2
     } else {
         Isa::Scalar
     }
@@ -228,8 +190,6 @@ pub fn scan_intersecting_with(
     match isa {
         Isa::Scalar => intersect_scalar(scan, w, &mut f),
         #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => unsafe { intersect_sse2(scan, w, &mut f) },
-        #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { intersect_avx2(scan, w, &mut f) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => intersect_scalar(scan, w, &mut f),
@@ -253,8 +213,6 @@ pub fn scan_containing_point_with(
 ) -> usize {
     match isa {
         Isa::Scalar => contain_scalar(scan, p, &mut f),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => unsafe { contain_sse2(scan, p, &mut f) },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { contain_avx2(scan, p, &mut f) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -284,8 +242,6 @@ pub fn scan_min_dist2_with(
 ) -> usize {
     match isa {
         Isa::Scalar => dist2_scalar(scan, p, &mut f),
-        #[cfg(target_arch = "x86_64")]
-        Isa::Sse2 => unsafe { dist2_sse2(scan, p, &mut f) },
         #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => unsafe { dist2_avx2(scan, p, &mut f) },
         #[cfg(not(target_arch = "x86_64"))]
@@ -383,10 +339,10 @@ fn dist2_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry, i64)) {
 }
 
 // ----------------------------------------------------------------------
-// x86-64 SIMD arms
+// x86-64 AVX2 arm
 // ----------------------------------------------------------------------
 //
-// Shape shared by all six: broadcast the query operand, then per step
+// Shape shared by all three: broadcast the query operand, then per step
 // load one vector from each coordinate lane, combine the four per-lane
 // compares into a *miss* vector (a rectangle fails a closed-bounds test
 // iff some strict `>` holds), movemask it, invert, and walk the set bits
@@ -403,11 +359,6 @@ mod x86 {
     #[inline(always)]
     unsafe fn load8(scan: &EntryScan, lane: usize, i: usize) -> __m256i {
         unsafe { _mm256_loadu_si256(scan.lane_ptr(lane, i) as *const __m256i) }
-    }
-
-    #[inline(always)]
-    unsafe fn load4(scan: &EntryScan, lane: usize, i: usize) -> __m128i {
-        unsafe { _mm_loadu_si128(scan.lane_ptr(lane, i) as *const __m128i) }
     }
 
     /// Walk the set bits of `keep` in ascending order.
@@ -470,34 +421,6 @@ mod x86 {
         }
     }
 
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn intersect_sse2(scan: &EntryScan, w: &Rect, f: &mut impl FnMut(Entry)) {
-        let n = scan.count;
-        unsafe { prefetch_lanes(scan) };
-        let (wminx, wmaxx) = (_mm_set1_epi32(w.min.x), _mm_set1_epi32(w.max.x));
-        let (wminy, wmaxy) = (_mm_set1_epi32(w.min.y), _mm_set1_epi32(w.max.y));
-        let mut i = 0;
-        while i + 4 <= n {
-            let xlo = load4(scan, 0, i);
-            let ylo = load4(scan, 1, i);
-            let xhi = load4(scan, 2, i);
-            let yhi = load4(scan, 3, i);
-            let miss = _mm_or_si128(
-                _mm_or_si128(_mm_cmpgt_epi32(wminx, xhi), _mm_cmpgt_epi32(xlo, wmaxx)),
-                _mm_or_si128(_mm_cmpgt_epi32(wminy, yhi), _mm_cmpgt_epi32(ylo, wmaxy)),
-            );
-            let keep = !(_mm_movemask_ps(_mm_castsi128_ps(miss)) as u32) & 0xF;
-            each_bit(keep, |j| f(scan.get(i + j)));
-            i += 4;
-        }
-        for k in i..n {
-            let e = scan.get(k);
-            if w.intersects(&e.rect) {
-                f(e);
-            }
-        }
-    }
-
     #[target_feature(enable = "avx2")]
     pub unsafe fn contain_avx2(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry)) {
         let n = scan.count;
@@ -517,34 +440,6 @@ mod x86 {
             let keep = !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & 0xFF;
             each_bit(keep, |j| f(scan.get(i + j)));
             i += 8;
-        }
-        for k in i..n {
-            let e = scan.get(k);
-            if e.rect.contains_point(p) {
-                f(e);
-            }
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn contain_sse2(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry)) {
-        let n = scan.count;
-        unsafe { prefetch_lanes(scan) };
-        let px = _mm_set1_epi32(p.x);
-        let py = _mm_set1_epi32(p.y);
-        let mut i = 0;
-        while i + 4 <= n {
-            let xlo = load4(scan, 0, i);
-            let ylo = load4(scan, 1, i);
-            let xhi = load4(scan, 2, i);
-            let yhi = load4(scan, 3, i);
-            let miss = _mm_or_si128(
-                _mm_or_si128(_mm_cmpgt_epi32(xlo, px), _mm_cmpgt_epi32(px, xhi)),
-                _mm_or_si128(_mm_cmpgt_epi32(ylo, py), _mm_cmpgt_epi32(py, yhi)),
-            );
-            let keep = !(_mm_movemask_ps(_mm_castsi128_ps(miss)) as u32) & 0xF;
-            each_bit(keep, |j| f(scan.get(i + j)));
-            i += 4;
         }
         for k in i..n {
             let e = scan.get(k);
@@ -602,60 +497,10 @@ mod x86 {
             f(e, e.rect.dist2_point(p));
         }
     }
-
-    /// `max(a, b)` on i32 lanes without SSE4.1's `pmaxsd`.
-    #[inline(always)]
-    unsafe fn max_epi32_sse2(a: __m128i, b: __m128i) -> __m128i {
-        unsafe {
-            let gt = _mm_cmpgt_epi32(a, b);
-            _mm_or_si128(_mm_and_si128(gt, a), _mm_andnot_si128(gt, b))
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn dist2_sse2(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry, i64)) {
-        let n = scan.count;
-        unsafe { prefetch_lanes(scan) };
-        let px = _mm_set1_epi32(p.x);
-        let py = _mm_set1_epi32(p.y);
-        let zero = _mm_setzero_si128();
-        let mut i = 0;
-        let mut even = [0i64; 2];
-        let mut odd = [0i64; 2];
-        while i + 4 <= n {
-            let xlo = load4(scan, 0, i);
-            let ylo = load4(scan, 1, i);
-            let xhi = load4(scan, 2, i);
-            let yhi = load4(scan, 3, i);
-            let dx = max_epi32_sse2(
-                max_epi32_sse2(_mm_sub_epi32(xlo, px), _mm_sub_epi32(px, xhi)),
-                zero,
-            );
-            let dy = max_epi32_sse2(
-                max_epi32_sse2(_mm_sub_epi32(ylo, py), _mm_sub_epi32(py, yhi)),
-                zero,
-            );
-            let d2_even = _mm_add_epi64(_mm_mul_epu32(dx, dx), _mm_mul_epu32(dy, dy));
-            let dx_o = _mm_srli_epi64(dx, 32);
-            let dy_o = _mm_srli_epi64(dy, 32);
-            let d2_odd = _mm_add_epi64(_mm_mul_epu32(dx_o, dx_o), _mm_mul_epu32(dy_o, dy_o));
-            _mm_storeu_si128(even.as_mut_ptr() as *mut __m128i, d2_even);
-            _mm_storeu_si128(odd.as_mut_ptr() as *mut __m128i, d2_odd);
-            for j in 0..4 {
-                let d = if j & 1 == 0 { even[j / 2] } else { odd[j / 2] };
-                f(scan.get(i + j), d);
-            }
-            i += 4;
-        }
-        for k in i..n {
-            let e = scan.get(k);
-            f(e, e.rect.dist2_point(p));
-        }
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{contain_avx2, contain_sse2, dist2_avx2, dist2_sse2, intersect_avx2, intersect_sse2};
+use x86::{contain_avx2, dist2_avx2, intersect_avx2};
 
 // ----------------------------------------------------------------------
 // Byte-array micro-kernels (non-rectangle structures)
@@ -852,6 +697,11 @@ mod tests {
     fn active_isa_is_cached_and_available() {
         let isa = active_isa();
         assert!(isa.available());
+        assert_eq!(
+            isa == Isa::Avx2,
+            Isa::Avx2.available(),
+            "AVX2 whenever the CPU has it"
+        );
         assert_eq!(active_isa(), isa, "selection is sticky");
     }
 

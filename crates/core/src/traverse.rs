@@ -429,16 +429,7 @@ fn point_hits<A: NodeAccess>(
     loc
 }
 
-/// Query 1 engine: all segments with an endpoint exactly at `p`.
-pub fn find_incident<A: NodeAccess>(acc: &A, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
-    with_scratch(ctx, |s, ctx| {
-        point_hits(acc, p, false, s, ctx);
-        s.hits.iter().map(|&(id, _)| id).collect()
-    })
-}
-
-/// Query 1 engine, streaming: like [`find_incident`] but emitting into a
-/// caller-owned sink. Identical traversal, identical counters.
+/// Query 1 engine: emit every segment with an endpoint exactly at `p`.
 pub fn incident_visit<A: NodeAccess>(
     acc: &A,
     p: Point,
@@ -475,13 +466,6 @@ pub fn window_visit<A: NodeAccess>(acc: &A, w: Rect, ctx: &mut QueryCtx, f: &mut
             }
         });
     })
-}
-
-/// Query 5 engine, materializing.
-pub fn window<A: NodeAccess>(acc: &A, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
-    let mut out = Vec::new();
-    window_visit(acc, w, ctx, &mut |id| out.push(id));
-    out
 }
 
 /// The incremental best-first loop under every nearest-neighbor entry

@@ -1,11 +1,11 @@
-//! Differential tests for the SIMD scan kernels: every ISA arm the host
-//! can run (scalar always; SSE2/AVX2 where detected) must emit identical
+//! Differential tests for the SIMD scan kernels: both ISA arms the host
+//! can run (scalar always; AVX2 where detected) must emit identical
 //! survivors, in identical storage order, with identical scan counts —
-//! over randomized pages and over the adversarial shapes the vector paths
+//! over randomized pages and over the adversarial shapes the vector path
 //! could plausibly get wrong:
 //!
-//! * ragged tails (`n % 8 != 0`, `n % 4 != 0`, and sub-block pages that
-//!   never enter the vector loop at all),
+//! * ragged tails (`n % 8 != 0` and sub-block pages that never enter the
+//!   vector loop at all),
 //! * zero-area rectangles (degenerate on one or both axes — axis-aligned
 //!   segments produce these constantly),
 //! * `i32::MIN` / `i32::MAX` coordinates for the comparison predicates
@@ -13,9 +13,10 @@
 //!   `±2^30` domain edge for the distance kernel,
 //! * empty nodes and full pages at the paper's 50-entry capacity.
 //!
-//! The scalar arm is itself differential against the naive per-entry
-//! `Rect` predicates, so all three arms chain back to the geometry crate's
-//! single source of truth.
+//! Every arm is checked against the naive per-entry `Rect` predicates,
+//! the scalar arm's own output included, so the AVX2 arm agrees with the
+//! scalar arm and both chain back to the geometry crate's single source
+//! of truth.
 
 use lsdb_core::rectnode::{Entry, RectNode, ENTRY, HDR};
 use lsdb_core::scan::{
@@ -25,7 +26,7 @@ use lsdb_geom::{Point, Rect};
 use lsdb_rng::StdRng;
 
 /// Every ISA the host can actually execute. Scalar is always present, so
-/// the agreement checks are non-trivial even on a SSE2-only runner.
+/// the agreement checks are non-trivial even on a runner without AVX2.
 fn isas() -> Vec<Isa> {
     Isa::ALL.into_iter().filter(|i| i.available()).collect()
 }
@@ -108,8 +109,8 @@ fn assert_all_agree(entries: &[Entry], w: &Rect, p: Point, label: &str) {
 #[test]
 fn randomized_pages_agree_across_isas() {
     let mut rng = StdRng::seed_from_u64(0xD1FF);
-    // Sizes straddle both vector widths: sub-block, exact blocks for 4 and
-    // 8, every tail residue mod 8, and the paper's 50-entry full page.
+    // Sizes straddle the vector width: sub-block, exact blocks, every tail
+    // residue mod 8, and the paper's 50-entry full page.
     for n in [
         0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 23, 31, 32, 33, 50,
     ] {
@@ -252,42 +253,4 @@ fn empty_and_single_entry_nodes() {
     assert_all_agree(&[], &w, p, "empty");
     assert_all_agree(&[e(0, 0, 0, 0, 0)], &w, p, "single hit");
     assert_all_agree(&[e(100, 100, 200, 200, 0)], &w, p, "single miss");
-}
-
-#[test]
-fn forced_scalar_override_is_respected_in_child_process() {
-    // `LSDB_FORCE_SCALAR` is read once per process, so test it in a
-    // child: re-run this test binary with the variable set and a marker
-    // test filtered in.
-    if std::env::var_os("LSDB_SCALAR_CHILD").is_some() {
-        return; // the child runs only the marker test below
-    }
-    let exe = std::env::current_exe().unwrap();
-    let out = std::process::Command::new(exe)
-        .args([
-            "--exact",
-            "child_marker_active_isa_is_scalar",
-            "--nocapture",
-        ])
-        .env("LSDB_FORCE_SCALAR", "1")
-        .env("LSDB_SCALAR_CHILD", "1")
-        .output()
-        .expect("spawn child test");
-    assert!(
-        out.status.success(),
-        "forced-scalar child failed:\nstdout: {}\nstderr: {}",
-        String::from_utf8_lossy(&out.stdout),
-        String::from_utf8_lossy(&out.stderr)
-    );
-}
-
-#[test]
-fn child_marker_active_isa_is_scalar() {
-    // Meaningful only when spawned by the test above with the override
-    // set; a bare run (no override) just confirms the cache works.
-    let isa = lsdb_core::scan::active_isa();
-    if std::env::var_os("LSDB_SCALAR_CHILD").is_some() {
-        assert_eq!(isa, Isa::Scalar, "LSDB_FORCE_SCALAR=1 must pin scalar");
-    }
-    assert!(isa.available());
 }

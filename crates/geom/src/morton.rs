@@ -103,11 +103,6 @@ impl Block {
         self.closed_region().intersects_segment(seg)
     }
 
-    /// Does a point lie in this block's (closed) region?
-    pub fn region_touches_point(&self, p: Point) -> bool {
-        self.closed_region().contains_point(p)
-    }
-
     /// Morton locational code of the lower-left corner.
     pub fn code(&self) -> u32 {
         interleave(self.x as u32, self.y as u32)

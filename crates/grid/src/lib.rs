@@ -69,10 +69,6 @@ impl UniformGrid {
         t
     }
 
-    pub fn cells_per_side(&self) -> i32 {
-        self.g
-    }
-
     fn cell_side(&self) -> i32 {
         WORLD_SIZE / self.g
     }
@@ -384,10 +380,6 @@ impl SpatialIndex for UniformGrid {
         self.len
     }
 
-    fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
-        traverse::find_incident(self, p, ctx)
-    }
-
     fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
         traverse::incident_visit(self, p, ctx, f);
     }
@@ -420,10 +412,6 @@ impl SpatialIndex for UniformGrid {
             return None;
         }
         traverse::polygon_walk(self, p, max_steps, ctx)
-    }
-
-    fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
-        traverse::window(self, w, ctx)
     }
 
     fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {

@@ -121,12 +121,6 @@ impl PmrQuadtree {
         self.threshold
     }
 
-    /// Height of the underlying B-tree (the paper observes 4 at county
-    /// scale).
-    pub fn btree_height(&self) -> u32 {
-        self.btree.height()
-    }
-
     /// All leaf blocks of the current decomposition, in Z-order. Feeds the
     /// paper's 2-stage query-point generator ("we first generated the PMR
     /// quadtree block at random using a uniform distribution based on the
@@ -680,10 +674,6 @@ impl SpatialIndex for PmrQuadtree {
         self.len
     }
 
-    fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
-        traverse::find_incident(self, p, ctx)
-    }
-
     fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
         traverse::incident_visit(self, p, ctx, f);
     }
@@ -716,10 +706,6 @@ impl SpatialIndex for PmrQuadtree {
             return None;
         }
         traverse::polygon_walk(self, p, max_steps, ctx)
-    }
-
-    fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
-        traverse::window(self, w, ctx)
     }
 
     fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {

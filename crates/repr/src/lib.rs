@@ -303,21 +303,21 @@ impl SpatialIndex for ReprGrid {
         self.len
     }
 
-    fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
+    fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
         // The canonical endpoint may sit in either role: two 2-d slabs of
         // g² buckets each.
-        let mut out = Vec::new();
+        let mut seen = Vec::new();
         for (ai, aj) in [(0, 1), (2, 3)] {
             for flat in self.slab_cells(ai, aj, p.x, p.y) {
                 for id in self.bucket_ids_ctx(flat, ctx) {
                     let seg = self.table.get(id, ctx);
-                    if seg.has_endpoint(p) && !out.contains(&id) {
-                        out.push(id);
+                    if seg.has_endpoint(p) && !seen.contains(&id) {
+                        seen.push(id);
+                        f(id);
                     }
                 }
             }
         }
-        out
     }
 
     fn nearest(&self, p: Point, ctx: &mut QueryCtx) -> Option<SegId> {
@@ -360,12 +360,6 @@ impl SpatialIndex for ReprGrid {
             }
         }
         best.map(|(_, id)| id)
-    }
-
-    fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
-        let mut out = Vec::new();
-        self.window_visit(w, ctx, &mut |id| out.push(id));
-        out
     }
 
     fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {

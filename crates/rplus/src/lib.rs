@@ -67,9 +67,6 @@ pub struct RPlusTree {
 
 impl RPlusTree {
     pub fn new(table: SegmentTable, cfg: IndexConfig) -> Self {
-        // Pool-open time is when the scan ISA is decided: warm the cached
-        // selection so the first query pays a plain atomic load.
-        lsdb_core::scan::active_isa();
         let mut pool = BufferPool::new(cfg.page_size, cfg.pool_pages);
         let m_max = RectNode::capacity(cfg.page_size);
         assert!(m_max >= 4, "page too small for an R+-tree node");
@@ -682,10 +679,6 @@ impl SpatialIndex for RPlusTree {
         self.len
     }
 
-    fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
-        traverse::find_incident(&self.access(), p, ctx)
-    }
-
     fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
         traverse::incident_visit(&self.access(), p, ctx, f);
     }
@@ -718,10 +711,6 @@ impl SpatialIndex for RPlusTree {
             return None;
         }
         traverse::polygon_walk(&self.access(), p, max_steps, ctx)
-    }
-
-    fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
-        traverse::window(&self.access(), w, ctx)
     }
 
     fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {

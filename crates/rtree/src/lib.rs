@@ -50,9 +50,6 @@ impl RTree {
     /// Create an empty tree of the given variant. The segment table must
     /// contain (at least) the segments that will be inserted.
     pub fn new(table: SegmentTable, cfg: IndexConfig, kind: RTreeKind) -> Self {
-        // Pool-open time is when the scan ISA is decided: warm the cached
-        // selection so the first query pays a plain atomic load.
-        lsdb_core::scan::active_isa();
         let mut pool = BufferPool::new(cfg.page_size, cfg.pool_pages);
         let m_max = RectNode::capacity(cfg.page_size);
         assert!(m_max >= 4, "page too small for an R-tree node");
@@ -512,10 +509,6 @@ impl SpatialIndex for RTree {
         self.len
     }
 
-    fn find_incident(&self, p: Point, ctx: &mut QueryCtx) -> Vec<SegId> {
-        traverse::find_incident(&self.access(), p, ctx)
-    }
-
     fn find_incident_visit(&self, p: Point, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {
         traverse::incident_visit(&self.access(), p, ctx, f);
     }
@@ -548,10 +541,6 @@ impl SpatialIndex for RTree {
             return None;
         }
         traverse::polygon_walk(&self.access(), p, max_steps, ctx)
-    }
-
-    fn window(&self, w: Rect, ctx: &mut QueryCtx) -> Vec<SegId> {
-        traverse::window(&self.access(), w, ctx)
     }
 
     fn window_visit(&self, w: Rect, ctx: &mut QueryCtx, f: &mut dyn FnMut(SegId)) {

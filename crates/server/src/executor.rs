@@ -12,12 +12,19 @@
 //! A `BATCH` is a list of query requests. Its items share the singleton
 //! reply-cache keys; the items that miss run through [`answer`] in Morton
 //! order ([`answer_in_morton_order`]) under one read guard.
+//!
+//! No reply frame passes [`MAX_REPLY_FRAME`], the limit every client
+//! reads up to: a larger reply is answered `Oversized` instead, and a
+//! batch stops answering its items as soon as their replies pass it.
 
 use crate::catalog::Catalog;
-use crate::protocol::{ErrorCode, Reply, Request, MAX_BATCH_ITEMS};
+use crate::protocol::{
+    batch_frame_len, ErrorCode, Reply, Request, MAX_BATCH_ITEMS, MAX_REPLY_FRAME,
+};
 use crate::server::Shared;
 use lsdb_core::{queries, QueryCtx, SpatialIndex};
 use lsdb_geom::{morton, world_rect, Point};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
@@ -33,13 +40,14 @@ pub(crate) struct Job {
     pub request: Request,
 }
 
-/// What executing a job produced: a freshly computed [`Reply`], or the
-/// stored body of a reply-cache hit. A cached body is already the exact
-/// bytes [`Reply::encode`] would produce, so serving it only needs the
-/// envelope prepended — no re-execution, no re-encoding.
+/// What executing a job produced: a freshly computed [`Reply`], the
+/// stored body of a reply-cache hit, or a batch's item bodies. A body is
+/// already the exact bytes [`Reply::encode`] would produce, so serving it
+/// only needs the envelope prepended — no re-execution, no re-encoding.
 enum Outcome {
     Fresh(Reply),
     Cached(Arc<[u8]>),
+    Batch(Vec<Arc<[u8]>>),
 }
 
 impl Outcome {
@@ -47,17 +55,27 @@ impl Outcome {
         match self {
             Outcome::Fresh(reply) => reply.encode_v3(corr),
             Outcome::Cached(body) => Reply::envelope_v3(corr, &body),
+            Outcome::Batch(bodies) => Reply::envelope_batch_v3(corr, &bodies),
         }
     }
 }
 
-/// Run `job` on `ctx` and envelope its reply. A panic stays inside its
-/// own request: it is answered `Internal` with the panic message, and
-/// `ctx` is replaced by a fresh context (the old one may hold a half-done
-/// query's state).
+/// `Oversized`, naming how far a reply got and the limit it passed.
+fn oversized(what: String) -> Reply {
+    Reply::Error {
+        code: ErrorCode::Oversized,
+        message: format!("{what}, over the {MAX_REPLY_FRAME}-byte reply limit"),
+    }
+}
+
+/// Run `job` on `ctx` and envelope its reply; a reply frame that would
+/// pass [`MAX_REPLY_FRAME`] is answered `Oversized` instead. A panic
+/// stays inside its own request: it is answered `Internal` with the panic
+/// message, and `ctx` is replaced by a fresh context (the old one may
+/// hold a half-done query's state).
 pub(crate) fn execute(job: &Job, shared: &Shared, ctx: &mut QueryCtx) -> Vec<u8> {
     let run = AssertUnwindSafe(|| match &job.request {
-        Request::Batch(items) => Outcome::Fresh(run_batch(job.map, items, shared, ctx)),
+        Request::Batch(items) => run_batch(job.map, items, shared, ctx),
         Request::Insert(_) | Request::Delete { .. } | Request::Flush => {
             Outcome::Fresh(run_mutation(job.map, &job.request, shared))
         }
@@ -67,7 +85,13 @@ pub(crate) fn execute(job: &Job, shared: &Shared, ctx: &mut QueryCtx) -> Vec<u8>
         query => run_query(job.map, query, shared, ctx),
     });
     match catch_unwind(run) {
-        Ok(outcome) => outcome.into_payload(job.corr),
+        Ok(outcome) => {
+            let payload = outcome.into_payload(job.corr);
+            if payload.len() > MAX_REPLY_FRAME as usize {
+                return oversized(format!("reply of {} bytes", payload.len())).encode_v3(job.corr);
+            }
+            payload
+        }
         Err(panic) => {
             *ctx = QueryCtx::new();
             let what = panic
@@ -195,16 +219,17 @@ fn morton_key(req: &Request) -> u32 {
 
 /// [`answer`] the items of `items` at the positions `which`, in Morton
 /// (Z-order) order of their query points with ties in submission order,
-/// handing each reply to `each` with its position. Queries in one region
-/// of the world run back to back and touch the same pages while they
-/// are still in the CPU caches; [`answer`] resets the context per item,
-/// so every reply and counter equals the singleton one.
+/// handing each reply to `each` with its position until `each` breaks.
+/// Queries in one region of the world run back to back and touch the
+/// same pages while they are still in the CPU caches; [`answer`] resets
+/// the context per item, so every reply and counter equals the singleton
+/// one.
 pub fn answer_in_morton_order(
     index: &dyn SpatialIndex,
     items: &[Request],
     which: impl IntoIterator<Item = usize>,
     ctx: &mut QueryCtx,
-    mut each: impl FnMut(usize, Reply),
+    mut each: impl FnMut(usize, Reply) -> ControlFlow<()>,
 ) {
     // One key per item, not one per comparison.
     let mut order: Vec<(u32, usize)> = which
@@ -213,7 +238,9 @@ pub fn answer_in_morton_order(
         .collect();
     order.sort_unstable();
     for (_, i) in order {
-        each(i, answer(index, &items[i], ctx));
+        if each(i, answer(index, &items[i], ctx)).is_break() {
+            return;
+        }
     }
 }
 
@@ -329,18 +356,23 @@ fn run_query(map: u32, req: &Request, shared: &Shared, ctx: &mut QueryCtx) -> Ou
 /// the read guard, before any item probes the cache — one with a
 /// `SECOND` id beyond the map. Under that one read guard each item probes
 /// the reply cache with its singleton key (a batch item hits what a lone
-/// query cached, and vice versa); hits decode their stored bodies into
-/// the nested reply, and only the misses run, in Morton order
-/// ([`answer_in_morton_order`]), each filling the cache under its key.
-fn run_batch(map: u32, items: &[Request], shared: &Shared, ctx: &mut QueryCtx) -> Reply {
+/// query cached, and vice versa); hits keep their stored bodies, and only
+/// the misses run, in Morton order ([`answer_in_morton_order`]), each
+/// filling the cache under its key.
+///
+/// The replies are gathered as encoded bodies. Once the frame they make
+/// would pass [`MAX_REPLY_FRAME`], no further item runs and the batch is
+/// answered `Oversized`; the items answered by then still count in
+/// `STATS` and fill the cache, as they would have alone.
+fn run_batch(map: u32, items: &[Request], shared: &Shared, ctx: &mut QueryCtx) -> Outcome {
     if items.len() > MAX_BATCH_ITEMS {
-        return bad_argument(format!(
+        return Outcome::Fresh(bad_argument(format!(
             "batch of {} items exceeds the {MAX_BATCH_ITEMS}-item limit",
             items.len()
-        ));
+        )));
     }
     if let Some(refused) = first_refusal(items, point_refusal) {
-        return refused;
+        return Outcome::Fresh(refused);
     }
     let result = shared.catalog.with_live(map, |slot, live| {
         let fold = |stats| {
@@ -351,40 +383,64 @@ fn run_batch(map: u32, items: &[Request], shared: &Shared, ctx: &mut QueryCtx) -
         // lands either before or after it, never in the middle.
         live.with_read(|index| {
             if let Some(refused) = first_refusal(items, |item| refusal(item, index)) {
-                return refused;
+                return Outcome::Fresh(refused);
             }
             let cache = slot.reply_cache();
             let epoch = live.epoch();
-            let mut replies: Vec<Option<Reply>> = vec![None; items.len()];
+            let mut bodies: Vec<Option<Arc<[u8]>>> = vec![None; items.len()];
+            let (mut answered, mut body_bytes) = (0, 0);
+            // Keep a body; `Break` once the frame so far passes the limit.
+            let mut gather = |i: usize, body: Arc<[u8]>| {
+                answered += 1;
+                body_bytes += body.len();
+                bodies[i] = Some(body);
+                if batch_frame_len(answered, body_bytes) > MAX_REPLY_FRAME as usize {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            };
             let mut misses = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
+            let mut flow = items.iter().enumerate().try_for_each(|(i, item)| {
                 match cache.on().then(|| cache.probe(epoch, &item.encode())) {
                     Some(Some((body, stats))) => {
                         fold(stats);
-                        let reply = Reply::decode(&body)
-                            .expect("cached bodies are valid singleton replies");
-                        replies[i] = Some(reply);
+                        gather(i, body)
                     }
-                    _ => misses.push(i),
+                    _ => {
+                        misses.push(i);
+                        ControlFlow::Continue(())
+                    }
                 }
-            }
-            answer_in_morton_order(index, items, misses, ctx, |i, reply| {
-                let stats = reply.stats().expect("a checked batch item is answered");
-                fold(stats);
-                if cache.on() {
-                    cache.insert(epoch, &items[i].encode(), reply.encode().into(), stats);
-                }
-                replies[i] = Some(reply);
             });
-            Reply::Batch(
-                replies
+            if flow.is_continue() {
+                answer_in_morton_order(index, items, misses, ctx, |i, reply| {
+                    let stats = reply.stats().expect("a checked batch item is answered");
+                    fold(stats);
+                    let body: Arc<[u8]> = reply.encode().into();
+                    if cache.on() {
+                        cache.insert(epoch, &items[i].encode(), body.clone(), stats);
+                    }
+                    flow = gather(i, body);
+                    flow
+                });
+            }
+            if flow.is_break() {
+                return Outcome::Fresh(oversized(format!(
+                    "batch reply reached {} bytes after {answered} of {} items",
+                    batch_frame_len(answered, body_bytes),
+                    items.len()
+                )));
+            }
+            Outcome::Batch(
+                bodies
                     .into_iter()
-                    .map(|r| r.expect("every batch item answered"))
+                    .map(|b| b.expect("every batch item answered"))
                     .collect(),
             )
         })
     });
-    result.unwrap_or_else(|e| e.to_reply())
+    result.unwrap_or_else(|e| Outcome::Fresh(e.to_reply()))
 }
 
 /// Execute one catalog admin op.

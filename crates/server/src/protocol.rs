@@ -84,8 +84,9 @@ use std::io::{self, Read, Write};
 pub const MAX_REQUEST_FRAME: u32 = 4 * 1024 * 1024;
 
 /// Most queries one `BATCH` request may carry; bigger batches draw
-/// [`ErrorCode::BadArgument`]. Keeps the worst-case reply under
-/// [`MAX_REPLY_FRAME`].
+/// [`ErrorCode::BadArgument`]. The reply is bounded on its own: a batch
+/// whose replies pass [`MAX_REPLY_FRAME`] is answered
+/// [`ErrorCode::Oversized`].
 pub const MAX_BATCH_ITEMS: usize = 65_536;
 
 /// The protocol version this build speaks — the only one.
@@ -94,9 +95,10 @@ pub const PROTOCOL_VERSION: u8 = 3;
 /// The envelope marker: first payload byte of every frame.
 pub const V3_MARKER: u8 = 0xB0 | PROTOCOL_VERSION;
 
-/// Largest reply payload a client will read. Bounds a window query over an
-/// entire county (hundreds of thousands of `u32` segment ids) with room to
-/// spare.
+/// Largest reply payload a client will read, and the server will send: a
+/// reply that would be larger is answered [`ErrorCode::Oversized`].
+/// Bounds a window query over an entire county (hundreds of thousands of
+/// `u32` segment ids) with room to spare.
 pub const MAX_REPLY_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Request opcodes (first payload byte).
@@ -576,6 +578,13 @@ fn put_items<T>(buf: &mut Vec<u8>, items: &[T], encode: impl Fn(&T, &mut Vec<u8>
     }
 }
 
+/// Length of the frame payload [`Reply::envelope_batch_v3`] builds from
+/// `items` bodies of `body_bytes` bytes in all: the envelope, the opcode,
+/// the item count and a length per item, then the bodies.
+pub(crate) fn batch_frame_len(items: usize, body_bytes: usize) -> usize {
+    1 + 4 + 1 + 4 + 4 * items + body_bytes
+}
+
 /// The items of a [`put_items`] body. `decode` sees each item's bytes;
 /// it must refuse a nested `BATCH` by its opcode before decoding it, so
 /// no frame can nest deep enough to exhaust the stack.
@@ -943,6 +952,19 @@ impl Reply {
         buf.push(V3_MARKER);
         buf.extend_from_slice(&corr.to_le_bytes());
         buf.extend_from_slice(body);
+        buf
+    }
+
+    /// The frame payload of a [`Reply::Batch`] whose items are already
+    /// encoded ([`Reply::encode`] bodies): exactly the bytes
+    /// [`Reply::encode_v3`] would produce for the decoded items.
+    pub(crate) fn envelope_batch_v3(corr: u32, bodies: &[impl AsRef<[u8]>]) -> Vec<u8> {
+        let body_bytes = bodies.iter().map(|b| b.as_ref().len()).sum();
+        let mut buf = Vec::with_capacity(batch_frame_len(bodies.len(), body_bytes));
+        buf.push(V3_MARKER);
+        buf.extend_from_slice(&corr.to_le_bytes());
+        buf.push(rop::BATCH);
+        put_items(&mut buf, bodies, |b, buf| buf.extend_from_slice(b.as_ref()));
         buf
     }
 
@@ -1504,6 +1526,13 @@ mod tests {
             assert_eq!(bytes[0], V3_MARKER);
             // A stored body wrapped later is the same frame.
             assert_eq!(Reply::envelope_v3(corr, &r.encode()), bytes, "{r:?}");
+            // So is a batch assembled from its items' bodies.
+            if let Reply::Batch(items) = &r {
+                let bodies: Vec<Vec<u8>> = items.iter().map(Reply::encode).collect();
+                assert_eq!(Reply::envelope_batch_v3(corr, &bodies), bytes);
+                let body_bytes = bodies.iter().map(Vec::len).sum();
+                assert_eq!(batch_frame_len(items.len(), body_bytes), bytes.len());
+            }
             let (got_corr, got) = decode_reply(&bytes).unwrap();
             assert_eq!(got_corr, corr, "{r:?}");
             assert_eq!(got, r);

@@ -110,10 +110,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.store(true, Ordering::SeqCst);
     }
-
-    pub fn is_shutting_down(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
-    }
 }
 
 /// A bound-but-not-yet-running query server.

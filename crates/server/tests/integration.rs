@@ -311,6 +311,36 @@ fn malformed_requests_get_error_frames_not_hangups() {
 }
 
 #[test]
+fn a_batch_whose_reply_passes_the_frame_limit_is_refused_and_the_connection_serves_on() {
+    // A full-world window over 5,000 segments answers about 20 KB, so a
+    // batch of 1,000 of them would need a ~20 MB reply frame: more than
+    // any client reads.
+    let map = lsdb_tiger::generate(&lsdb_tiger::CountySpec::new(
+        "reply-limit",
+        lsdb_tiger::CountyClass::Suburban,
+        5000,
+        0x5EA6,
+    ));
+    let bulk = || Box::new(lsdb_rtree::RTree::bulk_load(&map, IndexConfig::default()));
+    let (addr, handle) = start_server(bulk());
+    let mut client = Client::connect_with_timeout(addr, Duration::from_secs(120)).unwrap();
+
+    let world = Request::Window(lsdb_geom::world_rect());
+    let e = server_error(client.call_batch(&vec![world; 1000]));
+    assert_eq!(e.code, ErrorCode::Oversized);
+    let limit = format!("over the {MAX_REPLY_FRAME}-byte reply limit");
+    assert!(e.message.contains(&limit), "{e:?}");
+
+    // The same connection answers the next query.
+    let small = Request::Nearest(Point::new(8000, 8000));
+    let reply = client.call(&small).unwrap();
+    assert_eq!(reply, run_in_process(bulk().as_ref(), &small));
+
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn closed_loop_loadgen_reproduces_in_process_counters() {
     let map = test_map();
     let index = build(&map);

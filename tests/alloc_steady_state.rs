@@ -59,9 +59,8 @@ fn steady_state_queries_do_not_allocate() {
     let windows: Vec<_> = (0..50).map(|_| wgen.next_window()).collect();
 
     // The queries below run through whatever scan ISA the dispatcher
-    // picked (AVX2/SSE2 on x86-64 hosts, unless LSDB_FORCE_SCALAR pins
-    // the fallback — CI runs this test under both arms), so the
-    // zero-allocation guarantee covers the SIMD kernels: movemask
+    // picked (AVX2 on CPUs that have it, the scalar arm elsewhere), so
+    // the zero-allocation guarantee covers the SIMD kernels: movemask
     // survivor extraction works entirely in registers and stack arrays.
     let isa = lsdb::core::scan::active_isa();
     assert!(isa.available());

@@ -302,15 +302,17 @@ fn a_closed_stdout_ends_every_subcommand_without_a_panic() {
         if args[0] == "generate" {
             command.arg("-o").arg(&copy);
         }
+        // The reader goes away before the child has written a line: its
+        // end of the pipe is closed before the child is spawned.
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
         let mut child = Serve(
             command
-                .stdout(Stdio::piped())
+                .stdout(writer)
                 .stderr(Stdio::piped())
                 .spawn()
                 .expect("spawn lsdb"),
         );
-        // The reader goes away before the child has written a line.
-        drop(child.0.stdout.take());
         let deadline = Instant::now() + Duration::from_secs(10);
         let status = loop {
             if let Some(status) = child.0.try_wait().unwrap() {
