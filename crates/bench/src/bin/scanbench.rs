@@ -146,13 +146,13 @@ fn main() {
         race(&mut cells, &isas, iters, n, "window", |isa| {
             let mut hits = 0u64;
             let scan = EntryScan::of_node(black_box(page));
-            scan_intersecting_with(isa, &scan, &window, |e| hits += e.child as u64);
+            scan_intersecting_with(isa, &scan, &window, |c| hits += c as u64);
             hits
         });
         race(&mut cells, &isas, iters, n, "point", |isa| {
             let mut hits = 0u64;
             let scan = EntryScan::of_node(black_box(page));
-            scan_containing_point_with(isa, &scan, probe, |e| hits += e.child as u64);
+            scan_containing_point_with(isa, &scan, probe, |c| hits += c as u64);
             hits
         });
         race(&mut cells, &isas, iters, n, "dist2", |isa| {

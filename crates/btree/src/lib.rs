@@ -46,11 +46,12 @@ pub struct BTree {
 }
 
 /// What [`BTree::last_run_rec_ctx`] found: the predecessor key, its run,
-/// and the leaf holding it if the run's scan would stay on the descent's
-/// path.
+/// its index in its leaf, and that leaf if the run's scan would stay on
+/// the descent's path.
 struct RunFound<'p> {
     key: u64,
     run: (u64, u64),
+    pos: usize,
     leaf: Option<&'p [u8]>,
 }
 
@@ -251,13 +252,13 @@ impl BTree {
     /// Predecessor search fused with a scan of the run it lands in:
     /// finds `k = last_in_range_ctx(lo, hi)`, then visits every key of
     /// `[run_lo, run_hi] = run(k)` ascending, exactly as
-    /// [`BTree::scan_range_ctx`] would. When the run's bounds route to the
-    /// predecessor's child at every level of its descent, that scan would
-    /// re-read only the descent's own pages, so the run is read from the
-    /// leaf in hand; otherwise the scan runs as a second descent. Either
-    /// way the touched pages, the charges and the visited keys are those of
-    /// the two separate calls. Returns `k`; nothing is scanned if there is
-    /// no predecessor.
+    /// [`BTree::scan_range_ctx`] would. `run(k)` must contain `k`. When
+    /// the run's bounds route to the predecessor's child at every level of
+    /// its descent, that scan would re-read only the descent's own pages,
+    /// so the run is read from the leaf in hand; otherwise the scan runs as
+    /// a second descent. Either way the touched pages, the charges and the
+    /// visited keys are those of the two separate calls. Returns `k`;
+    /// nothing is scanned if there is no predecessor.
     pub fn last_then_scan_ctx(
         &self,
         lo: u64,
@@ -285,14 +286,22 @@ impl BTree {
         }
         let found = self.last_run_rec_ctx(self.root, self.height, lo, hi, &run, ctx)?;
         let (run_lo, run_hi) = found.run;
+        debug_assert!(
+            (run_lo..=run_hi).contains(&found.key),
+            "run(k) must contain k"
+        );
         match found.leaf {
-            Some(leaf) if run_lo <= run_hi => {
-                let start = LeafView::search(leaf, run_lo).unwrap_or_else(|i| i);
-                let count = LeafView::count(leaf);
-                let keys = LeafView::key_bytes(leaf, start, count);
+            Some(leaf) => {
+                // The run contains the predecessor, so its first key in
+                // this leaf is found by stepping back from it (runs are a
+                // few keys) instead of by a second search.
+                let mut start = found.pos;
+                while start > 0 && LeafView::key_at(leaf, start - 1) >= run_lo {
+                    start -= 1;
+                }
+                let keys = LeafView::key_bytes(leaf, start, LeafView::count(leaf));
                 let _ = lsdb_core::scan::scan_keys_le(keys, run_hi, f);
             }
-            Some(_) => {}
             None => {
                 let _ = self.scan_range_ctx(run_lo, run_hi, ctx, f);
             }
@@ -325,25 +334,28 @@ impl BTree {
             return (key >= lo).then(|| RunFound {
                 key,
                 run: run(key),
+                pos: end - 1,
                 leaf: Some(buf),
             });
         }
-        let count = InternalView::count(buf);
-        let start = InternalView::child_index_for(buf, lo);
-        let end = InternalView::child_index_for(buf, hi).min(count);
-        (start..=end).rev().find_map(|i| {
+        let mut i = InternalView::child_index_for(buf, hi);
+        loop {
             let child = InternalView::child_at(buf, i);
-            let mut found = self.last_run_rec_ctx(child, level - 1, lo, hi, run, ctx)?;
-            let (run_lo, run_hi) = found.run;
-            // `scan_rec_ctx` visits children `child_index_for(run_lo)` to
-            // `child_index_for(run_hi)` here: just child `i`, or more.
-            if InternalView::child_index_for(buf, run_lo) != i
-                || InternalView::child_index_for(buf, run_hi).min(count) != i
-            {
-                found.leaf = None;
+            if let Some(mut found) = self.last_run_rec_ctx(child, level - 1, lo, hi, run, ctx) {
+                let (run_lo, run_hi) = found.run;
+                // `scan_rec_ctx` visits children `child_index_for(run_lo)`
+                // to `child_index_for(run_hi)` here: just child `i`, or
+                // more.
+                if found.leaf.is_some()
+                    && !(InternalView::routes_to(buf, run_lo, i)
+                        && InternalView::routes_to(buf, run_hi, i))
+                {
+                    found.leaf = None;
+                }
+                return Some(found);
             }
-            Some(found)
-        })
+            i = InternalView::child_before(buf, i, lo)?;
+        }
     }
 
     fn scan_rec_ctx(
@@ -364,14 +376,15 @@ impl BTree {
             let count = LeafView::count(buf);
             return lsdb_core::scan::scan_keys_le(LeafView::key_bytes(buf, start, count), hi, f);
         }
-        let count = InternalView::count(buf);
-        let start = InternalView::child_index_for(buf, lo);
-        let end = InternalView::child_index_for(buf, hi).min(count);
-        for i in start..=end {
+        let mut i = InternalView::child_index_for(buf, lo);
+        loop {
             let child = InternalView::child_at(buf, i);
             self.scan_rec_ctx(child, level - 1, lo, hi, ctx, f)?;
+            let Some(next) = InternalView::child_after(buf, i, hi) else {
+                return ControlFlow::Continue(());
+            };
+            i = next;
         }
-        ControlFlow::Continue(())
     }
 
     fn last_rec_ctx(
@@ -394,12 +407,14 @@ impl BTree {
             let k = LeafView::key_at(buf, end - 1);
             return (k >= lo).then_some(k);
         }
-        let count = InternalView::count(buf);
-        let start = InternalView::child_index_for(buf, lo);
-        let end = InternalView::child_index_for(buf, hi).min(count);
-        (start..=end)
-            .rev()
-            .find_map(|i| self.last_rec_ctx(InternalView::child_at(buf, i), level - 1, lo, hi, ctx))
+        let mut i = InternalView::child_index_for(buf, hi);
+        loop {
+            let child = InternalView::child_at(buf, i);
+            if let Some(k) = self.last_rec_ctx(child, level - 1, lo, hi, ctx) {
+                return Some(k);
+            }
+            i = InternalView::child_before(buf, i, lo)?;
+        }
     }
 
     fn last_rec(&mut self, pid: PageId, level: u32, lo: u64, hi: u64) -> Option<u64> {

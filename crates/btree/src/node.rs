@@ -40,6 +40,28 @@ fn put_u64(buf: &mut [u8], at: usize, v: u64) {
     buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
 }
 
+/// Branch-free lower bound over the `count` ascending keys read by `key`:
+/// the number of leading keys for which `before` holds (`before` must be
+/// true on a prefix and false after it, as `partition_point` requires).
+/// Each halving step picks the new base with a conditional move, so the
+/// search costs `ceil(log2(count + 1))` key reads and no mispredicted
+/// branches.
+#[inline(always)]
+fn lower_bound(count: usize, key: impl Fn(usize) -> u64, before: impl Fn(u64) -> bool) -> usize {
+    if count == 0 {
+        return 0;
+    }
+    let mut base = 0;
+    let mut size = count;
+    while size > 1 {
+        let half = size / 2;
+        let mid = base + half;
+        base = std::hint::select_unpredictable(before(key(mid)), mid, base);
+        size -= half;
+    }
+    base + usize::from(before(key(base)))
+}
+
 /// Accessors for leaf pages: a sorted array of `u64` keys.
 pub struct LeafView;
 
@@ -83,22 +105,16 @@ impl LeafView {
     }
 
     /// Binary search: `Ok(i)` if `key` is at index `i`, else `Err(i)` with
-    /// the insertion point.
+    /// the insertion point (a branch-free lower bound, then one compare).
     pub fn search(buf: &[u8], key: u64) -> Result<usize, usize> {
-        let mut lo = 0usize;
-        let mut hi = Self::count(buf);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            let k = get_u64(buf, HDR + mid * LEAF_ENTRY);
-            if k < key {
-                lo = mid + 1;
-            } else if k > key {
-                hi = mid;
-            } else {
-                return Ok(mid);
-            }
+        let count = Self::count(buf);
+        let key_at = |i: usize| get_u64(buf, HDR + i * LEAF_ENTRY);
+        let i = lower_bound(count, key_at, |k| k < key);
+        if i < count && key_at(i) == key {
+            Ok(i)
+        } else {
+            Err(i)
         }
-        Err(lo)
     }
 
     pub fn insert_at(buf: &mut [u8], at: usize, key: u64) {
@@ -187,19 +203,40 @@ impl InternalView {
     }
 
     /// Index of the child whose subtree may contain `key`:
-    /// the number of separators `<= key`.
+    /// the number of separators `<= key` (a branch-free lower bound).
     pub fn child_index_for(buf: &[u8], key: u64) -> usize {
-        let mut lo = 0usize;
-        let mut hi = Self::count(buf);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if Self::sep_at(buf, mid) <= key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        lower_bound(
+            Self::count(buf),
+            |i| get_u64(buf, INT_PAIRS + i * INT_ENTRY),
+            |sep| sep <= key,
+        )
+    }
+
+    /// Whether `key` routes to child `i`, i.e.
+    /// `child_index_for(buf, key) == i`, read off the two separators
+    /// around child `i` instead of a search.
+    pub fn routes_to(buf: &[u8], key: u64, i: usize) -> bool {
+        let count = Self::count(buf);
+        debug_assert!(i <= count);
+        (i == 0 || Self::sep_at(buf, i - 1) <= key) && (i == count || key < Self::sep_at(buf, i))
+    }
+
+    /// The child a descending walk over `[lo, ..]` visits after child
+    /// `i`: child `i - 1`, if it can hold a key `>= lo` (its keys lie
+    /// below separator `i - 1`). Walking from `child_index_for(hi)` this
+    /// way visits exactly the children `child_index_for(lo)..=` it, with
+    /// one separator read per step instead of a search for `lo`.
+    pub fn child_before(buf: &[u8], i: usize, lo: u64) -> Option<usize> {
+        (i > 0 && Self::sep_at(buf, i - 1) > lo).then(|| i - 1)
+    }
+
+    /// The child an ascending walk over `[.., hi]` visits after child
+    /// `i`: child `i + 1`, if it can hold a key `<= hi` (its keys start at
+    /// separator `i`). Walking from `child_index_for(lo)` this way visits
+    /// exactly the children up to `child_index_for(hi)`, with one
+    /// separator read per step instead of a search for `hi`.
+    pub fn child_after(buf: &[u8], i: usize, hi: u64) -> Option<usize> {
+        (i < Self::count(buf) && Self::sep_at(buf, i) <= hi).then_some(i + 1)
     }
 
     pub fn child_for(buf: &[u8], key: u64) -> lsdb_pager::PageId {
@@ -325,6 +362,144 @@ mod tests {
         assert_eq!(InternalView::child_for(&buf, 19), PageId(101));
         assert_eq!(InternalView::child_for(&buf, 20), PageId(102));
         assert_eq!(InternalView::child_for(&buf, u64::MAX), PageId(102));
+    }
+
+    /// A leaf holding `keys` (ascending) in a page of `page` bytes.
+    fn leaf(page: usize, keys: &[u64]) -> Vec<u8> {
+        let mut buf = vec![0u8; page];
+        LeafView::init(&mut buf);
+        LeafView::write_keys(&mut buf, keys);
+        buf
+    }
+
+    /// An internal page holding separators `seps` (ascending).
+    fn internal(page: usize, seps: &[u64]) -> Vec<u8> {
+        let mut buf = vec![0u8; page];
+        InternalView::init(&mut buf, PageId(0));
+        let children: Vec<PageId> = (1..=seps.len() as u32).map(PageId).collect();
+        InternalView::write_pairs(&mut buf, seps, &children);
+        buf
+    }
+
+    /// Random ascending distinct keys: `n` of them, spaced so that probes
+    /// land on, between, below and above them.
+    fn sorted_keys(rng: &mut lsdb_rng::StdRng, n: usize) -> Vec<u64> {
+        let mut keys = Vec::with_capacity(n);
+        let mut k = rng.gen_range(0..4u64);
+        for _ in 0..n {
+            keys.push(k);
+            k += rng.gen_range(1..6u64);
+        }
+        keys
+    }
+
+    /// Probes for a page of `keys`: every key, its neighbours, and the
+    /// extremes of the key space.
+    fn probes(keys: &[u64]) -> Vec<u64> {
+        let mut out = vec![0, 1, u64::MAX - 1, u64::MAX];
+        for &k in keys {
+            out.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+        }
+        out
+    }
+
+    #[test]
+    fn branch_free_searches_equal_partition_point() {
+        let mut rng = lsdb_rng::StdRng::seed_from_u64(0xB7EE);
+        for page in [64usize, 128, 1024] {
+            let leaf_cap = LeafView::capacity(page);
+            let int_cap = InternalView::capacity(page);
+            // Empty, one-key and full pages, plus random fills.
+            let mut sizes = vec![0, 1, 2, leaf_cap];
+            sizes.extend((0..40).map(|_| rng.gen_range(0..=leaf_cap)));
+            for n in sizes {
+                let keys = sorted_keys(&mut rng, n);
+                let buf = leaf(page, &keys);
+                for key in probes(&keys) {
+                    let expect = match keys.partition_point(|&k| k < key) {
+                        i if keys.get(i) == Some(&key) => Ok(i),
+                        i => Err(i),
+                    };
+                    assert_eq!(LeafView::search(&buf, key), expect, "leaf n={n} key={key}");
+                }
+            }
+            let mut sizes = vec![0, 1, 2, int_cap];
+            sizes.extend((0..40).map(|_| rng.gen_range(0..=int_cap)));
+            for n in sizes {
+                let seps = sorted_keys(&mut rng, n);
+                let buf = internal(page, &seps);
+                for key in probes(&seps) {
+                    let expect = seps.partition_point(|&s| s <= key);
+                    assert_eq!(
+                        InternalView::child_index_for(&buf, key),
+                        expect,
+                        "internal n={n} key={key}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn routes_to_agrees_with_child_index_for() {
+        let mut rng = lsdb_rng::StdRng::seed_from_u64(0x2007);
+        for page in [64usize, 128, 1024] {
+            let cap = InternalView::capacity(page);
+            let mut sizes = vec![0, 1, 2, cap];
+            sizes.extend((0..30).map(|_| rng.gen_range(0..=cap)));
+            for n in sizes {
+                let seps = sorted_keys(&mut rng, n);
+                let buf = internal(page, &seps);
+                for key in probes(&seps) {
+                    let child = InternalView::child_index_for(&buf, key);
+                    for i in 0..=n {
+                        assert_eq!(
+                            InternalView::routes_to(&buf, key, i),
+                            child == i,
+                            "n={n} key={key} child {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn child_walks_visit_the_searched_child_range() {
+        // Stepping with `child_before` from `child_index_for(hi)` and with
+        // `child_after` from `child_index_for(lo)` must visit exactly the
+        // children from `child_index_for(lo)` to `child_index_for(hi)`.
+        let mut rng = lsdb_rng::StdRng::seed_from_u64(0x5EED);
+        for page in [64usize, 128, 1024] {
+            let cap = InternalView::capacity(page);
+            let mut sizes = vec![0, 1, 2, cap];
+            sizes.extend((0..30).map(|_| rng.gen_range(0..=cap)));
+            for n in sizes {
+                let seps = sorted_keys(&mut rng, n);
+                let buf = internal(page, &seps);
+                let probes = probes(&seps);
+                for _ in 0..64 {
+                    let a = probes[rng.gen_range(0..probes.len())];
+                    let b = probes[rng.gen_range(0..probes.len())];
+                    let (lo, hi) = (a.min(b), a.max(b));
+                    let first = seps.partition_point(|&s| s <= lo);
+                    let last = seps.partition_point(|&s| s <= hi);
+                    let mut down = vec![last];
+                    while let Some(i) = InternalView::child_before(&buf, *down.last().unwrap(), lo)
+                    {
+                        down.push(i);
+                    }
+                    let mut up = vec![first];
+                    while let Some(i) = InternalView::child_after(&buf, *up.last().unwrap(), hi) {
+                        up.push(i);
+                    }
+                    let expect: Vec<usize> = (first..=last).collect();
+                    assert_eq!(up, expect, "n={n} lo={lo} hi={hi}");
+                    down.reverse();
+                    assert_eq!(down, expect, "n={n} lo={lo} hi={hi}");
+                }
+            }
+        }
     }
 
     #[test]

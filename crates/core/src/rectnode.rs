@@ -275,12 +275,12 @@ impl NodeAccess for RectTreeAccess<'_> {
                 ctx.bbox_comps += entries.len() as u64;
             } else {
                 ctx.bbox_comps +=
-                    scan::scan_containing_point(&entries, p, |e| sink.entry(SegId(e.child))) as u64;
+                    scan::scan_containing_point(&entries, p, |c| sink.entry(SegId(c))) as u64;
             }
         } else {
-            ctx.bbox_comps += scan::scan_containing_point(&entries, p, |e| {
+            ctx.bbox_comps += scan::scan_containing_point(&entries, p, |c| {
                 sink.node(RectRef {
-                    pid: PageId(e.child),
+                    pid: PageId(c),
                     level: n.level - 1,
                 });
             }) as u64;
@@ -296,11 +296,11 @@ impl NodeAccess for RectTreeAccess<'_> {
         let entries = EntryScan::of_node(buf);
         if n.level == 1 {
             ctx.bbox_comps +=
-                scan::scan_intersecting(&entries, &w, |e| sink.entry(SegId(e.child))) as u64;
+                scan::scan_intersecting(&entries, &w, |c| sink.entry(SegId(c))) as u64;
         } else {
-            ctx.bbox_comps += scan::scan_intersecting(&entries, &w, |e| {
+            ctx.bbox_comps += scan::scan_intersecting(&entries, &w, |c| {
                 sink.node(RectRef {
-                    pid: PageId(e.child),
+                    pid: PageId(c),
                     level: n.level - 1,
                 });
             }) as u64;
@@ -320,8 +320,8 @@ impl NodeAccess for RectTreeAccess<'_> {
             // then proceed over the borrowed bytes with their usual
             // per-fetch charges.
             ctx.bbox_comps += entries.len() as u64;
-            for e in entries.iter() {
-                let id = SegId(e.child);
+            for i in 0..entries.len() {
+                let id = SegId(entries.child(i));
                 let s = self.table.get(id, ctx);
                 sink.exact(id, s.dist2_point(p));
             }
@@ -329,10 +329,10 @@ impl NodeAccess for RectTreeAccess<'_> {
             // No pruning against the best-so-far: the queue's global
             // ordering prunes for us (a node never pops after the k-th
             // result's distance).
-            ctx.bbox_comps += scan::scan_min_dist2(&entries, p, |e, d| {
+            ctx.bbox_comps += scan::scan_min_dist2(&entries, p, |c, d| {
                 sink.node(
                     RectRef {
-                        pid: PageId(e.child),
+                        pid: PageId(c),
                         level: n.level - 1,
                     },
                     Dist2::from_int(d),

@@ -18,12 +18,17 @@
 //!   storage order. This is the SIMD-ified R-tree scanning design: a
 //!   structure-of-arrays node layout turns each predicate operand into one
 //!   contiguous vector load, where the old interleaved layout needed a
-//!   gather.
+//!   gather. A ragged tail runs as one more block, masked to the entry
+//!   count, and
+//! * hand the callback each survivor's **child id** (the only field any
+//!   traversal reads), so no survivor's rectangle is decoded twice.
 //!
 //! Each kernel runs on AVX2 exactly when the CPU has it
 //! ([`active_isa`], std's cached `is_x86_feature_detected!`); the portable
 //! blocked-scalar arm is the only one on other targets and CPUs, and the
-//! reference the AVX2 arm is checked against. Both arms emit identical
+//! reference the AVX2 arm is checked against. The explicit-ISA variants
+//! (`*_with`) are safe with any [`Isa`]: asked for AVX2 on a CPU without
+//! it, they run the scalar arm. Both arms emit identical
 //! survivors in identical order and return identical scan counts;
 //! `tests/kernel_differential.rs` in this crate proves it exhaustively,
 //! so replies and counters do not depend on the arm.
@@ -40,7 +45,7 @@
 //! ids) and [`scan_keys_le`] (PMR quadtree B-tree leaves: sorted `u64`
 //! keys) — so no structure crate keeps a private entry-decoding loop.
 
-use crate::rectnode::{Entry, RectNode, HDR};
+use crate::rectnode::{RectNode, HDR};
 use lsdb_geom::{Point, Rect};
 use std::ops::ControlFlow;
 
@@ -66,10 +71,18 @@ pub struct EntryScan<'a> {
 
 impl<'a> EntryScan<'a> {
     /// View over the occupied entries of a node page.
+    ///
+    /// Panics if `buf` is shorter than a node header or its entry count
+    /// exceeds the page's capacity: the AVX2 arm's vector loads rely on
+    /// both, and any byte slice can be passed here.
     pub fn of_node(buf: &'a [u8]) -> EntryScan<'a> {
+        assert!(buf.len() >= HDR, "node page shorter than its header");
         let count = RectNode::count(buf);
         let stride = RectNode::lane_stride(buf.len());
-        debug_assert!(4 * count <= stride, "count exceeds page capacity");
+        assert!(
+            4 * count <= stride,
+            "node count {count} exceeds the page's capacity"
+        );
         EntryScan { buf, count, stride }
     }
 
@@ -90,36 +103,48 @@ impl<'a> EntryScan<'a> {
         i32::from_le_bytes(self.buf[at..at + 4].try_into().unwrap())
     }
 
-    /// Raw pointer to lane `lane` at entry `i`, for vector loads. A
-    /// width-`W` load from here is in bounds whenever `i + W <=
-    /// capacity`; the kernels only issue full-width loads with `i + W <=
-    /// count <= capacity`.
+    /// Whether a [`LANES`]-wide load of each rectangle lane starting at
+    /// entry `i` ends inside the page buffer. Lane 3 (`yhi`) ends last, and
+    /// the child lane follows it, so this holds for every block start
+    /// below `count` on any page of capacity 7 or more: the load runs at
+    /// most 7 entries (28 bytes) past lane 3's end, into the child lane.
+    #[inline(always)]
+    fn block_in_page(&self, i: usize) -> bool {
+        HDR + 3 * self.stride + 4 * (i + LANES) <= self.buf.len()
+    }
+
+    /// Raw pointer to lane `lane` at entry `i`, for vector loads. The
+    /// kernels only load a block from here after checking that it ends
+    /// inside the buffer (see `block_in_page`).
     #[cfg(target_arch = "x86_64")]
     #[inline(always)]
     fn lane_ptr(&self, lane: usize, i: usize) -> *const u8 {
-        debug_assert!(HDR + lane * self.stride + 4 * i < self.buf.len());
-        unsafe { self.buf.as_ptr().add(HDR + lane * self.stride + 4 * i) }
+        let at = HDR + lane * self.stride + 4 * i;
+        debug_assert!(at < self.buf.len());
+        // SAFETY: every caller passes a lane entry inside the buffer (a
+        // block start with `block_in_page`, or entry 0 of a non-empty
+        // page), so the offset stays within the slice's allocation.
+        unsafe { self.buf.as_ptr().add(at) }
     }
 
-    /// Decode entry `i`.
+    /// Bounding rectangle of entry `i`.
     #[inline(always)]
-    pub fn get(&self, i: usize) -> Entry {
+    fn rect(&self, i: usize) -> Rect {
         debug_assert!(i < self.count);
-        Entry {
-            rect: Rect::new(
-                self.lane(0, i),
-                self.lane(1, i),
-                self.lane(2, i),
-                self.lane(3, i),
-            ),
-            child: self.lane(4, i) as u32,
-        }
+        Rect::new(
+            self.lane(0, i),
+            self.lane(1, i),
+            self.lane(2, i),
+            self.lane(3, i),
+        )
     }
 
-    /// Decode entries one by one, in storage order.
-    pub fn iter(&self) -> impl Iterator<Item = Entry> + 'a {
-        let s = *self;
-        (0..s.count).map(move |i| s.get(i))
+    /// Child pointer of entry `i`: a segment id on a leaf, a page id on
+    /// an internal node.
+    #[inline(always)]
+    pub fn child(&self, i: usize) -> u32 {
+        debug_assert!(i < self.count);
+        self.lane(4, i) as u32
     }
 }
 
@@ -146,7 +171,8 @@ impl Isa {
         }
     }
 
-    /// Can this ISA run on the current CPU?
+    /// Can this ISA run on the current CPU? (std caches the feature
+    /// probe, so this is a load and a test.)
     pub fn available(self) -> bool {
         match self {
             Isa::Scalar => true,
@@ -158,8 +184,7 @@ impl Isa {
     }
 }
 
-/// The ISA the dispatching kernels use: AVX2 exactly when the CPU has it
-/// (std caches the feature probe, so this is a load and a test).
+/// The ISA the dispatching kernels use: AVX2 exactly when the CPU has it.
 pub fn active_isa() -> Isa {
     if Isa::Avx2.available() {
         Isa::Avx2
@@ -171,80 +196,89 @@ pub fn active_isa() -> Isa {
 // ----------------------------------------------------------------------
 // Dispatching kernels
 // ----------------------------------------------------------------------
+//
+// Each `*_with` variant is safe to call with any ISA: the AVX2 arm checks
+// `Isa::available` (std's cached probe) before entering the
+// `#[target_feature]` code and runs the scalar arm on a CPU without AVX2.
 
-/// Emit every entry whose rectangle meets `w` (closed bounds, identical
-/// to [`Rect::intersects`]), in storage order. Returns the number of
-/// entries scanned — the caller's `bbox_comps` charge.
-pub fn scan_intersecting(scan: &EntryScan, w: &Rect, f: impl FnMut(Entry)) -> usize {
+/// Emit the child id of every entry whose rectangle meets `w` (closed
+/// bounds, identical to [`Rect::intersects`]), in storage order. Returns
+/// the number of entries scanned — the caller's `bbox_comps` charge.
+pub fn scan_intersecting(scan: &EntryScan, w: &Rect, f: impl FnMut(u32)) -> usize {
     scan_intersecting_with(active_isa(), scan, w, f)
 }
 
 /// [`scan_intersecting`] on an explicit ISA (differential tests, bench).
-/// The caller must only pass an [`Isa::available`] ISA.
+/// An ISA the CPU lacks runs the scalar arm.
 pub fn scan_intersecting_with(
     isa: Isa,
     scan: &EntryScan,
     w: &Rect,
-    mut f: impl FnMut(Entry),
+    mut f: impl FnMut(u32),
 ) -> usize {
     match isa {
-        Isa::Scalar => intersect_scalar(scan, w, &mut f),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { intersect_avx2(scan, w, &mut f) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Isa::Avx2 if isa.available() => {
+            // SAFETY: the guard just confirmed that the CPU executes AVX2.
+            unsafe { intersect_avx2(scan, w, &mut f) }
+        }
         _ => intersect_scalar(scan, w, &mut f),
     }
     scan.len()
 }
 
-/// Emit every entry whose rectangle contains `p` (closed bounds,
-/// identical to [`Rect::contains_point`]), in storage order. Returns the
-/// number of entries scanned.
-pub fn scan_containing_point(scan: &EntryScan, p: Point, f: impl FnMut(Entry)) -> usize {
+/// Emit the child id of every entry whose rectangle contains `p` (closed
+/// bounds, identical to [`Rect::contains_point`]), in storage order.
+/// Returns the number of entries scanned.
+pub fn scan_containing_point(scan: &EntryScan, p: Point, f: impl FnMut(u32)) -> usize {
     scan_containing_point_with(active_isa(), scan, p, f)
 }
 
-/// [`scan_containing_point`] on an explicit ISA.
+/// [`scan_containing_point`] on an explicit ISA. An ISA the CPU lacks
+/// runs the scalar arm.
 pub fn scan_containing_point_with(
     isa: Isa,
     scan: &EntryScan,
     p: Point,
-    mut f: impl FnMut(Entry),
+    mut f: impl FnMut(u32),
 ) -> usize {
     match isa {
-        Isa::Scalar => contain_scalar(scan, p, &mut f),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { contain_avx2(scan, p, &mut f) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Isa::Avx2 if isa.available() => {
+            // SAFETY: the guard just confirmed that the CPU executes AVX2.
+            unsafe { contain_avx2(scan, p, &mut f) }
+        }
         _ => contain_scalar(scan, p, &mut f),
     }
     scan.len()
 }
 
-/// Emit every entry together with the exact squared distance from `p` to
-/// its rectangle (identical to [`Rect::dist2_point`]; 0 inside) — the
-/// SIMD distance lower bound feeding best-first nearest search. Returns
-/// the number of entries scanned.
+/// Emit every entry's child id together with the exact squared distance
+/// from `p` to its rectangle (identical to [`Rect::dist2_point`]; 0
+/// inside) — the SIMD distance lower bound feeding best-first nearest
+/// search. Returns the number of entries scanned.
 ///
 /// Domain: as with [`Rect::dist2_point`] itself, every per-axis
 /// difference between `p` and a rectangle edge must fit `i32` (far beyond
 /// the 2^14 world coordinates; the differential tests exercise ±2^30).
-pub fn scan_min_dist2(scan: &EntryScan, p: Point, f: impl FnMut(Entry, i64)) -> usize {
+pub fn scan_min_dist2(scan: &EntryScan, p: Point, f: impl FnMut(u32, i64)) -> usize {
     scan_min_dist2_with(active_isa(), scan, p, f)
 }
 
-/// [`scan_min_dist2`] on an explicit ISA.
+/// [`scan_min_dist2`] on an explicit ISA. An ISA the CPU lacks runs the
+/// scalar arm.
 pub fn scan_min_dist2_with(
     isa: Isa,
     scan: &EntryScan,
     p: Point,
-    mut f: impl FnMut(Entry, i64),
+    mut f: impl FnMut(u32, i64),
 ) -> usize {
     match isa {
-        Isa::Scalar => dist2_scalar(scan, p, &mut f),
         #[cfg(target_arch = "x86_64")]
-        Isa::Avx2 => unsafe { dist2_avx2(scan, p, &mut f) },
-        #[cfg(not(target_arch = "x86_64"))]
+        Isa::Avx2 if isa.available() => {
+            // SAFETY: the guard just confirmed that the CPU executes AVX2.
+            unsafe { dist2_avx2(scan, p, &mut f) }
+        }
         _ => dist2_scalar(scan, p, &mut f),
     }
     scan.len()
@@ -254,7 +288,7 @@ pub fn scan_min_dist2_with(
 // Scalar arms (portable fallback; LLVM auto-vectorizes the blocked form)
 // ----------------------------------------------------------------------
 
-fn intersect_scalar(scan: &EntryScan, w: &Rect, f: &mut impl FnMut(Entry)) {
+fn intersect_scalar(scan: &EntryScan, w: &Rect, f: &mut impl FnMut(u32)) {
     let n = scan.count;
     let mut i = 0;
     let mut keep = [false; LANES];
@@ -269,20 +303,19 @@ fn intersect_scalar(scan: &EntryScan, w: &Rect, f: &mut impl FnMut(Entry)) {
         }
         for (j, k) in keep.iter().enumerate() {
             if *k {
-                f(scan.get(i + j));
+                f(scan.child(i + j));
             }
         }
         i += LANES;
     }
     for k in i..n {
-        let e = scan.get(k);
-        if w.intersects(&e.rect) {
-            f(e);
+        if w.intersects(&scan.rect(k)) {
+            f(scan.child(k));
         }
     }
 }
 
-fn contain_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry)) {
+fn contain_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(u32)) {
     let n = scan.count;
     let mut i = 0;
     let mut keep = [false; LANES];
@@ -295,20 +328,19 @@ fn contain_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry)) {
         }
         for (j, k) in keep.iter().enumerate() {
             if *k {
-                f(scan.get(i + j));
+                f(scan.child(i + j));
             }
         }
         i += LANES;
     }
     for k in i..n {
-        let e = scan.get(k);
-        if e.rect.contains_point(p) {
-            f(e);
+        if scan.rect(k).contains_point(p) {
+            f(scan.child(k));
         }
     }
 }
 
-fn dist2_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry, i64)) {
+fn dist2_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(u32, i64)) {
     let (px, py) = (p.x as i64, p.y as i64);
     let n = scan.count;
     let mut i = 0;
@@ -328,13 +360,12 @@ fn dist2_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry, i64)) {
             *d = dx * dx + dy * dy;
         }
         for (j, d) in d2.iter().enumerate() {
-            f(scan.get(i + j), *d);
+            f(scan.child(i + j), *d);
         }
         i += LANES;
     }
     for k in i..n {
-        let e = scan.get(k);
-        f(e, e.rect.dist2_point(p));
+        f(scan.child(k), scan.rect(k).dist2_point(p));
     }
 }
 
@@ -342,22 +373,36 @@ fn dist2_scalar(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry, i64)) {
 // x86-64 AVX2 arm
 // ----------------------------------------------------------------------
 //
-// Shape shared by all three: broadcast the query operand, then per step
-// load one vector from each coordinate lane, combine the four per-lane
+// Shape shared by all three: broadcast the query operand, then per block
+// load one vector from each rectangle lane, combine the four per-lane
 // compares into a *miss* vector (a rectangle fails a closed-bounds test
 // iff some strict `>` holds), movemask it, invert, and walk the set bits
 // of the keep mask in ascending order — so survivors are emitted exactly
-// in storage order, as the scalar arm does. Tails shorter than the
-// vector width fall back to the per-entry scalar test, which keeps every
-// load full-width and in bounds (`i + W <= count <= capacity`).
+// in storage order, as the scalar arm does.
+//
+// The ragged tail (`count % 8` entries) runs as one more block, its keep
+// mask cut to the live entries, whenever that block's loads end inside the
+// page buffer (`EntryScan::block_in_page`; always so at capacity >= 7).
+// The lanes past `count` it loads hold stale entries (a swap-remove leaves
+// the old last entry behind) or zeroes: they are compared, never emitted.
+// Only on smaller pages does the tail fall back to the per-entry test.
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
     use std::arch::x86_64::*;
 
+    /// Load 8 lanes of lane `lane` from entry `i`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `scan.block_in_page(i)` must hold
+    /// (`lane <= 3`), so all 32 bytes lie inside the page buffer.
     #[inline(always)]
     unsafe fn load8(scan: &EntryScan, lane: usize, i: usize) -> __m256i {
+        debug_assert!(lane <= 3 && scan.block_in_page(i));
+        // SAFETY: the caller's contract puts the 32 bytes inside the
+        // buffer; `loadu` has no alignment requirement.
         unsafe { _mm256_loadu_si256(scan.lane_ptr(lane, i) as *const __m256i) }
     }
 
@@ -370,6 +415,40 @@ mod x86 {
         }
     }
 
+    /// Drive a filtering kernel over the page: `keep(i)` gives the keep
+    /// bits of the 8 entries from `i`, and is called only at block starts
+    /// where `scan.block_in_page(i)` holds — every full block, then the
+    /// ragged tail as one more block cut to the count when its loads stay
+    /// in the page. Otherwise the tail runs entry by entry through `hit`.
+    /// Emits survivors' child ids in storage order.
+    #[inline(always)]
+    fn drive(
+        scan: &EntryScan,
+        keep: impl Fn(usize) -> u32,
+        hit: impl Fn(usize) -> bool,
+        f: &mut impl FnMut(u32),
+    ) {
+        let n = scan.count;
+        let mut i = 0;
+        while i + LANES <= n {
+            each_bit(keep(i), |j| f(scan.child(i + j)));
+            i += LANES;
+        }
+        if i == n {
+            return;
+        }
+        if scan.block_in_page(i) {
+            let live = (1u32 << (n - i)) - 1;
+            each_bit(keep(i) & live, |j| f(scan.child(i + j)));
+        } else {
+            for k in i..n {
+                if hit(k) {
+                    f(scan.child(k));
+                }
+            }
+        }
+    }
+
     /// Kick off the five lane streams before the first block. The SoA
     /// layout spreads one node's entries over five cache-line runs where
     /// the v1 interleaved layout was a single run; on a cold node the
@@ -378,27 +457,47 @@ mod x86 {
     /// cold nodes, so they feel this the most). Overlapping the misses
     /// costs nothing when the page is already hot.
     #[inline(always)]
-    unsafe fn prefetch_lanes(scan: &EntryScan) {
+    fn prefetch_lanes(scan: &EntryScan) {
         if scan.count == 0 {
             return; // zero-capacity buffers have no lane bytes to touch
         }
         for lane in 0..5 {
+            // SAFETY: `count >= 1`, so entry 0 of every lane lies inside
+            // the buffer; a prefetch never faults in any case.
             unsafe { _mm_prefetch::<_MM_HINT_T0>(scan.lane_ptr(lane, 0) as *const i8) };
         }
     }
 
+    /// The four rectangle lanes of the block at `i`.
+    ///
+    /// # Safety
+    ///
+    /// As [`load8`]: AVX2, and `scan.block_in_page(i)`.
+    #[inline(always)]
+    unsafe fn load_rects(scan: &EntryScan, i: usize) -> [__m256i; 4] {
+        // SAFETY: the caller's contract is `load8`'s.
+        unsafe {
+            [
+                load8(scan, 0, i),
+                load8(scan, 1, i),
+                load8(scan, 2, i),
+                load8(scan, 3, i),
+            ]
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn intersect_avx2(scan: &EntryScan, w: &Rect, f: &mut impl FnMut(Entry)) {
-        let n = scan.count;
-        unsafe { prefetch_lanes(scan) };
+    pub unsafe fn intersect_avx2(scan: &EntryScan, w: &Rect, f: &mut impl FnMut(u32)) {
+        prefetch_lanes(scan);
         let (wminx, wmaxx) = (_mm256_set1_epi32(w.min.x), _mm256_set1_epi32(w.max.x));
         let (wminy, wmaxy) = (_mm256_set1_epi32(w.min.y), _mm256_set1_epi32(w.max.y));
-        let mut i = 0;
-        while i + 8 <= n {
-            let xlo = load8(scan, 0, i);
-            let ylo = load8(scan, 1, i);
-            let xhi = load8(scan, 2, i);
-            let yhi = load8(scan, 3, i);
+        let keep = |i| {
+            // SAFETY: AVX2 is this function's contract, and `drive` calls
+            // `keep` only where `block_in_page(i)` holds.
+            let [xlo, ylo, xhi, yhi] = unsafe { load_rects(scan, i) };
             let miss = _mm256_or_si256(
                 _mm256_or_si256(
                     _mm256_cmpgt_epi32(wminx, xhi),
@@ -409,68 +508,56 @@ mod x86 {
                     _mm256_cmpgt_epi32(ylo, wmaxy),
                 ),
             );
-            let keep = !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & 0xFF;
-            each_bit(keep, |j| f(scan.get(i + j)));
-            i += 8;
-        }
-        for k in i..n {
-            let e = scan.get(k);
-            if w.intersects(&e.rect) {
-                f(e);
-            }
-        }
+            !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & 0xFF
+        };
+        drive(scan, keep, |k| w.intersects(&scan.rect(k)), f);
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn contain_avx2(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry)) {
-        let n = scan.count;
-        unsafe { prefetch_lanes(scan) };
+    pub unsafe fn contain_avx2(scan: &EntryScan, p: Point, f: &mut impl FnMut(u32)) {
+        prefetch_lanes(scan);
         let px = _mm256_set1_epi32(p.x);
         let py = _mm256_set1_epi32(p.y);
-        let mut i = 0;
-        while i + 8 <= n {
-            let xlo = load8(scan, 0, i);
-            let ylo = load8(scan, 1, i);
-            let xhi = load8(scan, 2, i);
-            let yhi = load8(scan, 3, i);
+        let keep = |i| {
+            // SAFETY: as in `intersect_avx2`.
+            let [xlo, ylo, xhi, yhi] = unsafe { load_rects(scan, i) };
             let miss = _mm256_or_si256(
                 _mm256_or_si256(_mm256_cmpgt_epi32(xlo, px), _mm256_cmpgt_epi32(px, xhi)),
                 _mm256_or_si256(_mm256_cmpgt_epi32(ylo, py), _mm256_cmpgt_epi32(py, yhi)),
             );
-            let keep = !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & 0xFF;
-            each_bit(keep, |j| f(scan.get(i + j)));
-            i += 8;
-        }
-        for k in i..n {
-            let e = scan.get(k);
-            if e.rect.contains_point(p) {
-                f(e);
-            }
-        }
+            !(_mm256_movemask_ps(_mm256_castsi256_ps(miss)) as u32) & 0xFF
+        };
+        drive(scan, keep, |k| scan.rect(k).contains_point(p), f);
     }
 
-    // Distance kernels: dx = max(xlo − px, px − xhi, 0) per lane (exact
+    // Distance kernel: dx = max(xlo − px, px − xhi, 0) per lane (exact
     // within the documented i32-difference domain), then dx² + dy² via
     // unsigned 32→64-bit lane multiplies — dx/dy are non-negative and
     // < 2^31, so `mul_epu32` of a lane with itself is the exact square.
     // Even-indexed entries come straight out of the register; odd-indexed
-    // ones after a 32-bit lane shift.
+    // ones after a 32-bit lane shift. Stale lanes past `count` may wrap in
+    // the subtractions; their results are computed and dropped.
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dist2_avx2(scan: &EntryScan, p: Point, f: &mut impl FnMut(Entry, i64)) {
-        let n = scan.count;
-        unsafe { prefetch_lanes(scan) };
+    pub unsafe fn dist2_avx2(scan: &EntryScan, p: Point, f: &mut impl FnMut(u32, i64)) {
+        prefetch_lanes(scan);
         let px = _mm256_set1_epi32(p.x);
         let py = _mm256_set1_epi32(p.y);
         let zero = _mm256_setzero_si256();
-        let mut i = 0;
         let mut even = [0i64; 4];
         let mut odd = [0i64; 4];
-        while i + 8 <= n {
-            let xlo = load8(scan, 0, i);
-            let ylo = load8(scan, 1, i);
-            let xhi = load8(scan, 2, i);
-            let yhi = load8(scan, 3, i);
+        // Emit the first `live` entries of the block at `i`; called only
+        // where `block_in_page(i)` holds.
+        let mut block = |i: usize, live: usize| {
+            // SAFETY: AVX2 is this function's contract, and both calls
+            // below check `block_in_page(i)` (a full block, or the tail).
+            let [xlo, ylo, xhi, yhi] = unsafe { load_rects(scan, i) };
             let dx = _mm256_max_epi32(
                 _mm256_max_epi32(_mm256_sub_epi32(xlo, px), _mm256_sub_epi32(px, xhi)),
                 zero,
@@ -484,17 +571,29 @@ mod x86 {
             let dy_o = _mm256_srli_epi64(dy, 32);
             let d2_odd =
                 _mm256_add_epi64(_mm256_mul_epu32(dx_o, dx_o), _mm256_mul_epu32(dy_o, dy_o));
-            _mm256_storeu_si256(even.as_mut_ptr() as *mut __m256i, d2_even);
-            _mm256_storeu_si256(odd.as_mut_ptr() as *mut __m256i, d2_odd);
-            for j in 0..8 {
-                let d = if j & 1 == 0 { even[j / 2] } else { odd[j / 2] };
-                f(scan.get(i + j), d);
+            // SAFETY: each array is exactly 32 bytes; `storeu` has no
+            // alignment requirement.
+            unsafe {
+                _mm256_storeu_si256(even.as_mut_ptr() as *mut __m256i, d2_even);
+                _mm256_storeu_si256(odd.as_mut_ptr() as *mut __m256i, d2_odd);
             }
-            i += 8;
+            for j in 0..live {
+                let d = if j & 1 == 0 { even[j / 2] } else { odd[j / 2] };
+                f(scan.child(i + j), d);
+            }
+        };
+        let n = scan.count;
+        let mut i = 0;
+        while i + LANES <= n {
+            block(i, LANES);
+            i += LANES;
         }
-        for k in i..n {
-            let e = scan.get(k);
-            f(e, e.rect.dist2_point(p));
+        if i < n && scan.block_in_page(i) {
+            block(i, n - i);
+        } else {
+            for k in i..n {
+                f(scan.child(k), scan.rect(k).dist2_point(p));
+            }
         }
     }
 }
@@ -537,7 +636,7 @@ pub fn scan_keys_le(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rectnode::ENTRY;
+    use crate::rectnode::{Entry, ENTRY};
     use lsdb_rng::StdRng;
 
     /// Build a node page holding `n` random entries, including degenerate
@@ -565,13 +664,6 @@ mod tests {
         buf
     }
 
-    /// The ISAs this host can run — every one must agree with the naive
-    /// reference (the full cross-ISA matrix lives in
-    /// `tests/kernel_differential.rs`).
-    fn isas() -> Vec<Isa> {
-        Isa::ALL.into_iter().filter(|i| i.available()).collect()
-    }
-
     #[test]
     fn intersecting_matches_naive_loop() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -580,14 +672,15 @@ mod tests {
         for n in [0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 50, 101] {
             let buf = random_page(&mut rng, n);
             let w = Rect::new(-300, -300, 250, 400);
-            let naive: Vec<Entry> = RectNode::entries(&buf)
+            let naive: Vec<u32> = RectNode::entries(&buf)
                 .into_iter()
                 .filter(|e| w.intersects(&e.rect))
+                .map(|e| e.child)
                 .collect();
-            for isa in isas() {
+            for isa in Isa::ALL {
                 let mut got = Vec::new();
                 let scanned =
-                    scan_intersecting_with(isa, &EntryScan::of_node(&buf), &w, |e| got.push(e));
+                    scan_intersecting_with(isa, &EntryScan::of_node(&buf), &w, |c| got.push(c));
                 assert_eq!(scanned, n, "kernel scans every entry");
                 assert_eq!(got, naive, "n={n} isa={isa:?}");
             }
@@ -607,15 +700,16 @@ mod tests {
                 probes.push(e.rect.max);
             }
             for p in probes {
-                let naive: Vec<Entry> = RectNode::entries(&buf)
+                let naive: Vec<u32> = RectNode::entries(&buf)
                     .into_iter()
                     .filter(|e| e.rect.contains_point(p))
+                    .map(|e| e.child)
                     .collect();
-                for isa in isas() {
+                for isa in Isa::ALL {
                     let mut got = Vec::new();
                     let scanned =
-                        scan_containing_point_with(isa, &EntryScan::of_node(&buf), p, |e| {
-                            got.push(e)
+                        scan_containing_point_with(isa, &EntryScan::of_node(&buf), p, |c| {
+                            got.push(c)
                         });
                     assert_eq!(scanned, n);
                     assert_eq!(got, naive, "n={n} p={p:?} isa={isa:?}");
@@ -631,14 +725,14 @@ mod tests {
             let buf = random_page(&mut rng, n);
             for _ in 0..8 {
                 let p = Point::new(rng.gen_range(-1500..1500), rng.gen_range(-1500..1500));
-                let naive: Vec<(Entry, i64)> = RectNode::entries(&buf)
+                let naive: Vec<(u32, i64)> = RectNode::entries(&buf)
                     .into_iter()
-                    .map(|e| (e, e.rect.dist2_point(p)))
+                    .map(|e| (e.child, e.rect.dist2_point(p)))
                     .collect();
-                for isa in isas() {
+                for isa in Isa::ALL {
                     let mut got = Vec::new();
-                    let scanned = scan_min_dist2_with(isa, &EntryScan::of_node(&buf), p, |e, d| {
-                        got.push((e, d))
+                    let scanned = scan_min_dist2_with(isa, &EntryScan::of_node(&buf), p, |c, d| {
+                        got.push((c, d))
                     });
                     assert_eq!(scanned, n);
                     assert_eq!(got, naive, "n={n} p={p:?} isa={isa:?}");
@@ -670,11 +764,9 @@ mod tests {
             );
         }
         let p = Point::new(M, -M);
-        for isa in isas() {
+        for isa in Isa::ALL {
             let mut got = Vec::new();
-            scan_min_dist2_with(isa, &EntryScan::of_node(&buf), p, |e, d| {
-                got.push((e.child, d))
-            });
+            scan_min_dist2_with(isa, &EntryScan::of_node(&buf), p, |c, d| got.push((c, d)));
             assert_eq!(got[0], (0, r.dist2_point(p)), "isa={isa:?}");
             assert_eq!(got[1], (1, r2.dist2_point(p)), "isa={isa:?}");
             assert_eq!(got[2], (2, 0), "inside the padded rect, isa={isa:?}");
@@ -682,15 +774,57 @@ mod tests {
     }
 
     #[test]
-    fn entry_scan_iter_agrees_with_entries_vec() {
+    fn entry_scan_agrees_with_entries_vec() {
         let mut rng = StdRng::seed_from_u64(14);
         let buf = random_page(&mut rng, 23);
         let scan = EntryScan::of_node(&buf);
         assert_eq!(scan.len(), 23);
         assert!(!scan.is_empty());
-        assert_eq!(scan.iter().collect::<Vec<_>>(), RectNode::entries(&buf));
+        let entries: Vec<Entry> = (0..scan.len())
+            .map(|i| Entry {
+                rect: scan.rect(i),
+                child: scan.child(i),
+            })
+            .collect();
+        assert_eq!(entries, RectNode::entries(&buf));
         let empty = random_page(&mut rng, 0);
         assert!(EntryScan::of_node(&empty).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the page's capacity")]
+    fn entry_scan_refuses_a_count_past_capacity() {
+        // A 1 KB page holds 50 entries; a header claiming 51 would send
+        // the vector loads past the buffer.
+        let mut buf = vec![0u8; 1024];
+        RectNode::init(&mut buf, true);
+        buf[2..4].copy_from_slice(&51u16.to_le_bytes());
+        EntryScan::of_node(&buf);
+    }
+
+    #[test]
+    fn masked_tail_fits_every_page_of_capacity_seven_or_more() {
+        // Page buffers sized exactly to their capacity (no slack after
+        // the child lane): the last block's loads fit for every count at
+        // capacity >= 7, and never past count 0 at capacities 1 to 3.
+        for cap in 1..=64usize {
+            let buf = vec![0u8; HDR + cap * ENTRY];
+            let scan = EntryScan::of_node(&buf);
+            assert_eq!(RectNode::capacity(buf.len()), cap);
+            for n in 1..=cap {
+                let last = (n - 1) & !(LANES - 1);
+                if cap >= 7 {
+                    assert!(scan.block_in_page(last), "cap {cap} count {n}");
+                }
+                if cap <= 3 {
+                    assert!(!scan.block_in_page(last), "cap {cap} count {n}");
+                }
+            }
+        }
+        // The paper's 1 KB page: its last block (entries 48..56) ends
+        // inside the child lane.
+        let scan = EntryScan::of_node(&[0u8; 1024]);
+        assert!(scan.block_in_page(48));
     }
 
     #[test]

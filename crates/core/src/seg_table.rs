@@ -37,15 +37,21 @@ const SEG_CACHE_SLOTS: usize = 1024;
 ///   the touched-page sets, and a context that wanders to a table backed
 ///   by a different pool empties it too.
 ///
+/// Emptying is a bump of the cache's epoch: a slot's tag carries the
+/// epoch it was filled in, so slots of an earlier query (or pool) simply
+/// never match. Only when the `u32` epoch wraps are the tags rewritten.
+///
 /// (The table is append-only, so a cached decode can never go stale.)
 pub(crate) struct SegCache {
     /// Identity of the pool the cached records came from
     /// ([`lsdb_pager::BufferPool::pool_id`]); `None` = empty.
     owner: Option<u64>,
-    /// Cached [`SegId`] per slot; `u32::MAX` = vacant (never a real id —
-    /// the table caps out well below, and PMR uses it as its own
-    /// sentinel for "no segment").
-    tags: [u32; SEG_CACHE_SLOTS],
+    /// Fill epoch of the current binding (`>= 1` once bound; tag epoch 0
+    /// is never live).
+    epoch: u32,
+    /// Per slot `epoch << 32 | SegId`: the slot holds that segment iff
+    /// the high half equals the current epoch.
+    tags: [u64; SEG_CACHE_SLOTS],
     segs: [Segment; SEG_CACHE_SLOTS],
 }
 
@@ -54,17 +60,28 @@ impl Default for SegCache {
         let zero = Segment::new(Point::new(0, 0), Point::new(0, 0));
         SegCache {
             owner: None,
-            tags: [u32::MAX; SEG_CACHE_SLOTS],
+            epoch: 0,
+            tags: [0; SEG_CACHE_SLOTS],
             segs: [zero; SEG_CACHE_SLOTS],
         }
     }
 }
 
 impl SegCache {
-    /// Drop every cached record (O(1): slots are lazily cleared when the
-    /// cache next binds to a pool).
+    /// Drop every cached record (O(1): the next fetch binds a new epoch).
     pub(crate) fn invalidate(&mut self) {
         self.owner = None;
+    }
+
+    /// Bind to `pool_id` under a fresh epoch, rewriting the tags only when
+    /// the epoch wraps.
+    fn bind(&mut self, pool_id: u64) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.tags = [0; SEG_CACHE_SLOTS];
+            self.epoch = 1;
+        }
+        self.owner = Some(pool_id);
     }
 }
 
@@ -165,18 +182,18 @@ impl SegmentTable {
         let pool_id = self.pool.pool_id();
         if cache.owner != Some(pool_id) {
             // First fetch since reset, or the context wandered to a table
-            // backed by a different pool: (re)bind and clear the slots.
-            cache.tags = [u32::MAX; SEG_CACHE_SLOTS];
-            cache.owner = Some(pool_id);
+            // backed by a different pool: (re)bind under a new epoch.
+            cache.bind(pool_id);
         }
         let slot = id.index() & (SEG_CACHE_SLOTS - 1);
-        if cache.tags[slot] == id.0 {
+        let tag = (cache.epoch as u64) << 32 | id.0 as u64;
+        if cache.tags[slot] == tag {
             return cache.segs[slot];
         }
         assert!(id.0 < self.len, "segment {id:?} out of range");
         let (page, page_slot) = self.locate(id.index());
         let record = decode(self.pool.read_page(self.pages[page], seg), page_slot);
-        cache.tags[slot] = id.0;
+        cache.tags[slot] = tag;
         cache.segs[slot] = record;
         record
     }
@@ -403,6 +420,29 @@ mod tests {
         let far = SegId(SEG_CACHE_SLOTS as u32);
         assert_eq!(t.get(far, &mut ctx), seg(n - 1, 0, n - 1, 1));
         assert_eq!(t.get(SegId(0), &mut ctx), seg(0, 0, 0, 1));
+    }
+
+    #[test]
+    fn mini_cache_epoch_wrap_forgets_every_slot() {
+        // 64-byte pages hold 4 records; all pages cold.
+        let mut t = SegmentTable::new(64, 2);
+        for i in 0..8 {
+            t.push(seg(i, 0, i, 1));
+        }
+        t.clear_cache();
+        let mut ctx = QueryCtx::new();
+        t.get(SegId(5), &mut ctx);
+        // Run queries across the wrap: slots filled at epoch 1 (and at the
+        // last epochs before the wrap) must not be hits afterwards, or the
+        // page charge behind them would be skipped.
+        ctx.seg_cache.epoch = u32::MAX - 2;
+        for _ in 0..3 {
+            ctx.reset();
+            assert_eq!(t.get(SegId(5), &mut ctx), seg(5, 0, 5, 1));
+            assert_eq!(t.get(SegId(5), &mut ctx), seg(5, 0, 5, 1));
+            assert_eq!(ctx.seg.stats.reads, 1, "one cold page per query");
+        }
+        assert_eq!(ctx.seg_cache.epoch, 1, "the epoch wrapped");
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Differential tests for the SIMD scan kernels: both ISA arms the host
-//! can run (scalar always; AVX2 where detected) must emit identical
-//! survivors, in identical storage order, with identical scan counts —
-//! over randomized pages and over the adversarial shapes the vector path
-//! could plausibly get wrong:
+//! Differential tests for the SIMD scan kernels: every ISA in
+//! [`Isa::ALL`] must emit the same survivors' child ids, in storage order,
+//! with the same scan counts — an ISA the host lacks runs the scalar arm,
+//! so it is held to the same answers — over randomized pages and over the
+//! adversarial shapes the vector path could plausibly get wrong:
 //!
-//! * ragged tails (`n % 8 != 0` and sub-block pages that never enter the
-//!   vector loop at all),
+//! * ragged tails (`n % 8 != 0`), which the AVX2 arm runs as one masked
+//!   8-wide block: every count from 0 to 50 on the paper's 1 KB page, and
+//!   pages too small for that block's loads (capacity below 7), which
+//!   keep the per-entry tail,
+//! * stale entries past `count` — a swap-remove leaves the old last entry
+//!   behind, and the masked block loads it — that would pass the
+//!   predicate yet must never be emitted,
 //! * zero-area rectangles (degenerate on one or both axes — axis-aligned
 //!   segments produce these constantly),
 //! * `i32::MIN` / `i32::MAX` coordinates for the comparison predicates
@@ -13,10 +18,10 @@
 //!   `±2^30` domain edge for the distance kernel,
 //! * empty nodes and full pages at the paper's 50-entry capacity.
 //!
-//! Every arm is checked against the naive per-entry `Rect` predicates,
-//! the scalar arm's own output included, so the AVX2 arm agrees with the
-//! scalar arm and both chain back to the geometry crate's single source
-//! of truth.
+//! Every arm is checked against the naive per-entry `Rect` predicates
+//! (child ids and scan counts), the scalar arm's own output included, so
+//! the AVX2 arm agrees with the scalar arm and both chain back to the
+//! geometry crate's single source of truth.
 
 use lsdb_core::rectnode::{Entry, RectNode, ENTRY, HDR};
 use lsdb_core::scan::{
@@ -24,12 +29,6 @@ use lsdb_core::scan::{
 };
 use lsdb_geom::{Point, Rect};
 use lsdb_rng::StdRng;
-
-/// Every ISA the host can actually execute. Scalar is always present, so
-/// the agreement checks are non-trivial even on a runner without AVX2.
-fn isas() -> Vec<Isa> {
-    Isa::ALL.into_iter().filter(|i| i.available()).collect()
-}
 
 fn page_of(entries: &[Entry]) -> Vec<u8> {
     let mut buf = vec![0u8; HDR + entries.len().max(1) * ENTRY];
@@ -47,62 +46,206 @@ fn e(x0: i32, y0: i32, x1: i32, y1: i32, child: u32) -> Entry {
     }
 }
 
-/// Collect (survivor, order) from the intersect kernel on one ISA.
-fn run_intersect(isa: Isa, buf: &[u8], w: &Rect) -> (Vec<Entry>, usize) {
+/// Collect (survivor child ids, scan count) from the intersect kernel on
+/// one ISA.
+fn run_intersect(isa: Isa, buf: &[u8], w: &Rect) -> (Vec<u32>, usize) {
     let scan = EntryScan::of_node(buf);
     let mut got = Vec::new();
-    let n = scan_intersecting_with(isa, &scan, w, |e| got.push(e));
+    let n = scan_intersecting_with(isa, &scan, w, |c| got.push(c));
     (got, n)
 }
 
-fn run_contain(isa: Isa, buf: &[u8], p: Point) -> (Vec<Entry>, usize) {
+fn run_contain(isa: Isa, buf: &[u8], p: Point) -> (Vec<u32>, usize) {
     let scan = EntryScan::of_node(buf);
     let mut got = Vec::new();
-    let n = scan_containing_point_with(isa, &scan, p, |e| got.push(e));
+    let n = scan_containing_point_with(isa, &scan, p, |c| got.push(c));
     (got, n)
 }
 
-fn run_dist2(isa: Isa, buf: &[u8], p: Point) -> (Vec<(Entry, i64)>, usize) {
+fn run_dist2(isa: Isa, buf: &[u8], p: Point) -> (Vec<(u32, i64)>, usize) {
     let scan = EntryScan::of_node(buf);
     let mut got = Vec::new();
-    let n = scan_min_dist2_with(isa, &scan, p, |e, d| got.push((e, d)));
+    let n = scan_min_dist2_with(isa, &scan, p, |c, d| got.push((c, d)));
     (got, n)
 }
 
-/// Assert all host ISAs agree with the scalar arm on all three kernels,
-/// and that the scalar arm agrees with the naive geometry predicates.
-fn assert_all_agree(entries: &[Entry], w: &Rect, p: Point, label: &str) {
-    let buf = page_of(entries);
-    let n = entries.len();
-
-    let naive_w: Vec<Entry> = entries
+fn naive_intersect(entries: &[Entry], w: &Rect) -> Vec<u32> {
+    entries
         .iter()
-        .copied()
         .filter(|e| w.intersects(&e.rect))
-        .collect();
-    let naive_p: Vec<Entry> = entries
-        .iter()
-        .copied()
-        .filter(|e| e.rect.contains_point(p))
-        .collect();
-    let naive_d: Vec<(Entry, i64)> = entries
-        .iter()
-        .copied()
-        .map(|e| (e, e.rect.dist2_point(p)))
-        .collect();
+        .map(|e| e.child)
+        .collect()
+}
 
-    for isa in isas() {
-        let (got, scanned) = run_intersect(isa, &buf, w);
+fn naive_contain(entries: &[Entry], p: Point) -> Vec<u32> {
+    entries
+        .iter()
+        .filter(|e| e.rect.contains_point(p))
+        .map(|e| e.child)
+        .collect()
+}
+
+fn naive_dist2(entries: &[Entry], p: Point) -> Vec<(u32, i64)> {
+    entries
+        .iter()
+        .map(|e| (e.child, e.rect.dist2_point(p)))
+        .collect()
+}
+
+/// Assert every ISA agrees with the naive geometry predicates on all
+/// three kernels over the node page `buf`, whose live entries are
+/// `entries` (whatever lies past them in the page).
+fn assert_page_agrees(buf: &[u8], entries: &[Entry], w: &Rect, p: Point, label: &str) {
+    let n = entries.len();
+    let (naive_w, naive_p, naive_d) = (
+        naive_intersect(entries, w),
+        naive_contain(entries, p),
+        naive_dist2(entries, p),
+    );
+    for isa in Isa::ALL {
+        let (got, scanned) = run_intersect(isa, buf, w);
         assert_eq!(scanned, n, "{label}: intersect scan count on {isa:?}");
         assert_eq!(got, naive_w, "{label}: intersect survivors on {isa:?}");
 
-        let (got, scanned) = run_contain(isa, &buf, p);
+        let (got, scanned) = run_contain(isa, buf, p);
         assert_eq!(scanned, n, "{label}: contain scan count on {isa:?}");
         assert_eq!(got, naive_p, "{label}: contain survivors on {isa:?}");
 
-        let (got, scanned) = run_dist2(isa, &buf, p);
+        let (got, scanned) = run_dist2(isa, buf, p);
         assert_eq!(scanned, n, "{label}: dist2 scan count on {isa:?}");
         assert_eq!(got, naive_d, "{label}: dist2 values on {isa:?}");
+    }
+}
+
+/// [`assert_page_agrees`] on a page holding exactly `entries`.
+fn assert_all_agree(entries: &[Entry], w: &Rect, p: Point, label: &str) {
+    assert_page_agrees(&page_of(entries), entries, w, p, label);
+}
+
+/// A random entry around the origin, degenerate on either axis with high
+/// probability.
+fn random_entry(rng: &mut StdRng, child: u32) -> Entry {
+    let x0 = rng.gen_range(-2000..2000);
+    let y0 = rng.gen_range(-2000..2000);
+    let w = if rng.gen_bool(0.4) {
+        0
+    } else {
+        rng.gen_range(0..300)
+    };
+    let h = if rng.gen_bool(0.4) {
+        0
+    } else {
+        rng.gen_range(0..300)
+    };
+    Entry {
+        rect: Rect::new(x0, y0, x0 + w, y0 + h),
+        child,
+    }
+}
+
+#[test]
+fn every_count_on_a_1k_page_agrees_across_isas() {
+    // The paper's 1 KB page (capacity 50): counts 0..=50 give every tail
+    // length 0..=7, the last ones reaching the end of the rectangle lanes.
+    // The page is filled to capacity and then cut back by swap-removes,
+    // so the bytes past `count` hold real (stale) entries.
+    let mut rng = StdRng::seed_from_u64(0x1C0);
+    for n in 0..=50usize {
+        for round in 0..4 {
+            let mut buf = vec![0u8; 1024];
+            RectNode::init(&mut buf, true);
+            let mut entries: Vec<Entry> = (0..50).map(|i| random_entry(&mut rng, i)).collect();
+            for &e in &entries {
+                RectNode::push(&mut buf, e);
+            }
+            while entries.len() > n {
+                let i = rng.gen_range(0..entries.len());
+                RectNode::remove_at(&mut buf, i);
+                entries.swap_remove(i);
+            }
+            assert_eq!(RectNode::entries(&buf), entries);
+            let w = Rect::new(
+                rng.gen_range(-2000..0),
+                rng.gen_range(-2000..0),
+                rng.gen_range(0..2000),
+                rng.gen_range(0..2000),
+            );
+            let p = Point::new(rng.gen_range(-2500..2500), rng.gen_range(-2500..2500));
+            assert_page_agrees(&buf, &entries, &w, p, &format!("1K n={n} round={round}"));
+        }
+    }
+}
+
+#[test]
+fn stale_entries_past_the_count_are_never_emitted() {
+    // Every entry contains the probe point and meets the window, so each
+    // stale entry a swap-remove leaves behind would pass the predicate if
+    // a kernel looked past `count`. Capacities 1..=60 cover the scalar
+    // tail (below 7) and the masked block (7 and up).
+    let p = Point::new(10, 10);
+    let w = Rect::new(0, 0, 20, 20);
+    for cap in 1..=60usize {
+        let full: Vec<Entry> = (0..cap as u32)
+            .map(|c| e(c as i32 - 100, 0, 100, 20, c))
+            .collect();
+        for n in 0..cap {
+            let mut buf = vec![0u8; HDR + cap * ENTRY];
+            RectNode::init(&mut buf, true);
+            for &x in &full {
+                RectNode::push(&mut buf, x);
+            }
+            // Remove from the end: the removed entries stay in the lanes.
+            for i in (n..cap).rev() {
+                RectNode::remove_at(&mut buf, i);
+            }
+            let live = &full[..n];
+            assert_eq!(RectNode::entries(&buf), live);
+            assert_page_agrees(&buf, live, &w, p, &format!("cap={cap} n={n}"));
+            let ids: Vec<u32> = (0..n as u32).collect();
+            for isa in Isa::ALL {
+                assert_eq!(run_contain(isa, &buf, p).0, ids, "cap={cap} n={n} {isa:?}");
+                assert_eq!(
+                    run_intersect(isa, &buf, &w).0,
+                    ids,
+                    "cap={cap} n={n} {isa:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn pages_below_capacity_seven_agree_across_isas() {
+    // Exact-size pages of capacity 1..=6. On the smallest of them an
+    // 8-wide load of the `yhi` lane would run past the buffer's end, so
+    // the AVX2 arm keeps the per-entry tail there (which pages do is
+    // pinned by the scan module's own unit test); whichever tail runs,
+    // the answers must be the naive ones.
+    let mut rng = StdRng::seed_from_u64(0x5A11);
+    for cap in 1..=6usize {
+        for n in 0..=cap {
+            for round in 0..16 {
+                let mut buf = vec![0u8; HDR + cap * ENTRY];
+                RectNode::init(&mut buf, true);
+                let entries: Vec<Entry> =
+                    (0..n as u32).map(|c| random_entry(&mut rng, c)).collect();
+                for &x in &entries {
+                    RectNode::push(&mut buf, x);
+                }
+                let w = Rect::new(
+                    rng.gen_range(-2000..0),
+                    rng.gen_range(-2000..0),
+                    rng.gen_range(0..2000),
+                    rng.gen_range(0..2000),
+                );
+                let p = match entries.first() {
+                    Some(x) if round % 2 == 0 => x.rect.min,
+                    _ => Point::new(rng.gen_range(-2500..2500), rng.gen_range(-2500..2500)),
+                };
+                let label = format!("cap={cap} n={n} round={round}");
+                assert_page_agrees(&buf, &entries, &w, p, &label);
+            }
+        }
     }
 }
 
@@ -115,27 +258,7 @@ fn randomized_pages_agree_across_isas() {
         0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 16, 17, 23, 31, 32, 33, 50,
     ] {
         for round in 0..8 {
-            let entries: Vec<Entry> = (0..n)
-                .map(|i| {
-                    let x0 = rng.gen_range(-2000..2000);
-                    let y0 = rng.gen_range(-2000..2000);
-                    // Degenerate on either axis with high probability.
-                    let w = if rng.gen_bool(0.4) {
-                        0
-                    } else {
-                        rng.gen_range(0..300)
-                    };
-                    let h = if rng.gen_bool(0.4) {
-                        0
-                    } else {
-                        rng.gen_range(0..300)
-                    };
-                    Entry {
-                        rect: Rect::new(x0, y0, x0 + w, y0 + h),
-                        child: i as u32,
-                    }
-                })
-                .collect();
+            let entries: Vec<Entry> = (0..n as u32).map(|i| random_entry(&mut rng, i)).collect();
             let w = Rect::new(
                 rng.gen_range(-2000..0),
                 rng.gen_range(-2000..0),
@@ -182,24 +305,16 @@ fn extreme_coordinates_intersect_and_contain() {
     // checking intersect/contain only here.
     let buf = page_of(&entries);
     for w in &windows {
-        let naive: Vec<Entry> = entries
-            .iter()
-            .copied()
-            .filter(|e| w.intersects(&e.rect))
-            .collect();
-        for isa in isas() {
+        let naive = naive_intersect(&entries, w);
+        for isa in Isa::ALL {
             let (got, scanned) = run_intersect(isa, &buf, w);
             assert_eq!(scanned, entries.len());
             assert_eq!(got, naive, "window {w:?} on {isa:?}");
         }
     }
     for p in points {
-        let naive: Vec<Entry> = entries
-            .iter()
-            .copied()
-            .filter(|e| e.rect.contains_point(p))
-            .collect();
-        for isa in isas() {
+        let naive = naive_contain(&entries, p);
+        for isa in Isa::ALL {
             let (got, scanned) = run_contain(isa, &buf, p);
             assert_eq!(scanned, entries.len());
             assert_eq!(got, naive, "point {p:?} on {isa:?}");
@@ -233,12 +348,8 @@ fn dist2_agrees_at_the_domain_edge() {
         Point::new(0, 0),
         Point::new(-M, M),
     ] {
-        let naive: Vec<(Entry, i64)> = entries
-            .iter()
-            .copied()
-            .map(|e| (e, e.rect.dist2_point(p)))
-            .collect();
-        for isa in isas() {
+        let naive = naive_dist2(&entries, p);
+        for isa in Isa::ALL {
             let (got, scanned) = run_dist2(isa, &buf, p);
             assert_eq!(scanned, entries.len());
             assert_eq!(got, naive, "probe {p:?} on {isa:?}");

@@ -1,5 +1,5 @@
 use crate::{BufferBudget, PageId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -37,11 +37,8 @@ impl Hasher for PageIdHasher {
 /// Hash map from [`PageId`] keyed by [`PageIdHasher`].
 type PageMap<V> = HashMap<PageId, V, BuildHasherDefault<PageIdHasher>>;
 
-/// Hash set of [`PageId`]s keyed by [`PageIdHasher`].
-type PageSet = HashSet<PageId, BuildHasherDefault<PageIdHasher>>;
-
-/// Process-unique pool identities, used to reset a [`PoolCtx`]'s touched
-/// set when it is reused against a different pool.
+/// Process-unique pool identities, used to forget a [`PoolCtx`]'s touched
+/// pages when it is reused against a different pool.
 static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Disk-transfer counters maintained by a [`BufferPool`] (build path) or a
@@ -81,13 +78,25 @@ impl std::ops::Sub for DiskStats {
 /// interleave across threads. That is what makes parallel workload totals
 /// equal sequential ones exactly. [`PoolCtx::reset`] starts the next
 /// query.
+///
+/// The touched set is a dense array of epoch stamps indexed by
+/// [`PageId`]: page `p` has been touched by the current query iff
+/// `marks[p] == epoch`. A touch is one load and one store, with no
+/// hashing; the array grows to the pool's page count on first use, and
+/// starting the next query (or moving to another pool) only bumps the
+/// epoch. Only when the `u32` epoch wraps is the array cleared.
 #[derive(Default)]
 pub struct PoolCtx {
-    touched: PageSet,
-    /// Identity of the pool the touched set belongs to. Page ids are only
+    /// Epoch stamp per page id; `0` is never a live epoch.
+    marks: Vec<u32>,
+    /// The current query's stamp (`>= 1` once the context is bound).
+    epoch: u32,
+    /// Distinct pages stamped with the current epoch.
+    touched: usize,
+    /// Identity of the pool the stamps belong to. Page ids are only
     /// unique within one pool, so a context that wanders to a different
-    /// pool starts a fresh set instead of treating the new pool's pages as
-    /// already paid for.
+    /// pool starts a fresh epoch instead of treating the new pool's pages
+    /// as already paid for.
     owner: Option<u64>,
     /// Potential disk accesses charged to this context: one read per
     /// distinct non-resident page touched.
@@ -100,16 +109,51 @@ impl PoolCtx {
     }
 
     /// Forget the touched pages and zero the counters, readying the
-    /// context for the next query without reallocating its set.
+    /// context for the next query without touching its stamp array.
     pub fn reset(&mut self) {
-        self.touched.clear();
-        self.owner = None;
+        self.next_epoch();
         self.stats = DiskStats::default();
     }
 
     /// Distinct pages touched by the current query.
     pub fn pages_touched(&self) -> usize {
-        self.touched.len()
+        self.touched
+    }
+
+    /// Start a new touched set: bump the epoch, clearing the stamps only
+    /// when it wraps (so a stale stamp can never equal a live epoch).
+    fn next_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.marks.fill(0);
+            self.epoch = 1;
+        }
+        self.touched = 0;
+    }
+
+    /// Stamp `pid` for the current query; `true` on its first touch.
+    #[inline]
+    fn first_touch(&mut self, pid: PageId, pool_pages: usize) -> bool {
+        let i = pid.index();
+        if i >= self.marks.len() {
+            // First use against this pool (or the pool grew): size the
+            // array to the whole pool so later touches never resize.
+            self.marks.resize(pool_pages.max(i + 1), 0);
+        }
+        let mark = &mut self.marks[i];
+        if *mark == self.epoch {
+            return false;
+        }
+        *mark = self.epoch;
+        self.touched += 1;
+        true
+    }
+
+    /// Test hook: jump the epoch so a test can push a context through the
+    /// wrap without four billion queries.
+    #[cfg(test)]
+    fn set_epoch(&mut self, epoch: u32) {
+        self.epoch = epoch;
     }
 }
 
@@ -619,10 +663,10 @@ impl BufferPool {
         if ctx.owner != Some(self.id) {
             // The context last touched pages of a different pool (page ids
             // are per-pool); counters are kept, the touched set is not.
-            ctx.touched.clear();
+            ctx.next_epoch();
             ctx.owner = Some(self.id);
         }
-        if ctx.touched.insert(pid) {
+        if ctx.first_touch(pid, self.pages.len()) {
             let shard = self.shards[self.shard_of(pid)].read().unwrap();
             match shard.resident.get(&pid).copied() {
                 Some(frame) if shard.frames[frame].held => self.cache.hit(),
@@ -927,6 +971,86 @@ mod tests {
         assert_eq!(a.read_page(pa, &mut ctx)[0], 0xAA);
         assert_eq!(b.read_page(pb, &mut ctx)[0], 0xBB);
         assert_eq!(a.read_page(pa, &mut ctx)[0], 0xAA);
+    }
+
+    /// A pool of `pages` pages with none resident: every page costs one
+    /// read the first time a query touches it.
+    fn cold_pool(pages: usize) -> (BufferPool, Vec<PageId>) {
+        let mut p = BufferPool::new(64, 4);
+        let pids: Vec<_> = (0..pages).map(|_| p.allocate()).collect();
+        for (i, &pid) in pids.iter().enumerate() {
+            p.with_page_mut(pid, |d| d[0] = i as u8);
+        }
+        p.clear();
+        (p, pids)
+    }
+
+    #[test]
+    fn stamped_ctx_charges_afresh_across_an_epoch_wrap() {
+        let (p, pids) = cold_pool(12);
+        let mut ctx = PoolCtx::new();
+        // Stamp every page at epoch 1, then jump to just before the wrap:
+        // the wrap must clear those stamps, or epoch 1 comes round again
+        // and finds the pages already paid for.
+        for &pid in &pids {
+            p.read_page(pid, &mut ctx);
+        }
+        ctx.set_epoch(u32::MAX - 2);
+        for query in 0..5 {
+            ctx.reset();
+            // Three distinct pages, each touched three times.
+            for _ in 0..3 {
+                for &pid in &pids[query..query + 3] {
+                    assert_eq!(p.read_page(pid, &mut ctx)[0], pid.0 as u8);
+                }
+            }
+            assert_eq!(ctx.stats.reads, 3, "query {query}: one read per page");
+            assert_eq!(ctx.pages_touched(), 3, "query {query}");
+        }
+        assert_eq!(ctx.epoch, 3, "the epoch wrapped to 1 and moved on");
+    }
+
+    #[test]
+    fn stamped_ctx_alternating_between_pools_charges_each_afresh() {
+        // Different page counts, so the stamp array is sized by one pool
+        // and then has to grow for the other.
+        let (small, small_pids) = cold_pool(3);
+        let (large, large_pids) = cold_pool(40);
+        let mut ctx = PoolCtx::new();
+        let mut expect = 0;
+        for round in 0..4 {
+            let (pool, pids) = if round % 2 == 0 {
+                (&small, &small_pids)
+            } else {
+                (&large, &large_pids)
+            };
+            for _ in 0..2 {
+                for &pid in pids {
+                    assert_eq!(pool.read_page(pid, &mut ctx)[0], pid.0 as u8);
+                }
+            }
+            expect += pids.len() as u64;
+            assert_eq!(ctx.stats.reads, expect, "round {round}: each page once");
+            assert_eq!(ctx.pages_touched(), pids.len(), "round {round}");
+        }
+    }
+
+    #[test]
+    fn pages_touched_counts_distinct_pages() {
+        let (p, pids) = cold_pool(10);
+        let mut ctx = PoolCtx::new();
+        for (k, &pid) in pids.iter().enumerate() {
+            // Touch page k, then every page before it again.
+            p.read_page(pid, &mut ctx);
+            for &again in &pids[..k] {
+                p.read_page(again, &mut ctx);
+            }
+            assert_eq!(ctx.pages_touched(), k + 1);
+        }
+        assert_eq!(ctx.stats.reads, 10);
+        ctx.reset();
+        assert_eq!(ctx.pages_touched(), 0);
+        assert_eq!(ctx.stats, DiskStats::default());
     }
 
     #[test]

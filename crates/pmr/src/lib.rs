@@ -81,6 +81,12 @@ fn payload_of_key(k: u64) -> u32 {
     k as u32
 }
 
+/// The key range of the block `k` belongs to, `(key(b, 0), key(b,
+/// u32::MAX))`: the key with its payload bits cleared, then set.
+fn block_run(k: u64) -> (u64, u64) {
+    (k & !0xFFFF_FFFF, k | 0xFFFF_FFFF)
+}
+
 /// A disk-resident PMR quadtree over line segments.
 pub struct PmrQuadtree {
     btree: BTree,
@@ -223,10 +229,6 @@ impl PmrQuadtree {
         f: &mut impl FnMut(SegId),
     ) -> Block {
         let probe = key(Block::containing(p, self.max_depth), u32::MAX);
-        let block_run = |k| {
-            let b = block_of_key(k);
-            (key(b, 0), key(b, u32::MAX))
-        };
         let k = self
             .btree
             .last_then_scan_ctx(0, probe, block_run, index, &mut |k| {
@@ -758,6 +760,26 @@ mod tests {
     use super::*;
     use lsdb_core::brute;
     use lsdb_geom::WORLD_SIZE;
+
+    #[test]
+    fn block_run_masks_the_payload_of_any_key() {
+        let mut blocks = vec![Block::ROOT];
+        for depth in 0..MAX_DEPTH as usize {
+            let b = blocks[depth];
+            blocks.extend(b.children().into_iter().skip(depth % 4).take(1));
+        }
+        blocks.push(Block::containing(
+            Point::new(WORLD_SIZE - 1, WORLD_SIZE - 1),
+            MAX_DEPTH,
+        ));
+        for b in blocks {
+            for payload in [0, 1, 0x1234_5678, EMPTY] {
+                let k = key(b, payload);
+                assert_eq!(block_run(k), (key(b, 0), key(b, u32::MAX)), "{b:?}");
+                assert_eq!(block_of_key(k), b);
+            }
+        }
+    }
 
     fn cfg_test() -> PmrConfig {
         PmrConfig {
